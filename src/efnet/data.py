@@ -8,6 +8,7 @@ All binary payloads are little-endian; all text is UTF-8.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -53,7 +54,9 @@ class Sample:
 
 @dataclass
 class EncodedSample:
-    """A sample resolved to indices and arrays, ready for the model."""
+    """A sample resolved to indices and arrays, ready for the model.
+
+    ``features`` is the feature grid, or the path of its file."""
 
     id: str
     token_ids: np.ndarray
@@ -61,7 +64,7 @@ class EncodedSample:
     span: tuple[int, int]
     aspect_ids: np.ndarray
     label: int
-    features: np.ndarray | None = None
+    features: np.ndarray | str | None = None
 
 
 class EmbeddingTable:
@@ -204,34 +207,49 @@ def write_dataset(path, samples) -> None:
             fh.write(json.dumps(obj) + "\n")
 
 
-def load_image_features(path) -> Tensor:
-    """Read one region-feature file (magic EFVF, version 1, dims 7x7x2048)."""
+def load_image_features(path, out=None) -> Tensor:
+    """Read one region-feature file (magic EFVF, version 1, dims 7x7x2048).
+
+    The payload goes straight into ``out`` when one is given: a C-contiguous
+    little-endian float32 array of 7*7*2048 values, in any shape.
+    """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            head = fh.read(24)
+            size = os.fstat(fh.fileno()).st_size
+            _check_feature_header(path, head, size)
+            values = np.empty(FEATURE_SHAPE, dtype="<f4") if out is None else out
+            if values.dtype != np.dtype("<f4") or values.size != math.prod(FEATURE_SHAPE) \
+                    or not values.flags.c_contiguous:
+                raise ValueError(f"cannot read {path} into {values.dtype} {values.shape}")
+            got = fh.readinto(values)
     except OSError as e:
         raise InputError(f"cannot read feature file {path}: {e}") from None
-    if len(blob) < 4 or blob[:4] != FEATURE_MAGIC:
+    if got != values.nbytes:
+        raise FormatError(f"{path}: payload is {got} bytes, expected {values.nbytes}")
+    return Tensor(values.reshape(FEATURE_SHAPE))
+
+
+def _check_feature_header(path, head: bytes, size: int) -> None:
+    if len(head) < 4 or head[:4] != FEATURE_MAGIC:
         raise FormatError(f"{path}: bad magic, expected {FEATURE_MAGIC!r}")
-    if len(blob) < 12:
+    if len(head) < 12:
         raise FormatError(f"{path}: truncated header (version/ndims)")
-    version, ndims = struct.unpack_from("<II", blob, 4)
+    version, ndims = struct.unpack_from("<II", head, 4)
     if version != FEATURE_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     if ndims != 3:
         raise FormatError(f"{path}: ndims must be 3, got {ndims}")
-    if len(blob) < 24:
+    if len(head) < 24:
         raise FormatError(f"{path}: truncated dims")
-    dims = struct.unpack_from("<III", blob, 12)
+    dims = struct.unpack_from("<III", head, 12)
     if dims != FEATURE_SHAPE:
         raise FormatError(f"{path}: dims {dims} do not match {FEATURE_SHAPE}")
-    expected = 24 + 4 * int(np.prod(FEATURE_SHAPE))
-    if len(blob) != expected:
+    expected = 24 + 4 * math.prod(FEATURE_SHAPE)
+    if size != expected:
         raise FormatError(
-            f"{path}: payload is {len(blob) - 24} bytes, expected {expected - 24}"
+            f"{path}: payload is {size - 24} bytes, expected {expected - 24}"
         )
-    values = np.frombuffer(blob, dtype="<f4", offset=24).reshape(FEATURE_SHAPE)
-    return Tensor(values.copy())
 
 
 def write_image_features(path, values) -> None:
@@ -258,6 +276,12 @@ def _truncate(tokens, span, max_len):
     return tokens[lo : lo + max_len], (start - lo, end - lo)
 
 
+def _image_ref(sample: Sample) -> str:
+    if sample.image_ref is None:
+        raise InputError(f"sample {sample.id}: no image in multimodal mode")
+    return sample.image_ref
+
+
 def encode_sample(sample: Sample, table: EmbeddingTable, max_len: int, with_features: bool) -> EncodedSample:
     start, end = sample.target_span
     if end - start > max_len:
@@ -265,9 +289,7 @@ def encode_sample(sample: Sample, table: EmbeddingTable, max_len: int, with_feat
     tokens, span = _truncate(sample.tokens, sample.target_span, max_len)
     features = None
     if with_features:
-        if sample.image_ref is None:
-            raise InputError(f"sample {sample.id}: no image in multimodal mode")
-        features = load_image_features(sample.image_ref).data
+        features = load_image_features(_image_ref(sample)).data
     return EncodedSample(
         id=sample.id,
         token_ids=table.token_ids(tokens),
@@ -281,57 +303,74 @@ def encode_sample(sample: Sample, table: EmbeddingTable, max_len: int, with_feat
 
 @dataclass
 class Batch:
+    """Samples padded to common lengths; every mask is True on real entries.
+
+    ``token_ids`` and ``mask`` are [B, L]; ``spans`` is [B, 2] (start, end)
+    into the token rows; ``target_ids`` and ``aspect_ids`` hold each row's
+    target tokens and aspect tokens, padded to [B, T] and [B, A] with their
+    own masks. Padding uses index 0. ``features`` holds each row's feature
+    grid, as an array or as the path of its file, read when the batch runs
+    (None for every row in text-only mode).
+    """
+
     ids: list
     token_ids: np.ndarray
     mask: np.ndarray
-    spans: list
-    aspect_ids: list
+    spans: np.ndarray
+    target_ids: np.ndarray
+    target_mask: np.ndarray
+    aspect_ids: np.ndarray
+    aspect_mask: np.ndarray
     labels: np.ndarray
     features: list
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def item(self, i: int) -> EncodedSample:
-        return EncodedSample(
-            id=self.ids[i],
-            token_ids=self.token_ids[i],
-            mask=self.mask[i],
-            span=self.spans[i],
-            aspect_ids=self.aspect_ids[i],
-            label=int(self.labels[i]),
-            features=self.features[i],
-        )
+
+def _pad(rows, masks=None):
+    width = max(len(r) for r in rows)
+    ids = np.full((len(rows), width), PAD_INDEX, dtype=np.int64)
+    mask = np.zeros((len(rows), width), dtype=bool)
+    for i, r in enumerate(rows):
+        ids[i, : len(r)] = r
+        mask[i, : len(r)] = True if masks is None else masks[i]
+    return ids, mask
 
 
-def make_batches(samples, table: EmbeddingTable, config, rng) -> list:
-    """Shuffle, chunk, and pad. ``config`` supplies batch_size, max_len, and
-    text_only; the last batch may be ragged. Padding rows use index 0 with
-    mask False."""
-    with_features = not config.text_only
-    order = rng.permutation(len(samples))
-    encoded = [encode_sample(samples[i], table, config.max_len, with_features) for i in order]
-    batches = []
-    for at in range(0, len(encoded), config.batch_size):
-        chunk = encoded[at : at + config.batch_size]
-        width = max(len(e.token_ids) for e in chunk)
-        ids_mat = np.full((len(chunk), width), PAD_INDEX, dtype=np.int64)
-        mask = np.zeros((len(chunk), width), dtype=bool)
-        for r, e in enumerate(chunk):
-            ids_mat[r, : len(e.token_ids)] = e.token_ids
-            mask[r, : len(e.token_ids)] = True
-        batches.append(
-            Batch(
-                ids=[e.id for e in chunk],
-                token_ids=ids_mat,
-                mask=mask,
-                spans=[e.span for e in chunk],
-                aspect_ids=[e.aspect_ids for e in chunk],
-                labels=np.array([e.label for e in chunk], dtype=np.int64),
-                features=[e.features for e in chunk],
-            )
-        )
-    return batches
+def collate(encoded) -> Batch:
+    """Pad a list of encoded samples into one batch."""
+    token_ids, mask = _pad([e.token_ids for e in encoded], [e.mask for e in encoded])
+    target_ids, target_mask = _pad([e.token_ids[e.span[0] : e.span[1]] for e in encoded])
+    aspect_ids, aspect_mask = _pad([e.aspect_ids for e in encoded])
+    return Batch(
+        ids=[e.id for e in encoded],
+        token_ids=token_ids,
+        mask=mask,
+        spans=np.array([e.span for e in encoded], dtype=np.int64),
+        target_ids=target_ids,
+        target_mask=target_mask,
+        aspect_ids=aspect_ids,
+        aspect_mask=aspect_mask,
+        labels=np.array([e.label for e in encoded], dtype=np.int64),
+        features=[e.features for e in encoded],
+    )
+
+
+def make_batches(samples, table: EmbeddingTable, *, batch_size: int, max_len: int,
+                 text_only: bool, rng=None) -> list:
+    """Chunk and pad, in a ``rng`` permutation or, without one, in order.
+    The last batch may be ragged. Feature grids are not read here: each
+    row carries its file path, read when its batch runs."""
+    order = range(len(samples)) if rng is None else rng.permutation(len(samples))
+    encoded = []
+    for i in order:
+        enc = encode_sample(samples[i], table, max_len, with_features=False)
+        if not text_only:
+            enc.features = _image_ref(samples[i])
+        encoded.append(enc)
+    return [collate(encoded[at : at + batch_size])
+            for at in range(0, len(encoded), batch_size)]
 
 
 def synth_generate(out_dir, seed: int, n: int, vocab_size: int = 40,

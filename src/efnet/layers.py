@@ -128,14 +128,16 @@ class PositionTable:
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None, return_weights: bool = False):
-    """softmax(q k^T / sqrt(d_k)) v with optional key mask (True = attend)."""
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise ShapeError("attention operands must be rank 2")
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"query width {q.shape[1]} != key width {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"key count {k.shape[0]} != value count {v.shape[0]}")
-    scores = tx.scale(tx.matmul(q, tx.transpose(k)), 1.0 / math.sqrt(q.shape[1]))
+    """softmax(q k^T / sqrt(d_k)) v with optional key mask (True = attend).
+    Operands are [n, d], or [B, n, d] for a batch."""
+    rank = q.data.ndim
+    if rank not in (2, 3) or k.data.ndim != rank or v.data.ndim != rank:
+        raise ShapeError("attention operands must be rank 2, or rank 3 with a batch axis")
+    if q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"query width {q.shape[-1]} != key width {k.shape[-1]}")
+    if k.shape[:-1] != v.shape[:-1]:
+        raise ShapeError(f"key count {k.shape[-2]} != value count {v.shape[-2]}")
+    scores = tx.scale(tx.matmul(q, tx.transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
     weights = tx.softmax(scores, axis=-1, mask=mask)
     out = tx.matmul(weights, v)
     return (out, weights) if return_weights else out
@@ -144,11 +146,14 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None, return_weig
 def multi_head(q: Tensor, k: Tensor, v: Tensor, params: MHAParams, mask=None, return_weights: bool = False):
     """Heads attend in parallel subspaces; outputs concatenate, no extra
     projection afterwards. All heads run as one fused op; the per-head
-    weights it returns are detached values, not tape nodes."""
+    weights it returns ([(B,) n_q, n_kv] each) are detached values, not
+    tape nodes."""
     out, weights = tx.multi_head_attention(
         q, k, v, params.wq, params.wk, params.wv, mask=mask
     )
-    return (out, [Tensor(w) for w in weights]) if return_weights else out
+    if not return_weights:
+        return out
+    return out, [Tensor(weights[..., i, :, :]) for i in range(params.head_count)]
 
 
 def mhsa(x: Tensor, params: MHAParams, mask=None, return_weights: bool = False):
@@ -168,27 +173,40 @@ def gru_cell(x: Tensor, h_prev: Tensor, params: GRUParams) -> Tensor:
     return tx.reshape(h, (h_prev.shape[0],))
 
 
-def bigru_encode(target_embeds: Tensor, aspect_embed: Tensor, fwd: GRUParams, bwd: GRUParams) -> Tensor:
+def bigru_encode(target_embeds: Tensor, aspect_embed: Tensor, fwd: GRUParams, bwd: GRUParams,
+                 mask=None) -> Tensor:
     """Run both directions over the target tokens, each step reading the
     token embedding concatenated with the (fixed) aspect vector, and
-    concatenate the two hidden states per position."""
-    if target_embeds.data.ndim != 2 or target_embeds.shape[0] < 1:
-        raise ShapeError(f"target embeddings must be [m x d] with m >= 1, got {target_embeds.shape}")
-    if aspect_embed.data.ndim != 1:
-        raise ShapeError(f"aspect embedding must be rank 1, got {aspect_embed.shape}")
-    h_fwd = tx.gru_sequence(target_embeds, None, _gru_weights(fwd), context=aspect_embed)
+    concatenate the two hidden states per position.
+
+    ``target_embeds`` is [m, d] with ``aspect_embed`` [d], or [B, m, d] with
+    [B, d] for a batch; ``mask`` ([(B,) m]) marks real tokens, which must
+    precede the padding in each row."""
+    rank = target_embeds.data.ndim
+    if rank not in (2, 3) or target_embeds.shape[-2] < 1:
+        raise ShapeError(
+            f"target embeddings must be [(B x) m x d] with m >= 1, got {target_embeds.shape}"
+        )
+    if aspect_embed.data.ndim != rank - 1:
+        raise ShapeError(
+            f"aspect embedding must be rank {rank - 1}, got {aspect_embed.shape}"
+        )
+    h_fwd = tx.gru_sequence(target_embeds, None, _gru_weights(fwd), context=aspect_embed,
+                            mask=mask)
     h_bwd = tx.gru_sequence(
-        target_embeds, None, _gru_weights(bwd), context=aspect_embed, reverse=True
+        target_embeds, None, _gru_weights(bwd), context=aspect_embed, reverse=True, mask=mask
     )
     return tx.concat([h_fwd, h_bwd], axis=-1)
 
 
 def capsule_layer(regions: Tensor, params: CapsuleParams) -> Tensor:
-    """Project each region row and squash it to a norm in [0, 1)."""
+    """Project each region row and squash it to a norm in [0, 1).
+    ``regions`` is [49, d_in], or [B, 49, d_in] for a batch: one product
+    for every region of every row."""
     d_in = params.w.shape[0]
-    if regions.data.ndim != 2 or regions.shape != (REGION_COUNT, d_in):
+    if regions.data.ndim not in (2, 3) or regions.shape[-2:] != (REGION_COUNT, d_in):
         raise ShapeError(
-            f"capsule input must be [{REGION_COUNT} x {d_in}], got {regions.shape}"
+            f"capsule input must be [(B x) {REGION_COUNT} x {d_in}], got {regions.shape}"
         )
     s = tx.matmul(regions, params.w)
     if params.b is not None:
@@ -196,12 +214,16 @@ def capsule_layer(regions: Tensor, params: CapsuleParams) -> Tensor:
     return tx.squash_rows(s)
 
 
-def position_embeddings(span: tuple[int, int], n: int, table: PositionTable) -> Tensor:
-    """Embed each token's signed distance to the target span (0 inside it)."""
-    start, end = span
-    if not 0 <= start < end <= n:
-        raise ShapeError(f"span [{start}, {end}) invalid for sentence length {n}")
+def position_embeddings(span, n: int, table: PositionTable) -> Tensor:
+    """Embed each token's signed distance to the target span (0 inside it).
+
+    ``span`` is (start, end) as integers, or as two [B] arrays for a batch
+    of rows padded to length ``n``; the result is [(B,) n, d_p]."""
+    start, end = (np.asarray(x)[..., None] for x in span)
+    if ((start < 0) | (end <= start) | (end > n)).any():
+        raise ShapeError(f"span [{span[0]}, {span[1]}) invalid for sentence length {n}")
     idx = np.arange(n)
-    dist = np.where(idx < start, idx - start, np.where(idx >= end, idx - (end - 1), 0))
-    dist = np.clip(dist, -table.clip, table.clip)
-    return tx.embedding_lookup(table.rows, dist + table.clip)
+    clip = table.clip
+    before = np.maximum(np.minimum(idx - start, 0), -clip)
+    after = np.minimum(np.maximum(idx - (end - 1), 0), clip)
+    return tx.embedding_lookup(table.rows, before + after + clip)

@@ -6,20 +6,22 @@ Every trainable tensor is reachable through ``EFNetParams.named_parameters``
 under a stable name; the optimizer, the L2 term, and the checkpoint format
 all iterate exactly that list. In text_only mode the visual parameters are
 never created, so their gradients are structurally absent rather than zero.
+``forward`` runs a whole padded batch at once, [B, ...] per stage; a single
+encoded sample runs the same stages without the batch axis.
 """
 
 from __future__ import annotations
 
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import layers as ly
 from . import tensor as tx
-from .data import FormatError, InputError, load_image_features
+from .data import Batch, FormatError, InputError, load_image_features
 from .layers import (
     REGION_COUNT,
     CapsuleParams,
@@ -126,6 +128,7 @@ class EFNetParams:
     inter_img: MHAParams | None = None
     img_w_ta: Tensor | None = None
     img_w_r: Tensor | None = None
+    _named: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def create(cls, config: ModelConfig, rng, embed_matrix: Tensor) -> "EFNetParams":
@@ -160,6 +163,13 @@ class EFNetParams:
         return params
 
     def named_parameters(self) -> list:
+        """(name, tensor) pairs in registry order. Fields are assigned only
+        by ``create``, so the list is built once; callers must not mutate it."""
+        if self._named is None:
+            self._named = self._build_named()
+        return self._named
+
+    def _build_named(self) -> list:
         items = [("embed.table", self.embed), ("pos.rows", self.pos.rows)]
         items += _mha_items("ctx_mhsa", self.ctx_mhsa)
         items += _gru_items("gru_fwd", self.gru_fwd)
@@ -207,33 +217,60 @@ def encode_context(word_embeds: Tensor, pos_embeds: Tensor, mask, params: MHAPar
     return h_c, tx.mean_pool(h_c, mask)
 
 
-def encode_visual(feature_ref, params: CapsuleParams):
-    """Flatten the 7x7 feature grid to 49 region rows (row-major) and run
-    them through the capsule projection. Accepts a file path or an already
-    loaded array."""
-    if isinstance(feature_ref, (str, Path)):
-        feature_ref = load_image_features(feature_ref)
-    values = feature_ref.data if isinstance(feature_ref, Tensor) else np.asarray(feature_ref)
+def _grid_regions(ref, dtype, out=None) -> np.ndarray:
+    """The 49 region rows (row-major) of one 7x7 feature grid, given as a
+    file path or an array. With ``out`` ([49, C]) they are written there,
+    and a float32 file is read straight into it."""
+    if isinstance(ref, (str, Path)):
+        if out is not None and out.dtype == np.float32:
+            load_image_features(ref, out=out)
+            return out
+        ref = load_image_features(ref)
+    values = ref.data if isinstance(ref, Tensor) else np.asarray(ref)
     if values.ndim != 3:
         raise ShapeError(f"visual features must be rank 3, got shape {values.shape}")
-    dtype = params.w.data.dtype
     regions = values.reshape(values.shape[0] * values.shape[1], values.shape[2])
-    r = Tensor(np.ascontiguousarray(regions, dtype=dtype))
+    if out is None:
+        return np.ascontiguousarray(regions, dtype=dtype)
+    if regions.shape != out.shape:
+        raise ShapeError(f"visual features {values.shape} do not give {out.shape} regions")
+    out[...] = regions
+    return out
+
+
+def encode_visual(features, params: CapsuleParams):
+    """Flatten each 7x7 feature grid to 49 region rows (row-major) and run
+    them through the capsule projection. ``features`` is one grid, as a
+    file path or a loaded array, giving [49, C] regions; or a list of them,
+    one per batch row, giving [B, 49, C]. Paths are read here."""
+    dtype = params.w.data.dtype
+    if isinstance(features, list):
+        regions = np.empty((len(features), REGION_COUNT, params.w.shape[0]), dtype=dtype)
+        for ref, out in zip(features, regions):
+            _grid_regions(ref, dtype, out)
+    else:
+        regions = _grid_regions(features, dtype)
+    r = Tensor(regions)
     return r, ly.capsule_layer(r, params)
 
 
-def image_attention(h_ta: Tensor, r: Tensor, w_ta: Tensor, w_r: Tensor):
+def image_attention(h_ta: Tensor, r: Tensor, w_ta: Tensor, w_r: Tensor, mask=None):
     """One query (pooled target encoding) attends over projected regions;
     keys and values are the same projection. Returns the attended vector
-    and the 49 region weights."""
+    and the region weights. ``h_ta`` is [m, d] with ``r`` [49, C], or
+    [B, m, d] with [B, 49, C]; ``mask`` ([(B,) m]) marks the target rows
+    that are pooled."""
     if w_ta.shape[1] != w_r.shape[1]:
         raise ConfigError(
             f"image attention widths differ: {w_ta.shape[1]} vs {w_r.shape[1]}"
         )
-    query = tx.matmul(tx.reshape(tx.mean_pool(h_ta), (1, h_ta.shape[1])), w_ta)
+    pooled = tx.mean_pool(h_ta, mask)
+    lead = pooled.shape[:-1]
+    query = tx.matmul(tx.reshape(pooled, lead + (1, pooled.shape[-1])), w_ta)
     keys = tx.matmul(r, w_r)
     out, weights = ly.scaled_dot_attention(query, keys, keys, return_weights=True)
-    return tx.reshape(out, (out.shape[1],)), tx.reshape(weights, (weights.shape[1],))
+    return (tx.reshape(out, lead + (out.shape[-1],)),
+            tx.reshape(weights, lead + (weights.shape[-1],)))
 
 
 def interact(h_ta: Tensor, h_c: Tensor, h_i, params: EFNetParams, ctx_mask=None,
@@ -253,19 +290,20 @@ def interact(h_ta: Tensor, h_c: Tensor, h_i, params: EFNetParams, ctx_mask=None,
 
 def fuse(h_ta: Tensor, h_tac: Tensor, h_tai, h_avg_c: Tensor, h_att_i,
          params: EFNetParams, dropout_rate: float = 0.0, train: bool = False,
-         rng=None, return_weights: bool = False):
+         rng=None, return_weights: bool = False, target_mask=None):
     """Cross-attend queries h^ta against keys h^tac with values h^tai (the
     asymmetric role split is deliberate), pool, and concatenate the pooled
-    context, pooled fusion, and image-attention vectors."""
+    context, pooled fusion, and image-attention vectors. ``target_mask``
+    ([(B,) m]) marks the real target rows, both as keys and when pooling."""
     values = h_tai if h_tai is not None else h_tac
-    if values.shape[0] != h_tac.shape[0]:
+    if values.shape[:-1] != h_tac.shape[:-1]:
         raise InternalError(
-            f"fusion key/value row counts differ: {h_tac.shape[0]} vs {values.shape[0]}"
+            f"fusion key/value row counts differ: {h_tac.shape[:-1]} vs {values.shape[:-1]}"
         )
     h_taci, weights = ly.multi_head(
-        h_ta, h_tac, values, params.fusion, return_weights=True
+        h_ta, h_tac, values, params.fusion, mask=target_mask, return_weights=True
     )
-    parts = [h_avg_c, tx.mean_pool(h_taci)]
+    parts = [h_avg_c, tx.mean_pool(h_taci, target_mask)]
     if h_att_i is not None:
         parts.append(h_att_i)
     fused = tx.concat(parts, axis=-1)
@@ -274,34 +312,41 @@ def fuse(h_ta: Tensor, h_tac: Tensor, h_tai, h_avg_c: Tensor, h_att_i,
 
 
 def classify(fused: Tensor, w_o: Tensor, b_o: Tensor) -> ForwardOutput:
-    if fused.data.ndim != 1 or fused.shape[0] != w_o.shape[0]:
+    """Class probabilities for a fused vector [d] ([3] out) or a batch of
+    them [B, d] ([B, 3] out)."""
+    if fused.data.ndim not in (1, 2) or fused.shape[-1] != w_o.shape[0]:
         raise ConfigError(
-            f"classifier expects [{w_o.shape[0]}] input, got shape {fused.shape}"
+            f"classifier expects [(B x) {w_o.shape[0]}] input, got shape {fused.shape}"
         )
-    row = tx.reshape(fused, (1, fused.shape[0]))
-    logits = tx.add(tx.matmul(row, w_o), b_o)
+    single = fused.data.ndim == 1
+    rows = tx.reshape(fused, (1, fused.shape[0])) if single else fused
+    logits = tx.add(tx.matmul(rows, w_o), b_o)
     probs = tx.softmax(logits, axis=-1)
-    return ForwardOutput(
-        probs=tx.reshape(probs, (NUM_CLASSES,)),
-        logits=tx.reshape(logits, (NUM_CLASSES,)),
-    )
+    if single:
+        probs = tx.reshape(probs, (NUM_CLASSES,))
+        logits = tx.reshape(logits, (NUM_CLASSES,))
+    return ForwardOutput(probs=probs, logits=logits)
 
 
 def loss(predictions, labels, params, l2_lambda: float) -> Tensor:
     """Mean cross-entropy of the true-class probabilities plus an L2 penalty
-    over every named parameter. Probabilities are clamped at 1e-12 inside
-    the log so a saturated softmax cannot produce a NaN."""
+    over every named parameter. ``predictions`` holds probability vectors
+    [3] or batches of them [B, 3], with one label per vector. Probabilities
+    are clamped at 1e-12 inside the log so a saturated softmax cannot
+    produce a NaN."""
     if l2_lambda < 0.0:
         raise ConfigError(f"l2_lambda must be >= 0, got {l2_lambda}")
-    if len(predictions) != len(labels) or not predictions:
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if not labels.size or any(p.shape[-1] != NUM_CLASSES for p in predictions) \
+            or sum(p.data.size for p in predictions) != NUM_CLASSES * labels.size:
         raise InputError("need one label per prediction, at least one of each")
-    terms = []
-    for probs, label in zip(predictions, labels):
+    for label in labels.tolist():
         if not 0 <= label < NUM_CLASSES:
             raise InputError(f"label {label} outside {{0, 1, 2}}")
-        row = tx.reshape(probs, (1, NUM_CLASSES))
-        terms.append(tx.log(tx.slice_cols(row, label, label + 1), floor=1e-12))
-    ce = tx.scale(tx.sum_all(tx.concat(terms, axis=0)), -1.0 / len(predictions))
+    probs = predictions[0] if len(predictions) == 1 else tx.concat(predictions, axis=0)
+    picks = np.eye(NUM_CLASSES, dtype=probs.data.dtype)[labels].reshape(probs.shape)
+    log_p = tx.mul(tx.log(probs, floor=1e-12), Tensor(picks))
+    ce = tx.scale(tx.sum_all(log_p), -1.0 / labels.size)
     if l2_lambda == 0.0:
         return ce
     reg = tx.sum_squares([p for _, p in params.named_parameters()])
@@ -316,50 +361,76 @@ def _stage(name: str):
         raise type(e)(f"{name}: {e}") from None
 
 
+def _unless_full(mask: np.ndarray):
+    # an all-True mask selects nothing, and without it the ops skip the masking
+    return None if mask.all() else mask
+
+
+def _inputs(sample):
+    """Sample ids, token ids, token mask, (start, end), target ids, target
+    mask, aspect ids, aspect mask and feature refs of a ``Batch``; or of one
+    ``EncodedSample``, without the batch axis (one sample id in a list, one
+    feature ref). Masks that keep every entry come out None."""
+    if isinstance(sample, Batch):
+        b = sample
+        return (b.ids, b.token_ids, _unless_full(b.mask), (b.spans[:, 0], b.spans[:, 1]),
+                b.target_ids, _unless_full(b.target_mask), b.aspect_ids,
+                _unless_full(b.aspect_mask), b.features)
+    start, end = sample.span
+    ids = np.asarray(sample.token_ids, dtype=np.int64)
+    return ([sample.id], ids, _unless_full(np.asarray(sample.mask, dtype=bool)), (start, end),
+            ids[start:end], None, np.asarray(sample.aspect_ids, dtype=np.int64), None,
+            sample.features)
+
+
 def forward(sample, params: EFNetParams, config: ModelConfig, train: bool = False,
             rng=None, want_trace: bool = False) -> ForwardOutput:
-    """Run one encoded sample through the whole pipeline.
+    """Run a batch through the whole pipeline, every stage over [B, ...]
+    with per-row masks; probabilities come out [B, 3].
 
-    ``sample`` carries token ids, mask, target span, aspect ids, an integer
-    label, and (in multimodal mode) the loaded feature grid. Stage errors
-    are re-raised with the stage name prefixed.
+    ``sample`` is a ``Batch``, or one ``EncodedSample``: that runs the same
+    stages without the batch axis, and its probabilities come out [3].
+    Feature grids given as paths are read here. Stage errors are re-raised
+    with the stage name prefixed.
     """
-    ids = np.asarray(sample.token_ids, dtype=np.int64)
-    mask = np.asarray(sample.mask, dtype=bool)
-    start, end = sample.span
+    sids, ids, ctx_mask, span, t_ids, t_mask, a_ids, a_mask, features = _inputs(sample)
+    single = not isinstance(sample, Batch)
 
     with _stage("encode_context"):
         word = tx.embedding_lookup(params.embed, ids)
-        pos = ly.position_embeddings((start, end), len(ids), params.pos)
+        pos = ly.position_embeddings(span, ids.shape[-1], params.pos)
         h_c, h_avg_c = encode_context(
-            word, pos, mask, params.ctx_mhsa, config.dropout, train, rng
+            word, pos, ctx_mask, params.ctx_mhsa, config.dropout, train, rng
         )
 
     with _stage("bigru_encode"):
-        target = tx.embedding_lookup(params.embed, ids[start:end])
-        aspect = tx.mean_pool(tx.embedding_lookup(params.embed, sample.aspect_ids))
-        h_ta = ly.bigru_encode(target, aspect, params.gru_fwd, params.gru_bwd)
+        target = tx.embedding_lookup(params.embed, t_ids)
+        aspect = tx.mean_pool(tx.embedding_lookup(params.embed, a_ids), a_mask)
+        h_ta = ly.bigru_encode(target, aspect, params.gru_fwd, params.gru_bwd, mask=t_mask)
 
     h_i = None
     h_att = None
     grid = None
     if not config.text_only:
         with _stage("encode_visual"):
-            if sample.features is None:
-                raise InputError(f"sample {sample.id} has no image features")
-            r, h_i = encode_visual(sample.features, params.capsule)
+            for sid, ref in zip(sids, [features] if single else features):
+                if ref is None:
+                    raise InputError(f"sample {sid} has no image features")
+            r, h_i = encode_visual(features, params.capsule)
         with _stage("image_attention"):
-            h_att, grid = image_attention(h_ta, r, params.img_w_ta, params.img_w_r)
+            h_att, grid = image_attention(h_ta, r, params.img_w_ta, params.img_w_r,
+                                          mask=t_mask)
 
     with _stage("interact"):
         h_tac, h_tai, inter_w = interact(
-            h_ta, h_c, h_i, params, ctx_mask=mask, return_weights=True
+            h_ta, h_c, h_i, params, ctx_mask=ctx_mask, return_weights=True
         )
 
     with _stage("fuse"):
         fused, fusion_w = fuse(
             h_ta, h_tac, h_tai, h_avg_c, h_att, params,
             dropout_rate=config.dropout, train=train, rng=rng, return_weights=True,
+            target_mask=t_mask,
         )
 
     with _stage("classify"):
@@ -370,7 +441,8 @@ def forward(sample, params: EFNetParams, config: ModelConfig, train: bool = Fals
         out.trace = AttentionTrace(
             interaction_heads=[w.data.copy() for w in inter_w],
             fusion_heads=[w.data.copy() for w in fusion_w],
-            image_grid=None if grid is None else grid.data.reshape(side, side).copy(),
+            image_grid=None if grid is None
+            else grid.data.reshape(grid.shape[:-1] + (side, side)).copy(),
         )
     return out
 
@@ -426,6 +498,8 @@ def _read_checkpoint_records(blob: bytes, path) -> dict:
         offset += 4 * count
         if name in records:
             raise FormatError(f"{path}: duplicate record {name!r}")
+        if not np.isfinite(values).all():
+            raise FormatError(f"{path}: record {name!r} holds non-finite values")
         records[name] = values.reshape(dims)
     return records
 

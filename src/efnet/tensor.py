@@ -153,11 +153,6 @@ class GradientMap:
         return self[t] if t in self else default
 
 
-def backward(loss: Tensor, tape: Tape) -> GradientMap:
-    """Accumulate gradients of the scalar ``loss`` for every reachable leaf."""
-    return tape.backward(loss)
-
-
 def _find_tape(inputs: Sequence[Tensor]) -> Tape | None:
     tape = None
     for t in inputs:
@@ -219,26 +214,46 @@ def as_tensor(x, dtype=None) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product over the last two axes of ``a`` and ``b``.
+
+    ``a`` may carry leading batch axes. With a rank-2 ``b`` they fold into
+    the rows of one product; a ``b`` of the same rank as ``a`` is multiplied
+    per batch entry.
+    """
+    ad, bd = a.data, b.data
+    if ad.ndim < 2 or bd.ndim not in (2, ad.ndim) or ad.shape[-1] != bd.shape[-2] \
+            or (bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
+    if bd.ndim == 2 and ad.ndim > 2:
+        rows = ad.reshape(-1, ad.shape[-1])
+        out = Tensor((rows @ bd).reshape(ad.shape[:-1] + bd.shape[-1:]))
+        if (tape := _find_tape((a, b))) is None:
+            return out
+        n = bd.shape[-1]
+        return _record(tape, out, (a, b), (
+            lambda g: (g.reshape(-1, n) @ bd.T).reshape(ad.shape),
+            lambda g: rows.T @ g.reshape(-1, n),
+        ))
+    out = Tensor(ad @ bd)
     if (tape := _find_tape((a, b))) is None:
         return out
-    ad, bd = a.data, b.data
-    return _record(tape, out, (a, b), (lambda g: g @ bd.T, lambda g: ad.T @ g))
+    return _record(tape, out, (a, b), (lambda g: g @ np.swapaxes(bd, -1, -2),
+                                       lambda g: np.swapaxes(ad, -1, -2) @ g))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; a rank-1 ``b`` broadcasts as a bias over rows of ``a``."""
-    bias = a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]
+    """Elementwise sum; a rank-1 ``b`` broadcasts as a bias over the last
+    axis of ``a``."""
+    bias = a.data.ndim >= 2 and b.data.ndim == 1 and a.shape[-1] == b.shape[0]
     if a.shape != b.shape and not bias:
         raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
     out = Tensor(a.data + b.data)
     if (tape := _find_tape((a, b))) is None:
         return out
-    grad_b = (lambda g: g.sum(axis=0)) if bias else (lambda g: g)
-    return _record(tape, out, (a, b), (lambda g: g, grad_b))
+    if not bias:
+        return _record(tape, out, (a, b), (lambda g: g, lambda g: g))
+    n = b.shape[0]
+    return _record(tape, out, (a, b), (lambda g: g, lambda g: g.reshape(-1, n).sum(axis=0)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -304,12 +319,13 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected rank 2, got shape {a.shape}")
-    out = Tensor(a.data.T.copy())
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose: expected rank >= 2, got shape {a.shape}")
+    out = Tensor(np.swapaxes(a.data, -1, -2).copy())
     if (tape := _find_tape((a,))) is None:
         return out
-    return _record(tape, out, (a,), (lambda g: g.T,))
+    return _record(tape, out, (a,), (lambda g: np.swapaxes(g, -1, -2),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -413,24 +429,27 @@ def softmax(a: Tensor, axis: int = -1, mask=None) -> Tensor:
 
 
 def mean_pool(a: Tensor, mask=None) -> Tensor:
-    """Arithmetic mean over the rows of a rank-2 tensor, skipping masked rows."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"mean_pool: expected rank 2, got shape {a.shape}")
-    n = a.shape[0]
+    """Mean over the rows (axis -2) of ``a``, skipping rows whose ``mask``
+    entry is False. ``a`` is [n, d] or carries leading batch axes, and
+    ``mask`` has the shape of ``a`` without its last axis."""
+    x = a.data
+    if x.ndim < 2:
+        raise ShapeError(f"mean_pool: expected rank >= 2, got shape {a.shape}")
+    groups = x.shape[:-1]
     if mask is not None:
         m = np.asarray(mask)
-        if m.dtype != np.bool_ or m.shape != (n,):
-            raise ShapeError(f"mean_pool: mask must be boolean of shape ({n},)")
-        count = int(m.sum())
-        if count == 0:
+        if m.dtype != np.bool_ or m.shape != groups:
+            raise ShapeError(f"mean_pool: mask must be boolean of shape {groups}")
+        count = m.sum(axis=-1, keepdims=True)
+        if not count.all():
             raise MaskError("mean_pool: every row is masked")
-        weights = m.astype(a.data.dtype) / a.data.dtype.type(count)
+        weights = (m / count).astype(x.dtype)
     else:
-        weights = np.full(n, 1.0 / n, dtype=a.data.dtype)
-    out = Tensor(weights @ a.data)
+        weights = np.full(groups, 1.0 / groups[-1], dtype=x.dtype)
+    out = Tensor(np.matmul(weights[..., None, :], x)[..., 0, :])
     if (tape := _find_tape((a,))) is None:
         return out
-    return _record(tape, out, (a,), (lambda g: np.outer(weights, g),))
+    return _record(tape, out, (a,), (lambda g: weights[..., :, None] * g[..., None, :],))
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -457,51 +476,12 @@ def sum_squares(parts: Sequence[Tensor]) -> Tensor:
                    [lambda g, d=p.data: g * 2.0 * d for p in parts])
 
 
-def take_row(a: Tensor, i: int) -> Tensor:
-    """Row ``i`` of a rank-2 tensor, kept as a 1 x d matrix."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"take_row: expected rank 2, got shape {a.shape}")
-    if not 0 <= i < a.shape[0]:
-        raise ShapeError(f"take_row: row {i} out of range for shape {a.shape}")
-    out = Tensor(a.data[i : i + 1].copy())
-    if (tape := _find_tape((a,))) is None:
-        return out
-    shape = a.shape
-
-    def fn(g):
-        full = np.zeros(shape, dtype=g.dtype)
-        full[i : i + 1] = g
-        return full
-
-    return _record(tape, out, (a,), (fn,))
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    """Column slice [start, stop) of a rank-2 tensor."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"slice_cols: expected rank 2, got shape {a.shape}")
-    if not 0 <= start < stop <= a.shape[1]:
-        raise ShapeError(f"slice_cols: [{start}, {stop}) out of range for shape {a.shape}")
-    out = Tensor(a.data[:, start:stop].copy())
-    if (tape := _find_tape((a,))) is None:
-        return out
-    shape = a.shape
-
-    def fn(g):
-        full = np.zeros(shape, dtype=g.dtype)
-        full[:, start:stop] = g
-        return full
-
-    return _record(tape, out, (a,), (fn,))
-
-
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of ``table`` by integer id; gradients scatter-add back."""
+    """Gather rows of ``table`` by integer id, for an id array of any shape;
+    gradients scatter-add back."""
     if table.data.ndim != 2:
         raise ShapeError(f"embedding_lookup: table must be rank 2, got {table.shape}")
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError("embedding_lookup: ids must be a flat index list")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeError(
             f"embedding_lookup: id out of range for table with {table.shape[0]} rows"
@@ -510,25 +490,26 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     if (tape := _find_tape((table,))) is None:
         return out
     shape = table.shape
+    flat = idx.reshape(-1)
 
     def fn(g):
         full = np.zeros(shape, dtype=g.dtype)
-        np.add.at(full, idx, g)
+        np.add.at(full, flat, g.reshape(-1, shape[1]))
         return full
 
     return _record(tape, out, (table,), (fn,))
 
 
 def squash_rows(a: Tensor) -> Tensor:
-    """Capsule squash per row: v = (|s|^2 / (1 + |s|^2)) * s / |s|.
+    """Capsule squash per row (last axis): v = (|s|^2 / (1 + |s|^2)) * s / |s|.
 
     Output row norms lie in [0, 1) and directions are preserved; a zero
     input row maps to a zero output row (with zero gradient there).
     """
-    if a.data.ndim != 2:
-        raise ShapeError(f"squash_rows: expected rank 2, got shape {a.shape}")
+    if a.data.ndim < 2:
+        raise ShapeError(f"squash_rows: expected rank >= 2, got shape {a.shape}")
     s = a.data
-    u = (s * s).sum(axis=1, keepdims=True)
+    u = (s * s).sum(axis=-1, keepdims=True)
     nonzero = u > 0
     safe_u = np.where(nonzero, u, 1.0)
     coef = np.where(nonzero, np.sqrt(safe_u) / (1.0 + safe_u), 0.0).astype(s.dtype)
@@ -542,7 +523,7 @@ def squash_rows(a: Tensor) -> Tensor:
     ).astype(s.dtype)
 
     def fn(g):
-        inner = (g * s).sum(axis=1, keepdims=True)
+        inner = (g * s).sum(axis=-1, keepdims=True)
         return coef * g + 2.0 * dcoef * inner * s
 
     return _record(tape, out, (a,), (fn,))
@@ -557,70 +538,92 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, wq: Sequence[Tensor],
     """Multi-head scaled dot-product attention as one op.
 
     Head i attends with softmax(q wq[i] (k wk[i])^T / sqrt(d_head)) v wv[i].
-    The per-head [d, d_head] projections are stacked to [H, d, d_head], so
-    each role is one broadcast matmul over all heads (Vaswani et al. 2017).
-    ``mask`` ([n_kv] or [n_q, n_kv], True = attend) applies to every head;
-    masked weights are exactly zero, and a query row with no key left is a
-    MaskError. ``q``, ``k`` and ``v`` may be one tensor (self-attention).
+    The per-head [d, d_head] projections sit side by side as one
+    [d, H * d_head] matrix, so each role is one matrix product for all
+    heads and all batch rows (Vaswani et al. 2017). ``q``, ``k`` and ``v``
+    are [n, d], or [B, n, d] for a batch; they may be one tensor
+    (self-attention). ``mask`` ([n_kv] or [n_q, n_kv], with a leading B for
+    a batch; True = attend) applies to every head. Masked weights are
+    exactly zero, and a query row with no key left is a MaskError.
 
-    Returns the head outputs concatenated along features, [n_q, H * d_head],
-    and the attention weights as a plain [H, n_q, n_kv] array.
+    Returns the head outputs concatenated along features, [(B,) n_q,
+    H * d_head], and the attention weights as a plain [(B,) H, n_q, n_kv]
+    array.
     """
     heads = len(wq)
     if heads < 1 or len(wk) != heads or len(wv) != heads:
         raise ShapeError("multi_head_attention: need one (wq, wk, wv) triple per head")
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise ShapeError("attention operands must be rank 2")
-    n_q, n_kv = q.shape[0], k.shape[0]
-    if v.shape[0] != n_kv:
-        raise ShapeError(f"key count {n_kv} != value count {v.shape[0]}")
-    qd, kd, vd = q.data, k.data, v.data
+    rank = q.data.ndim
+    if rank not in (2, 3) or k.data.ndim != rank or v.data.ndim != rank:
+        raise ShapeError("attention operands must be rank 2, or rank 3 with a batch axis")
+    qd, kd, vd = (t.data if rank == 3 else t.data[None] for t in (q, k, v))
+    b, n_q, n_kv = qd.shape[0], qd.shape[1], kd.shape[1]
+    if kd.shape[0] != b or vd.shape[0] != b:
+        raise ShapeError(f"batch sizes differ: {q.shape}, {k.shape}, {v.shape}")
+    if vd.shape[1] != n_kv:
+        raise ShapeError(f"key count {n_kv} != value count {vd.shape[1]}")
+    d_head = wq[0].shape[1]
+    if any(w.data.ndim != 2 or w.shape[1] != d_head for w in (*wq, *wk, *wv)):
+        raise ShapeError("multi_head_attention: heads must share one d_head")
+    w_q, w_k, w_v = (np.concatenate([w.data for w in ws], axis=1) for ws in (wq, wk, wv))
+    q2, k2, v2 = (x.reshape(-1, x.shape[2]) for x in (qd, kd, vd))
     try:
-        w_q = np.stack([w.data for w in wq])
-        w_k = np.stack([w.data for w in wk])
-        w_v = np.stack([w.data for w in wv])
-        qh, kh, vh = qd @ w_q, kd @ w_k, vd @ w_v
+        qh, kh, vh = (
+            (x @ w).reshape(b, n, heads, d_head).transpose(0, 2, 1, 3)
+            for x, w, n in ((q2, w_q, n_q), (k2, w_k, n_kv), (v2, w_v, n_kv))
+        )
     except ValueError as e:
         raise ShapeError(f"multi_head_attention: {e}") from None
-    d_head = qh.shape[2]
-    if kh.shape[2] != d_head or vh.shape[2] != d_head:
-        raise ShapeError("multi_head_attention: heads must share one d_head")
     c = 1.0 / math.sqrt(d_head)
-    scores = (qh @ kh.transpose(0, 2, 1)) * c
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * c
     if mask is not None:
         m = np.asarray(mask)
-        if m.dtype != np.bool_ or m.shape not in ((n_kv,), (n_q, n_kv)):
+        want = ((n_kv,), (n_q, n_kv)) if rank == 2 else ((b, n_kv), (b, n_q, n_kv))
+        if m.dtype != np.bool_ or m.shape not in want:
             raise ShapeError(
-                f"mask must be boolean of shape ({n_kv},) or ({n_q}, {n_kv}), got {m.shape}"
+                f"mask must be boolean of shape {' or '.join(map(str, want))}, got {m.shape}"
             )
         if not m.any(axis=-1).all():
             raise MaskError("multi_head_attention: a query has every key masked")
+        m = m.reshape((b, 1, -1, n_kv))
         scores = np.where(m, scores, -np.inf)
-    e = np.exp(scores - scores.max(axis=2, keepdims=True))
-    attn = e / e.sum(axis=2, keepdims=True)
-    out = Tensor((attn @ vh).transpose(1, 0, 2).reshape(n_q, heads * d_head))
+    e = np.exp(scores - scores.max(axis=3, keepdims=True))
+    attn = e / e.sum(axis=3, keepdims=True)
+    out = Tensor((attn @ vh).transpose(0, 2, 1, 3).reshape(q.shape[:-1] + (heads * d_head,)))
     inputs = (q, k, v, *wq, *wk, *wv)
     if (tape := _find_tape(inputs)) is None:
-        return out, attn
+        return out, attn if rank == 3 else attn[0]
+    q_shape, k_shape, v_shape = q.shape, k.shape, v.shape
+
+    def rows(d, n):
+        # [b, H, n, d_head] -> [b * n, H * d_head], the layout of the projections
+        return d.transpose(0, 2, 1, 3).reshape(b * n, heads * d_head)
 
     def backward(g):
-        g_heads = g.reshape(n_q, heads, d_head).transpose(1, 0, 2)
-        d_attn = g_heads @ vh.transpose(0, 2, 1)
-        d_vh = attn.transpose(0, 2, 1) @ g_heads
-        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=2, keepdims=True)) * c
-        d_qh = d_scores @ kh
-        d_kh = d_scores.transpose(0, 2, 1) @ qh
-        d_wq = qd.T @ d_qh
-        d_wk = kd.T @ d_kh
-        d_wv = vd.T @ d_vh
+        g_heads = g.reshape(b, n_q, heads, d_head).transpose(0, 2, 1, 3)
+        d_attn = g_heads @ vh.transpose(0, 1, 3, 2)
+        d_vh = attn.transpose(0, 1, 3, 2) @ g_heads
+        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=3, keepdims=True)) * c
+        d_q = rows(d_scores @ kh, n_q)
+        d_k = rows(d_scores.transpose(0, 1, 3, 2) @ qh, n_kv)
+        d_v = rows(d_vh, n_kv)
         return (
-            (d_qh @ w_q.transpose(0, 2, 1)).sum(axis=0),
-            (d_kh @ w_k.transpose(0, 2, 1)).sum(axis=0),
-            (d_vh @ w_v.transpose(0, 2, 1)).sum(axis=0),
-            *d_wq, *d_wk, *d_wv,
+            (d_q @ w_q.T).reshape(q_shape),
+            (d_k @ w_k.T).reshape(k_shape),
+            (d_v @ w_v.T).reshape(v_shape),
+            *_col_blocks(q2.T @ d_q, heads), *_col_blocks(k2.T @ d_k, heads),
+            *_col_blocks(v2.T @ d_v, heads),
         )
 
-    return _record(tape, out, inputs, _joint(backward, len(inputs))), attn
+    out = _record(tape, out, inputs, _joint(backward, len(inputs)))
+    return out, attn if rank == 3 else attn[0]
+
+
+def _col_blocks(a: np.ndarray, count: int) -> list:
+    """``a`` [n, count * w] as ``count`` contiguous [n, w] column blocks:
+    optimizer updates on strided views run markedly slower."""
+    n, width = a.shape[0], a.shape[1] // count
+    return list(np.ascontiguousarray(a.reshape(n, count, width).transpose(1, 0, 2)))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -629,35 +632,55 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def gru_sequence(x: Tensor, h0: Tensor | None, weights: Sequence[Tensor],
-                 context: Tensor | None = None, reverse: bool = False) -> Tensor:
+                 context: Tensor | None = None, reverse: bool = False,
+                 mask=None) -> Tensor:
     """A GRU run over the rows of ``x`` as one op, for one direction.
 
     ``weights`` is (wz, uz, bz, wr, ur, br, wh, uh, bh): input weights
     [d_in, d_h], recurrent weights [d_h, d_h] and biases [d_h] of the update
     gate z, the reset gate r and the candidate. Step t reads row t of ``x``
-    followed by ``context`` (a rank-1 tensor shared by every step, or None)
-    and updates the state h:
+    followed by ``context`` (a vector shared by every step, or None) and
+    updates the state h:
 
         z = sigmoid(x_t wz + h uz + bz)    r = sigmoid(x_t wr + h ur + br)
         cand = tanh(x_t wh + (r * h) uh + bh)    h' = h + z * (cand - h)
 
     The input projections of every step are one matmul, and the shared
     context adds one row product (Appleyard et al. 2016). Backpropagation
-    through time is written out below. ``h0`` is the rank-1 initial state
-    (None: zeros); ``reverse`` runs from the last row to the first. Returns
-    the state after each row, [m, d_h], in row order.
+    through time is written out below. ``h0`` is the initial state (None:
+    zeros); ``reverse`` runs from the last row to the first.
+
+    ``x`` is [m, d_x], or [B, m, d_x] for a batch, where ``h0`` and
+    ``context`` gain the same leading B. ``mask`` ([m], or [B, m]) marks
+    real steps; a masked step keeps the state as it is, so rows padded at
+    the end leave both directions exact. Returns the state after each row,
+    [(B,) m, d_h], in row order.
     """
     wz, uz, bz, wr, ur, br, wh, uh, bh = weights
-    xd = x.data
-    if xd.ndim != 2 or xd.shape[0] < 1:
-        raise ShapeError(f"gru_sequence: input must be [m x d] with m >= 1, got {x.shape}")
-    m, d_x = xd.shape
+    rank = x.data.ndim
+    if rank not in (2, 3) or x.shape[-2] < 1:
+        raise ShapeError(
+            f"gru_sequence: input must be [m x d] or [B x m x d] with m >= 1, got {x.shape}"
+        )
+    xd = x.data if rank == 3 else x.data[None]
+    b, m, d_x = xd.shape
+    lead = x.shape[:-2]
     d_h = uz.shape[0]
-    if context is not None and context.data.ndim != 1:
-        raise ShapeError(f"gru_sequence: context must be rank 1, got {context.shape}")
-    d_ctx = 0 if context is None else context.shape[0]
-    if h0 is not None and h0.shape != (d_h,):
-        raise ShapeError(f"gru_sequence: initial state must have shape ({d_h},), got {h0.shape}")
+    if context is not None and (context.data.ndim != rank - 1 or context.shape[:-1] != lead):
+        raise ShapeError(
+            f"gru_sequence: context must be one vector per input sequence, got {context.shape}"
+        )
+    d_ctx = 0 if context is None else context.shape[-1]
+    if h0 is not None and h0.shape != lead + (d_h,):
+        raise ShapeError(
+            f"gru_sequence: initial state must have shape {lead + (d_h,)}, got {h0.shape}"
+        )
+    keep = None
+    if mask is not None:
+        mk = np.asarray(mask)
+        if mk.dtype != np.bool_ or mk.shape != x.shape[:-1]:
+            raise ShapeError(f"gru_sequence: mask must be boolean of shape {x.shape[:-1]}")
+        keep = mk.reshape(b, m).T[:, :, None].astype(xd.dtype)
     try:
         w_in = np.concatenate([wz.data, wr.data, wh.data], axis=1)
         u_zr = np.concatenate([uz.data, ur.data], axis=1)
@@ -670,58 +693,69 @@ def gru_sequence(x: Tensor, h0: Tensor | None, weights: Sequence[Tensor],
             f"gru_sequence: weights do not fit input width {d_x + d_ctx} and state width {d_h}"
         )
     w_x, w_ctx = w_in[:d_x], w_in[d_x:]
-    ctx = None if context is None else context.data
-    proj = xd @ w_x + bias
+    # time-major inside: step t reads [b, ...] slices at index t
+    x2 = xd.transpose(1, 0, 2).reshape(m * b, d_x)
+    proj = (x2 @ w_x + bias).reshape(m, b, 3 * d_h)
+    ctx = None if context is None else context.data.reshape(b, d_ctx)
     if ctx is not None:
         proj += ctx @ w_ctx
-    p_zr, p_c = proj[:, : 2 * d_h], proj[:, 2 * d_h :]
+    p_zr, p_c = proj[:, :, : 2 * d_h], proj[:, :, 2 * d_h :]
     u_c = uh.data
-    h = np.zeros(d_h, dtype=xd.dtype) if h0 is None else h0.data
-    states = np.empty((m, d_h), dtype=proj.dtype)
+    h = np.zeros((b, d_h), dtype=xd.dtype) if h0 is None else h0.data.reshape(b, d_h)
+    states = np.empty((m, b, d_h), dtype=proj.dtype)
     prev = np.empty_like(states)
-    gates = np.empty((m, 2 * d_h), dtype=proj.dtype)
+    gates = np.empty((m, b, 2 * d_h), dtype=proj.dtype)
     cands = np.empty_like(states)
     steps = range(m - 1, -1, -1) if reverse else range(m)
     for t in steps:
         prev[t] = h
         zr = _sigmoid(p_zr[t] + h @ u_zr)
-        cand = np.tanh(p_c[t] + (zr[d_h:] * h) @ u_c)
-        h = h + zr[:d_h] * (cand - h)
+        cand = np.tanh(p_c[t] + (zr[:, d_h:] * h) @ u_c)
+        z = zr[:, :d_h] if keep is None else zr[:, :d_h] * keep[t]
+        h = h + z * (cand - h)
         gates[t], cands[t], states[t] = zr, cand, h
-    out = Tensor(states)
+    out = Tensor(states.transpose(1, 0, 2).reshape(x.shape[:-1] + (d_h,)))
     inputs = [x] + [t for t in (h0, context) if t is not None] + list(weights)
     if (tape := _find_tape(inputs)) is None:
         return out
-    has_h0 = h0 is not None
+    x_shape = x.shape
+    h0_shape = None if h0 is None else h0.shape
+    ctx_shape = None if context is None else context.shape
 
     def backward(g):
+        g = g.reshape(b, m, d_h).transpose(1, 0, 2)
         d_proj = np.empty_like(proj)
-        d_h_next = np.zeros(d_h, dtype=g.dtype)
+        d_h_next = np.zeros((b, d_h), dtype=g.dtype)
         for t in reversed(steps):
             dh = g[t] + d_h_next
             zr, cand, hp = gates[t], cands[t], prev[t]
-            z, r = zr[:d_h], zr[d_h:]
+            z, r = zr[:, :d_h], zr[:, d_h:]
+            d_z = dh * (cand - hp)
+            if keep is not None:
+                z, d_z = z * keep[t], d_z * keep[t]
             d_c = dh * z * (1.0 - cand * cand)
             d_rh = d_c @ u_c.T
-            d_zr = np.concatenate([dh * (cand - hp), d_rh * hp]) * zr * (1.0 - zr)
+            d_zr = np.concatenate([d_z, d_rh * hp], axis=1) * zr * (1.0 - zr)
             d_h_next = dh * (1.0 - z) + d_rh * r + d_zr @ u_zr.T
-            d_proj[t, : 2 * d_h] = d_zr
-            d_proj[t, 2 * d_h :] = d_c
-        d_bias = d_proj.sum(axis=0)
-        d_w = xd.T @ d_proj
+            d_proj[t, :, : 2 * d_h] = d_zr
+            d_proj[t, :, 2 * d_h :] = d_c
+        d_flat = d_proj.reshape(m * b, 3 * d_h)
+        d_bias = d_flat.sum(axis=0)
+        d_w = x2.T @ d_flat
         if ctx is not None:
-            d_w = np.concatenate([d_w, np.outer(ctx, d_bias)])
-        d_u_zr = prev.T @ d_proj[:, : 2 * d_h]
-        d_u_c = (gates[:, d_h:] * prev).T @ d_proj[:, 2 * d_h :]
-        grads = [d_proj @ w_x.T]
-        if has_h0:
-            grads.append(d_h_next)
+            d_ctx_proj = d_proj.sum(axis=0)
+            d_w = np.concatenate([d_w, ctx.T @ d_ctx_proj])
+        d_u_zr = prev.reshape(m * b, d_h).T @ d_flat[:, : 2 * d_h]
+        d_u_c = (gates[:, :, d_h:] * prev).reshape(m * b, d_h).T @ d_flat[:, 2 * d_h :]
+        d_xs = (d_flat @ w_x.T).reshape(m, b, d_x).transpose(1, 0, 2)
+        grads = [d_xs.reshape(x_shape)]
+        if h0_shape is not None:
+            grads.append(d_h_next.reshape(h0_shape))
         if ctx is not None:
-            grads.append(d_bias @ w_ctx.T)
-        for i in range(3):
-            cols = slice(i * d_h, (i + 1) * d_h)
-            recurrent = d_u_c if i == 2 else d_u_zr[:, cols]
-            grads += [d_w[:, cols], recurrent, d_bias[cols]]
+            grads.append((d_ctx_proj @ w_ctx.T).reshape(ctx_shape))
+        recurrent = _col_blocks(d_u_zr, 2) + [d_u_c]
+        for i, d_w_gate in enumerate(_col_blocks(d_w, 3)):
+            grads += [d_w_gate, recurrent[i], d_bias[i * d_h:(i + 1) * d_h]]
         return grads
 
     return _record(tape, out, inputs, _joint(backward, len(inputs)))

@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 
-from .data import InputError, encode_sample, make_batches
+from .data import InputError, make_batches
 from .model import EFNetParams, InternalError, ModelConfig, forward, save_checkpoint
 from .model import loss as batch_loss
 from .tensor import Tape, Tensor
 
 METRICS_HEADER = "epoch,split,loss,accuracy,macro_f1"
 SWEEP_HEADER = "heads,accuracy,macro_f1"
+EVAL_BATCH = 32  # rows per evaluation forward; results do not depend on it
 
 
 class TrainError(RuntimeError):
@@ -128,18 +128,19 @@ def metrics_from_pairs(truths, predictions) -> EvalReport:
 def evaluate(params: EFNetParams, table, samples, config: ModelConfig) -> EvalReport:
     """Argmax predictions over ``samples`` and score them.
 
-    Samples are encoded one at a time without padding, so evaluation is
-    independent of any batching choice.
+    Samples run in order, ``EVAL_BATCH`` at a time. Padding is masked out,
+    so a prediction does not depend on the batch it ran in, except for the
+    order of float summation.
     """
     if not samples:
         raise InputError("evaluate: empty dataset")
     truths = []
     preds = []
-    for sample in samples:
-        enc = encode_sample(sample, table, config.max_len, not config.text_only)
-        out = forward(enc, params, config, train=False)
-        truths.append(enc.label)
-        preds.append(int(np.argmax(out.probs.data)))
+    for batch in make_batches(samples, table, batch_size=EVAL_BATCH,
+                              max_len=config.max_len, text_only=config.text_only):
+        out = forward(batch, params, config, train=False)
+        truths += batch.labels.tolist()
+        preds += np.argmax(out.probs.data, axis=1).tolist()
     return metrics_from_pairs(truths, preds)
 
 
@@ -150,8 +151,10 @@ def train(params: EFNetParams, table, train_samples, val_samples,
     """Optimize on the train split, scoring the val split once per epoch.
 
     Appends one metrics row per epoch (train loss with the validation
-    accuracy and macro-F1) and retains the checkpoint with the best
-    validation accuracy. Returns the best validation report, or None when
+    accuracy and macro-F1) to ``log_path`` as soon as the epoch ends, so a
+    crash keeps the rows of finished epochs, and retains the checkpoint
+    with the best validation accuracy. Each batch is one forward over all
+    of its rows. Returns the best validation report, or None when
     no epoch ran. ``on_epoch``, when given, receives each formatted row;
     ``stop_accuracy`` ends the run early once validation accuracy reaches
     the threshold.
@@ -160,28 +163,25 @@ def train(params: EFNetParams, table, train_samples, val_samples,
         raise InputError(f"train: negative epoch count {epochs}")
     rng = np.random.default_rng(config.seed)
     state = OptimizerState(lr=lr)
-    batch_cfg = SimpleNamespace(
-        batch_size=batch_size, max_len=config.max_len, text_only=config.text_only
-    )
+    named = params.named_parameters()
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, params)
-    rows = []
+    if log_path is not None:
+        with open(log_path, "w", encoding="utf-8") as fh:
+            fh.write(METRICS_HEADER + "\n")
     best = None
     best_accuracy = -1.0
     for epoch in range(1, epochs + 1):
-        batches = make_batches(train_samples, table, batch_cfg, rng)
+        batches = make_batches(train_samples, table, batch_size=batch_size,
+                               max_len=config.max_len, text_only=config.text_only, rng=rng)
         total = 0.0
         seen = 0
         for at, batch in enumerate(batches):
             tape = Tape()
-            for _, p in params.named_parameters():
+            for _, p in named:
                 tape.watch(p)
-            probs = [
-                forward(batch.item(i), params, config, train=True, rng=rng).probs
-                for i in range(len(batch))
-            ]
-            value = batch_loss(probs, [int(y) for y in batch.labels], params,
-                               config.l2_lambda)
+            out = forward(batch, params, config, train=True, rng=rng)
+            value = batch_loss([out.probs], batch.labels, params, config.l2_lambda)
             if not np.isfinite(value.data):
                 raise TrainError(f"non-finite loss at epoch {epoch}, batch {at}")
             grads = tape.backward(value)
@@ -192,7 +192,9 @@ def train(params: EFNetParams, table, train_samples, val_samples,
         report = evaluate(params, table, val_samples, config)
         row = (f"{epoch},val,{total / seen:.6f},"
                f"{report.accuracy:.6f},{report.macro_f1:.6f}")
-        rows.append(row)
+        if log_path is not None:
+            with open(log_path, "a", encoding="utf-8") as fh:
+                fh.write(row + "\n")
         if on_epoch is not None:
             on_epoch(row)
         if report.accuracy > best_accuracy:
@@ -202,11 +204,6 @@ def train(params: EFNetParams, table, train_samples, val_samples,
                 save_checkpoint(checkpoint_path, params)
         if stop_accuracy is not None and report.accuracy >= stop_accuracy:
             break
-    if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as fh:
-            fh.write(METRICS_HEADER + "\n")
-            for row in rows:
-                fh.write(row + "\n")
     return best
 
 

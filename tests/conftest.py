@@ -52,6 +52,22 @@ def tiny_sample(cfg, rng, n=4, span=(1, 3), label=1, vocab=10) -> EncodedSample:
     )
 
 
+def ragged_samples(cfg, rng, count=5, vocab=10):
+    """Samples that pad in every direction when batched: token counts 3-7,
+    target widths 1-3 and aspect lengths 1-3, all differing row to row."""
+    out = []
+    for i in range(count):
+        n = 3 + (2 * i) % 5
+        width = 1 + i % 3
+        start = int(rng.integers(0, n - width + 1))
+        sample = tiny_sample(cfg, rng, n=n, span=(start, start + width),
+                             label=int(rng.integers(0, 3)), vocab=vocab)
+        sample.id = f"r{i}"
+        sample.aspect_ids = rng.integers(2, vocab, size=1 + (i + 1) % 3)
+        out.append(sample)
+    return out
+
+
 def rand(rng, *shape):
     return rng.standard_normal(shape)
 

@@ -1,6 +1,5 @@
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from efnet.data import (
 
 
 def batch_config(batch_size=2, max_len=36, text_only=True):
-    return SimpleNamespace(batch_size=batch_size, max_len=max_len, text_only=text_only)
+    return dict(batch_size=batch_size, max_len=max_len, text_only=text_only)
 
 
 class TestEmbeddings:
@@ -232,27 +231,47 @@ class TestBatching:
     def test_batch_sizes(self, tmp_path):
         table = self.table(tmp_path)
         batches = dio.make_batches(
-            self.samples(5), table, batch_config(batch_size=2), np.random.default_rng(0)
+            self.samples(5), table, **batch_config(batch_size=2), rng=np.random.default_rng(0)
         )
         assert [len(b) for b in batches] == [2, 2, 1]
 
     def test_same_seed_same_order(self, tmp_path):
         table = self.table(tmp_path)
         samples = self.samples(9)
-        a = dio.make_batches(samples, table, batch_config(), np.random.default_rng(42))
-        b = dio.make_batches(samples, table, batch_config(), np.random.default_rng(42))
+        a = dio.make_batches(samples, table, **batch_config(), rng=np.random.default_rng(42))
+        b = dio.make_batches(samples, table, **batch_config(), rng=np.random.default_rng(42))
         assert [x.ids for x in a] == [y.ids for y in b]
 
     def test_padding_masked_false(self, tmp_path):
         table = self.table(tmp_path)
         batches = dio.make_batches(
-            self.samples(4), table, batch_config(batch_size=4), np.random.default_rng(1)
+            self.samples(4), table, **batch_config(batch_size=4), rng=np.random.default_rng(1)
         )
         b = batches[0]
         assert (b.token_ids[~b.mask] == dio.PAD_INDEX).all()
         for i in range(len(b)):
             real = int(b.mask[i].sum())
             assert b.mask[i, :real].all() and not b.mask[i, real:].any()
+
+    def test_targets_and_aspects_padded_per_row(self, tmp_path):
+        table = self.table(tmp_path)
+        samples = [
+            Sample(id="a", tokens=["t1", "t2", "t3"], target_span=(1, 3),
+                   aspect_tokens=["t4"], label=0),
+            Sample(id="b", tokens=["t5", "t6"], target_span=(0, 1),
+                   aspect_tokens=["t7", "t8", "t9"], label=2),
+        ]
+        (b,) = dio.make_batches(samples, table, **batch_config())
+        assert b.ids == ["a", "b"]
+        np.testing.assert_array_equal(b.spans, [[1, 3], [0, 1]])
+        np.testing.assert_array_equal(b.target_ids, [table.token_ids(["t2", "t3"]),
+                                                     [table.lookup("t5"), dio.PAD_INDEX]])
+        np.testing.assert_array_equal(b.target_mask, [[True, True], [True, False]])
+        np.testing.assert_array_equal(b.aspect_mask, [[True, False, False], [True, True, True]])
+        np.testing.assert_array_equal(b.aspect_ids[1], table.token_ids(["t7", "t8", "t9"]))
+        assert b.aspect_ids[0, 1:].tolist() == [dio.PAD_INDEX] * 2
+        assert b.labels.tolist() == [0, 2]
+        assert b.features == [None, None]
 
     def test_truncation_window_keeps_span(self, tmp_path):
         table = self.table(tmp_path)
@@ -281,9 +300,8 @@ class TestBatching:
     def test_multimodal_requires_image(self, tmp_path):
         table = self.table(tmp_path)
         with pytest.raises(InputError, match="s0"):
-            dio.make_batches(
-                self.samples(1), table, batch_config(text_only=False), np.random.default_rng(0)
-            )
+            dio.make_batches(self.samples(1), table, **batch_config(text_only=False),
+                             rng=np.random.default_rng(0))
 
     def test_features_loaded_when_multimodal(self, tmp_path):
         table = self.table(tmp_path)
@@ -292,11 +310,13 @@ class TestBatching:
         dio.write_image_features(feat, values)
         sample = make_sample(0, image=str(feat))
         batches = dio.make_batches(
-            [sample], table, batch_config(text_only=False), np.random.default_rng(0)
+            [sample], table, **batch_config(text_only=False), rng=np.random.default_rng(0)
         )
-        got = batches[0].item(0)
-        np.testing.assert_array_equal(got.features, values)
-        assert got.label == sample.label
+        got = batches[0]
+        # the batch carries the file, read when the batch runs
+        assert got.features == [str(feat)]
+        np.testing.assert_array_equal(dio.load_image_features(got.features[0]).data, values)
+        assert got.labels.tolist() == [sample.label]
 
 
 class TestSynthGenerate:

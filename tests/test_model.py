@@ -5,7 +5,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import rand, softmax_rows, tiny_config, tiny_params, tiny_sample
+from conftest import (
+    forward_loss_reference,
+    rand,
+    ragged_samples,
+    softmax_rows,
+    tiny_config,
+    tiny_params,
+    tiny_sample,
+)
+from test_acceptance import PAD_APPEND_TOL, REF_TOL
 
 from efnet import data as dio
 from efnet import layers as ly
@@ -75,24 +84,26 @@ class TestParams:
 
 
 class TestEncodeContext:
+    # stage tests run at B=1: one batch row, masks with a leading batch axis
     def setup_method(self):
         self.rng = np.random.default_rng(4)
         self.mha = MHAParams.create(self.rng, 2, 12, 12, 12, dtype=np.float64)
 
     def test_shapes_and_single_row_mean(self):
-        w = Tensor(rand(self.rng, 1, 6))
-        p = Tensor(rand(self.rng, 1, 6))
-        h, avg = md.encode_context(w, p, np.array([True]), self.mha)
-        assert h.shape == (1, 12)
-        np.testing.assert_allclose(avg.data, h.data[0])
+        w = Tensor(rand(self.rng, 1, 1, 6))
+        p = Tensor(rand(self.rng, 1, 1, 6))
+        h, avg = md.encode_context(w, p, np.array([[True]]), self.mha)
+        assert h.shape == (1, 1, 12)
+        assert avg.shape == (1, 12)
+        np.testing.assert_allclose(avg.data[0], h.data[0, 0])
 
     def test_masked_token_influences_nothing(self):
-        w = rand(self.rng, 5, 6)
-        p = rand(self.rng, 5, 6)
-        mask = np.array([True, True, False, True, True])
+        w = rand(self.rng, 1, 5, 6)
+        p = rand(self.rng, 1, 5, 6)
+        mask = np.array([[True, True, False, True, True]])
         h1, avg1 = md.encode_context(Tensor(w), Tensor(p), mask, self.mha)
         w2 = w.copy()
-        w2[2] = 99.0
+        w2[0, 2] = 99.0
         h2, avg2 = md.encode_context(Tensor(w2), Tensor(p), mask, self.mha)
         np.testing.assert_array_equal(avg1.data, avg2.data)
         np.testing.assert_array_equal(h1.data[mask], h2.data[mask])
@@ -102,9 +113,9 @@ class TestEncodeVisual:
     def test_zero_features_squash_to_zero(self):
         rng = np.random.default_rng(5)
         caps = ly.CapsuleParams.create(rng, 2048, 4, dtype=np.float64)
-        r, h_i = md.encode_visual(np.zeros(FEATURE_SHAPE), caps)
-        assert r.shape == (49, 2048)
-        assert h_i.shape == (49, 4)
+        r, h_i = md.encode_visual([np.zeros(FEATURE_SHAPE)], caps)
+        assert r.shape == (1, 49, 2048)
+        assert h_i.shape == (1, 49, 4)
         np.testing.assert_array_equal(h_i.data, 0.0)
 
     def test_row_major_region_order(self):
@@ -115,55 +126,57 @@ class TestEncodeVisual:
                 feats[r, c, :] = 7 * r + c
         rng = np.random.default_rng(6)
         caps = ly.CapsuleParams.create(rng, 2048, 4, dtype=np.float64)
-        regions, _ = md.encode_visual(feats, caps)
+        regions, _ = md.encode_visual([feats], caps)
         for flat in range(49):
-            np.testing.assert_array_equal(regions.data[flat], float(flat))
+            np.testing.assert_array_equal(regions.data[0, flat], float(flat))
 
     def test_accepts_path(self, tmp_path):
         rng = np.random.default_rng(7)
         values = rng.uniform(0, 1, FEATURE_SHAPE).astype(np.float32)
         path = tmp_path / "x.efvf"
         dio.write_image_features(path, values)
-        caps = ly.CapsuleParams.create(rng, 2048, 4, dtype=np.float64)
-        from_path, _ = md.encode_visual(str(path), caps)
-        from_array, _ = md.encode_visual(values, caps)
-        np.testing.assert_array_equal(from_path.data, from_array.data)
+        # double precision casts what it reads; single reads into the batch
+        for dtype in (np.float64, np.float32):
+            caps = ly.CapsuleParams.create(rng, 2048, 4, dtype=dtype)
+            from_path, _ = md.encode_visual([str(path)], caps)
+            from_array, _ = md.encode_visual([values], caps)
+            np.testing.assert_array_equal(from_path.data, from_array.data)
 
     def test_bad_rank(self):
         rng = np.random.default_rng(8)
         caps = ly.CapsuleParams.create(rng, 2048, 4)
         with pytest.raises(ShapeError):
-            md.encode_visual(np.zeros((49, 2048)), caps)
+            md.encode_visual([np.zeros((49, 2048))], caps)
 
 
 class TestImageAttention:
     def test_identical_regions_uniform(self):
         rng = np.random.default_rng(9)
-        h_ta = Tensor(rand(rng, 3, 4))
-        r = Tensor(np.tile(rand(rng, 1, 6), (49, 1)))
+        h_ta = Tensor(rand(rng, 1, 3, 4))
+        r = Tensor(np.tile(rand(rng, 1, 1, 6), (1, 49, 1)))
         w_ta = Tensor(rand(rng, 4, 5))
         w_r = Tensor(rand(rng, 6, 5))
         h_att, weights = md.image_attention(h_ta, r, w_ta, w_r)
-        assert weights.shape == (49,)
+        assert weights.shape == (1, 49)
         np.testing.assert_allclose(weights.data, 1.0 / 49.0, rtol=1e-9)
-        np.testing.assert_allclose(h_att.data, (r.data @ w_r.data)[0], rtol=1e-9)
+        np.testing.assert_allclose(h_att.data[0], (r.data[0] @ w_r.data)[0], rtol=1e-9)
         np.testing.assert_allclose(weights.data.sum(), 1.0, atol=1e-6)
 
     def test_aligned_large_region_takes_all_weight(self):
         rng = np.random.default_rng(10)
-        h_ta = Tensor(np.ones((1, 2)))
+        h_ta = Tensor(np.ones((1, 1, 2)))
         w_ta = Tensor(np.array([[500.0, 0.0, 0.0], [500.0, 0.0, 0.0]]))
-        r = rand(rng, 49, 3)
-        r[:, 0] = 0.0
-        r[31, :] = [5.0, 0.0, 0.0]
+        r = rand(rng, 1, 49, 3)
+        r[0, :, 0] = 0.0
+        r[0, 31, :] = [5.0, 0.0, 0.0]
         _, weights = md.image_attention(h_ta, Tensor(r), w_ta, Tensor(np.eye(3)))
-        assert weights.data[31] > 1.0 - 1e-6
-        assert np.argmax(weights.data) == 31
+        assert weights.data[0, 31] > 1.0 - 1e-6
+        assert np.argmax(weights.data[0]) == 31
 
     def test_subspace_mismatch(self):
         with pytest.raises(ConfigError, match="widths"):
             md.image_attention(
-                Tensor(np.ones((2, 4))), Tensor(np.ones((49, 6))),
+                Tensor(np.ones((1, 2, 4))), Tensor(np.ones((1, 49, 6))),
                 Tensor(np.ones((4, 5))), Tensor(np.ones((6, 3))),
             )
 
@@ -176,40 +189,41 @@ class TestInteract:
 
     def test_row_counts_follow_query(self):
         self.setup()
-        h_ta = Tensor(rand(self.rng, 2, 16))
-        h_c = Tensor(rand(self.rng, 5, 16))
-        h_i = Tensor(rand(self.rng, 49, 4))
+        h_ta = Tensor(rand(self.rng, 1, 2, 16))
+        h_c = Tensor(rand(self.rng, 1, 5, 16))
+        h_i = Tensor(rand(self.rng, 1, 49, 4))
         h_tac, h_tai = md.interact(h_ta, h_c, h_i, self.params)
-        assert h_tac.shape == (2, 16) and h_tai.shape == (2, 16)
+        assert h_tac.shape == (1, 2, 16) and h_tai.shape == (1, 2, 16)
 
     def test_text_only_leaves_image_branch_absent(self):
         self.setup()
         h_tac, h_tai = md.interact(
-            Tensor(rand(self.rng, 2, 16)), Tensor(rand(self.rng, 5, 16)), None, self.params
+            Tensor(rand(self.rng, 1, 2, 16)), Tensor(rand(self.rng, 1, 5, 16)), None,
+            self.params,
         )
         assert h_tai is None
 
     def test_masked_context_token_ignored(self):
         self.setup()
-        h_ta = rand(self.rng, 2, 16)
-        h_c = rand(self.rng, 5, 16)
-        mask = np.array([True, True, True, False, True])
+        h_ta = rand(self.rng, 1, 2, 16)
+        h_c = rand(self.rng, 1, 5, 16)
+        mask = np.array([[True, True, True, False, True]])
         a, _ = md.interact(Tensor(h_ta), Tensor(h_c), None, self.params, ctx_mask=mask)
         h_c2 = h_c.copy()
-        h_c2[3] = -40.0
+        h_c2[0, 3] = -40.0
         b, _ = md.interact(Tensor(h_ta), Tensor(h_c2), None, self.params, ctx_mask=mask)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_single_context_token_returns_its_value(self):
         self.setup()
-        h_ta = rand(self.rng, 3, 16)
-        h_c = rand(self.rng, 4, 16)
-        mask = np.array([False, False, True, False])
+        h_ta = rand(self.rng, 1, 3, 16)
+        h_c = rand(self.rng, 1, 4, 16)
+        mask = np.array([[False, False, True, False]])
         h_tac, _ = md.interact(Tensor(h_ta), Tensor(h_c), None, self.params, ctx_mask=mask)
         want = np.concatenate(
-            [h_c[2:3] @ w.data for w in self.params.inter_ctx.wv], axis=-1
+            [h_c[0, 2:3] @ w.data for w in self.params.inter_ctx.wv], axis=-1
         )
-        np.testing.assert_allclose(h_tac.data, np.repeat(want, 3, axis=0), rtol=1e-9)
+        np.testing.assert_allclose(h_tac.data[0], np.repeat(want, 3, axis=0), rtol=1e-9)
 
 
 class TestFuse:
@@ -218,75 +232,78 @@ class TestFuse:
         rng = np.random.default_rng(12)
         cfg = tiny_config(head_count=1)
         params = tiny_params(cfg, rng)
-        h_ta, h_tac, h_tai = rand(rng, 3, 16), rand(rng, 3, 16), rand(rng, 3, 16)
-        h_avg_c, h_att = rand(rng, 16), rand(rng, 8)
+        h_ta, h_tac, h_tai = rand(rng, 1, 3, 16), rand(rng, 1, 3, 16), rand(rng, 1, 3, 16)
+        h_avg_c, h_att = rand(rng, 1, 16), rand(rng, 1, 8)
         fused = md.fuse(
             Tensor(h_ta), Tensor(h_tac), Tensor(h_tai),
             Tensor(h_avg_c), Tensor(h_att), params,
         )
-        q = h_ta @ params.fusion.wq[0].data
-        k = h_tac @ params.fusion.wk[0].data
-        v = h_tai @ params.fusion.wv[0].data
+        q = h_ta[0] @ params.fusion.wq[0].data
+        k = h_tac[0] @ params.fusion.wk[0].data
+        v = h_tai[0] @ params.fusion.wv[0].data
         h_taci = softmax_rows(q @ k.T / math.sqrt(q.shape[1])) @ v
-        want = np.concatenate([h_avg_c, h_taci.mean(axis=0), h_att])
-        np.testing.assert_allclose(fused.data, want, rtol=1e-8)
-        assert fused.shape == (cfg.fused_width,)
+        want = np.concatenate([h_avg_c[0], h_taci.mean(axis=0), h_att[0]])
+        np.testing.assert_allclose(fused.data[0], want, rtol=1e-8)
+        assert fused.shape == (1, cfg.fused_width)
 
     def test_single_row_mean_is_identity(self):
         rng = np.random.default_rng(13)
         cfg = tiny_config()
         params = tiny_params(cfg, rng)
-        h_ta, h_tac, h_tai = (Tensor(rand(rng, 1, 16)) for _ in range(3))
-        fused = md.fuse(h_ta, h_tac, h_tai, Tensor(rand(rng, 16)), Tensor(rand(rng, 8)), params)
+        h_ta, h_tac, h_tai = (Tensor(rand(rng, 1, 1, 16)) for _ in range(3))
+        fused = md.fuse(h_ta, h_tac, h_tai, Tensor(rand(rng, 1, 16)), Tensor(rand(rng, 1, 8)),
+                        params)
         h_taci = ly.multi_head(h_ta, h_tac, h_tai, params.fusion)
-        np.testing.assert_allclose(fused.data[16:32], h_taci.data[0], rtol=1e-9)
+        np.testing.assert_allclose(fused.data[0, 16:32], h_taci.data[0, 0], rtol=1e-9)
 
     def test_text_only_falls_back_to_context_values(self):
         rng = np.random.default_rng(14)
         cfg = tiny_config(text_only=True)
         params = tiny_params(cfg, rng)
-        h_ta, h_tac = Tensor(rand(rng, 2, 16)), Tensor(rand(rng, 2, 16))
-        fused = md.fuse(h_ta, h_tac, None, Tensor(rand(rng, 16)), None, params)
-        assert fused.shape == (32,)
+        h_ta, h_tac = Tensor(rand(rng, 1, 2, 16)), Tensor(rand(rng, 1, 2, 16))
+        fused = md.fuse(h_ta, h_tac, None, Tensor(rand(rng, 1, 16)), None, params)
+        assert fused.shape == (1, 32)
         h_taci = ly.multi_head(h_ta, h_tac, h_tac, params.fusion)
-        np.testing.assert_allclose(fused.data[16:], h_taci.data.mean(axis=0), rtol=1e-9)
+        np.testing.assert_allclose(fused.data[0, 16:], h_taci.data[0].mean(axis=0), rtol=1e-9)
 
     def test_row_count_mismatch_is_internal_error(self):
         rng = np.random.default_rng(15)
         params = tiny_params(tiny_config(), rng)
         with pytest.raises(InternalError):
             md.fuse(
-                Tensor(rand(rng, 2, 16)), Tensor(rand(rng, 2, 16)),
-                Tensor(rand(rng, 3, 16)), Tensor(rand(rng, 16)),
-                Tensor(rand(rng, 8)), params,
+                Tensor(rand(rng, 1, 2, 16)), Tensor(rand(rng, 1, 2, 16)),
+                Tensor(rand(rng, 1, 3, 16)), Tensor(rand(rng, 1, 16)),
+                Tensor(rand(rng, 1, 8)), params,
             )
 
 
 class TestClassify:
     def test_uniform_on_zero_logits(self):
         out = md.classify(
-            Tensor(np.zeros(5)), Tensor(np.zeros((5, 3))), Tensor(np.zeros(3))
+            Tensor(np.zeros((1, 5))), Tensor(np.zeros((5, 3))), Tensor(np.zeros(3))
         )
+        assert out.probs.shape == (1, 3)
         np.testing.assert_allclose(out.probs.data, 1.0 / 3.0, rtol=1e-6)
 
     def test_log_integer_logits(self):
         b = Tensor(np.log(np.array([1.0, 2.0, 3.0])))
-        out = md.classify(Tensor(np.zeros(4)), Tensor(np.zeros((4, 3))), b)
-        np.testing.assert_allclose(out.probs.data, [1 / 6, 2 / 6, 3 / 6], rtol=1e-6)
-        np.testing.assert_allclose(out.logits.data, b.data, atol=1e-12)
+        out = md.classify(Tensor(np.zeros((1, 4))), Tensor(np.zeros((4, 3))), b)
+        np.testing.assert_allclose(out.probs.data[0], [1 / 6, 2 / 6, 3 / 6], rtol=1e-6)
+        np.testing.assert_allclose(out.logits.data[0], b.data, atol=1e-12)
 
     def test_simplex(self):
         rng = np.random.default_rng(16)
         for _ in range(20):
             out = md.classify(
-                Tensor(rand(rng, 6) * 5), Tensor(rand(rng, 6, 3)), Tensor(rand(rng, 3))
+                Tensor(rand(rng, 1, 6) * 5), Tensor(rand(rng, 6, 3)), Tensor(rand(rng, 3))
             )
             np.testing.assert_allclose(out.probs.data.sum(), 1.0, atol=1e-6)
             assert (out.probs.data > 0).all() and (out.probs.data < 1).all()
 
     def test_width_mismatch(self):
         with pytest.raises(ConfigError, match="classifier"):
-            md.classify(Tensor(np.zeros(4)), Tensor(np.zeros((5, 3))), Tensor(np.zeros(3)))
+            md.classify(Tensor(np.zeros((1, 4))), Tensor(np.zeros((5, 3))),
+                        Tensor(np.zeros(3)))
 
 
 class FakeParams(SimpleNamespace):
@@ -474,6 +491,102 @@ class TestForward:
         assert out.trace.image_grid is None
 
 
+class TestBatchedForward:
+    """One forward over a padded batch against the per-sample oracles."""
+
+    def batch(self, cfg, seed):
+        rng = np.random.default_rng(seed)
+        params = tiny_params(cfg, rng)
+        # larger weights sharpen the attention, so that a padded row leaking
+        # into a key set or a pool moves the loss far beyond the tolerance
+        for _, p in params.named_parameters():
+            p.data *= 3.0
+        samples = ragged_samples(cfg, rng)
+        return params, samples, dio.collate(samples)
+
+    @pytest.mark.parametrize("text_only", [False, True])
+    def test_rows_match_numpy_reference(self, text_only):
+        cfg = tiny_config(text_only=text_only)
+        params, samples, batch = self.batch(cfg, 40)
+        assert not batch.mask.all() and not batch.target_mask.all()
+        assert not batch.aspect_mask.all()
+        probs = md.forward(batch, params, cfg).probs.data
+        assert probs.shape == (len(samples), 3)
+        for row, sample in zip(probs, samples):
+            want = forward_loss_reference(sample, params, cfg)
+            got = -math.log(row[sample.label])
+            assert abs(got - want) <= REF_TOL * abs(want), sample.id
+
+    @pytest.mark.parametrize("text_only", [False, True])
+    def test_rows_match_single_sample_forward(self, text_only):
+        cfg = tiny_config(precision="single", text_only=text_only)
+        params, samples, batch = self.batch(cfg, 41)
+        probs = md.forward(batch, params, cfg).probs.data
+        for row, sample in zip(probs, samples):
+            one = md.forward(sample, params, cfg).probs.data
+            assert np.abs(row - one).max() < PAD_APPEND_TOL, sample.id
+
+    def test_batch_loss_is_row_mean(self):
+        cfg = tiny_config()
+        params, samples, batch = self.batch(cfg, 42)
+        out = md.forward(batch, params, cfg)
+        got = float(md.loss([out.probs], batch.labels, params, 0.0).data)
+        want = np.mean([forward_loss_reference(s, params, cfg) for s in samples])
+        assert abs(got - want) <= REF_TOL * abs(want)
+
+    def test_sampled_gradients_match_fd(self):
+        cfg = tiny_config(l2_lambda=1e-5)
+        params, samples, batch = self.batch(cfg, 43)
+        rng = np.random.default_rng(44)
+
+        def eval_loss():
+            out = md.forward(batch, params, cfg)
+            return float(md.loss([out.probs], batch.labels, params, cfg.l2_lambda).data)
+
+        tape = Tape()
+        for _, p in params.named_parameters():
+            tape.watch(p)
+        out = md.forward(batch, params, cfg)
+        grads = tape.backward(md.loss([out.probs], batch.labels, params, cfg.l2_lambda))
+        analytic = {name: grads[p].reshape(-1) for name, p in params.named_parameters()}
+        for _, p in params.named_parameters():
+            p.tape = None
+            p.node = None
+        step = 1e-5
+        for name, p in params.named_parameters():
+            flat = p.data.reshape(-1)
+            for i in rng.choice(flat.size, size=min(flat.size, 3), replace=False):
+                orig = flat[i]
+                flat[i] = orig + step
+                hi = eval_loss()
+                flat[i] = orig - step
+                lo = eval_loss()
+                flat[i] = orig
+                num = (hi - lo) / (2 * step)
+                ana = analytic[name][i]
+                err = abs(ana - num) / max(abs(ana), abs(num), 1e-8)
+                assert err < 1e-4, f"{name}[{i}]: rel err {err:.2e}"
+
+    def test_trace_keeps_batch_axis(self):
+        cfg = tiny_config()
+        params, samples, batch = self.batch(cfg, 45)
+        trace = md.forward(batch, params, cfg, want_trace=True).trace
+        b, width = len(samples), batch.target_ids.shape[1]
+        for w in trace.interaction_heads:
+            assert w.shape == (b, width, batch.token_ids.shape[1])
+        for w in trace.fusion_heads:
+            assert w.shape == (b, width, width)
+        assert trace.image_grid.shape == (b, 7, 7)
+        np.testing.assert_allclose(trace.image_grid.sum(axis=(1, 2)), 1.0, atol=1e-6)
+
+    def test_missing_features_name_the_sample(self):
+        cfg = tiny_config()
+        params, samples, batch = self.batch(cfg, 46)
+        batch.features[2] = None
+        with pytest.raises(InputError, match="r2"):
+            md.forward(batch, params, cfg)
+
+
 class TestFullModelGradientSpot:
     """Sampled finite-difference check; the exhaustive sweep runs in the
     acceptance suite."""
@@ -582,6 +695,19 @@ class TestCheckpoint:
         versioned.write_bytes(bytes(vb))
         with pytest.raises(FormatError, match="version"):
             md.load_checkpoint(versioned, params)
+
+    def test_non_finite_record_is_format_error(self, tmp_path):
+        cfg, params, path = self.roundtrip_params(tmp_path)
+        saved = {n: p.data.copy() for n, p in params.named_parameters()}
+        for name, value in (("cls.b", np.nan), ("embed.table", np.inf)):
+            other = tiny_params(cfg, np.random.default_rng(32))
+            dict(other.named_parameters())[name].data.flat[1] = value
+            bad = tmp_path / f"bad-{name}.efck"
+            md.save_checkpoint(bad, other)
+            with pytest.raises(FormatError, match=rf"bad-{name}\.efck.*{name}"):
+                md.load_checkpoint(bad, params)
+            for n, p in params.named_parameters():
+                np.testing.assert_array_equal(p.data, saved[n], err_msg=n)
 
     def test_missing_file_is_input_error(self, tmp_path):
         rng = np.random.default_rng(31)

@@ -34,6 +34,20 @@ class TestMatmul:
         for _ in range(5):
             n, k, m = rng.integers(1, 6, size=3)
             fd_check(tx.matmul, rand(rng, n, k), rand(rng, k, m))
+        # a batch axis on the left folds into the rows; on both, it pairs up
+        fd_check(tx.matmul, rand(rng, 3, 4, 2), rand(rng, 2, 5))
+        fd_check(tx.matmul, rand(rng, 3, 4, 2), rand(rng, 3, 2, 5))
+
+    def test_batched_matches_per_entry(self):
+        rng = np.random.default_rng(12)
+        a, b, bb = rand(rng, 3, 4, 2), rand(rng, 2, 5), rand(rng, 3, 2, 5)
+        got = tx.matmul(Tensor(a), Tensor(b)).data
+        got_pairs = tx.matmul(Tensor(a), Tensor(bb)).data
+        for i in range(3):
+            np.testing.assert_allclose(got[i], a[i] @ b, atol=1e-12)
+            np.testing.assert_allclose(got_pairs[i], a[i] @ bb[i], atol=1e-12)
+        with pytest.raises(ShapeError):
+            tx.matmul(Tensor(a), Tensor(rand(rng, 2, 2, 5)))
 
 
 class TestSoftmax:
@@ -103,6 +117,16 @@ class TestMeanPool:
         fd_check(tx.mean_pool, rand(rng, 5, 3))
         mask = np.array([True, False, True, True, False])
         fd_check(lambda t: tx.mean_pool(t, mask), rand(rng, 5, 3))
+        ragged = np.array([[True, True, False], [True, False, False]])
+        fd_check(lambda t: tx.mean_pool(t, ragged), rand(rng, 2, 3, 4))
+
+    def test_batched_rows_pool_their_own_rows(self):
+        x = np.arange(12, dtype=np.float64).reshape(2, 3, 2)
+        mask = np.array([[True, True, False], [False, False, True]])
+        np.testing.assert_allclose(tx.mean_pool(Tensor(x), mask).data,
+                                   [[1.0, 2.0], [10.0, 11.0]])
+        with pytest.raises(MaskError):
+            tx.mean_pool(Tensor(x), np.array([[True, True, True], [False] * 3]))
 
 
 class TestElementwise:
@@ -157,6 +181,7 @@ class TestElementwise:
         x = rand(rng, 4, 3)
         fd_check(tx.add, x, rand(rng, 4, 3))
         fd_check(tx.add, x, rand(rng, 3))
+        fd_check(tx.add, rand(rng, 2, 4, 3), rand(rng, 3))
         fd_check(tx.sub, x, rand(rng, 4, 3))
         fd_check(tx.mul, x, rand(rng, 4, 3))
         fd_check(lambda t: tx.scale(t, -2.5), x)
@@ -194,23 +219,13 @@ class TestShapeOps:
         with pytest.raises(ShapeError):
             tx.transpose(Tensor(x))
 
-    def test_take_row_and_slice_cols(self):
-        x = np.arange(12, dtype=np.float64).reshape(3, 4)
-        np.testing.assert_allclose(tx.take_row(Tensor(x), 1).data, [[4.0, 5.0, 6.0, 7.0]])
-        np.testing.assert_allclose(tx.slice_cols(Tensor(x), 1, 3).data, x[:, 1:3])
-        with pytest.raises(ShapeError):
-            tx.take_row(Tensor(x), 3)
-        with pytest.raises(ShapeError):
-            tx.slice_cols(Tensor(x), 2, 2)
-
     def test_gradients(self):
         rng = np.random.default_rng(31)
         fd_check(lambda a, b: tx.concat([a, b], axis=-1), rand(rng, 2, 3), rand(rng, 2, 2))
         fd_check(lambda a, b: tx.concat([a, b], axis=0), rand(rng, 2, 3), rand(rng, 4, 3))
         fd_check(lambda t: tx.reshape(t, (3, 4)), rand(rng, 2, 6))
         fd_check(tx.transpose, rand(rng, 3, 5))
-        fd_check(lambda t: tx.take_row(t, 2), rand(rng, 4, 3))
-        fd_check(lambda t: tx.slice_cols(t, 1, 4), rand(rng, 3, 5))
+        fd_check(tx.transpose, rand(rng, 2, 3, 5))
 
 
 class TestEmbeddingLookup:
@@ -233,6 +248,7 @@ class TestEmbeddingLookup:
     def test_gradients(self):
         rng = np.random.default_rng(37)
         fd_check(lambda t: tx.embedding_lookup(t, [0, 3, 1, 3]), rand(rng, 5, 4))
+        fd_check(lambda t: tx.embedding_lookup(t, [[0, 3], [3, 2]]), rand(rng, 5, 4))
 
 
 class TestDropout:
@@ -296,6 +312,7 @@ class TestSquashRows:
     def test_gradients(self):
         rng = np.random.default_rng(53)
         fd_check(tx.squash_rows, rand(rng, 4, 5) + 0.3)
+        fd_check(tx.squash_rows, rand(rng, 2, 4, 5) + 0.3)
 
 
 class TestMultiHeadAttention:
@@ -352,6 +369,36 @@ class TestMultiHeadAttention:
             fd_check(op, rand(rng, 4, 3), *[rand(rng, 3, 2) for _ in range(3 * heads)])
 
 
+    def test_batched_rows_with_ragged_masks(self):
+        # row i of a batch attends exactly as its own unbatched call does
+        rng = np.random.default_rng(78)
+        q, k = rand(rng, 3, 2, 4), rand(rng, 3, 5, 3)
+        v = rand(rng, 3, 5, 3)
+        mask = np.array([[True, True, True, False, False],
+                         [True, False, True, True, True],
+                         [False, False, False, False, True]])
+        for heads in (1, 2):
+            ws = ([rand(rng, 4, 2) for _ in range(heads)]
+                  + [rand(rng, 3, 2) for _ in range(2 * heads)])
+            wt = [Tensor(w) for w in ws]
+            out, attn = tx.multi_head_attention(Tensor(q), Tensor(k), Tensor(v),
+                                                *self.split(wt, heads), mask=mask)
+            assert attn.shape == (3, heads, 2, 5)
+            assert (attn.transpose(0, 3, 1, 2)[~mask] == 0.0).all()
+            for i in range(3):
+                one, _ = tx.multi_head_attention(Tensor(q[i]), Tensor(k[i]), Tensor(v[i]),
+                                                 *self.split(wt, heads), mask=mask[i])
+                np.testing.assert_allclose(out.data[i], one.data, atol=1e-12)
+
+            def op(q, k, v, *ws, heads=heads):
+                return tx.multi_head_attention(q, k, v, *self.split(ws, heads), mask=mask)[0]
+
+            fd_check(op, q, k, v, *ws)
+        with pytest.raises(ShapeError):
+            tx.multi_head_attention(Tensor(q), Tensor(k), Tensor(v), *self.split(wt, 2),
+                                    mask=mask[0])
+
+
 class TestGRUSequence:
     def weights(self, rng, d_in, d_h):
         shapes = {"w": (d_in, d_h), "u": (d_h, d_h), "b": (d_h,)}
@@ -396,6 +443,30 @@ class TestGRUSequence:
                     return tx.gru_sequence(x, None, ws, reverse=reverse)
 
                 fd_check(op_plain, rand(rng, m, 4), *self.weights(rng, 4, 3))
+
+
+    def test_batched_rows_with_ragged_masks(self):
+        # padding at the end of a row leaves that row's real states exact,
+        # in both directions, and carries no gradient into padded inputs
+        rng = np.random.default_rng(79)
+        lengths = [3, 1, 2]
+        mask = np.arange(3) < np.array(lengths)[:, None]
+        x, ctx, h0 = rand(rng, 3, 3, 2), rand(rng, 3, 3), rand(rng, 3, 4)
+        ws = [Tensor(w) for w in self.weights(rng, 5, 4)]
+        for reverse in (False, True):
+            got = tx.gru_sequence(Tensor(x), Tensor(h0), ws, context=Tensor(ctx),
+                                  reverse=reverse, mask=mask).data
+            for i, n in enumerate(lengths):
+                one = tx.gru_sequence(Tensor(x[i, :n]), Tensor(h0[i]), ws,
+                                      context=Tensor(ctx[i]), reverse=reverse).data
+                np.testing.assert_allclose(got[i, :n], one, atol=1e-12)
+
+            def op(x, h0, ctx, *ws, reverse=reverse):
+                return tx.gru_sequence(x, h0, ws, context=ctx, reverse=reverse, mask=mask)
+
+            fd_check(op, x, h0, ctx, *self.weights(rng, 5, 4))
+        with pytest.raises(ShapeError):
+            tx.gru_sequence(Tensor(x), None, ws, context=Tensor(ctx[0]))
 
 
 class TestFdGradient:

@@ -8,7 +8,14 @@ from conftest import tiny_config, tiny_params, tiny_sample
 
 from efnet import model as md
 from efnet import train as tr
-from efnet.data import InputError, load_dataset, load_embeddings, synth_generate
+from efnet.data import (
+    InputError,
+    encode_sample,
+    load_dataset,
+    load_embeddings,
+    make_batches,
+    synth_generate,
+)
 from efnet.layers import ConfigError
 from efnet.model import InternalError
 from efnet.tensor import Tensor
@@ -210,6 +217,26 @@ class TestEvaluate:
         b = evaluate(params, table, samples, cfg)
         assert a == b
 
+    @pytest.mark.parametrize("text_only", [False, True])
+    def test_batched_predictions_match_per_sample_forward(self, tmp_path, text_only):
+        table, samples = synth_corpus(tmp_path, n=tr.EVAL_BATCH + 9,
+                                      rule="none" if text_only else "both")
+        cfg = corpus_config(text_only=text_only, max_len=9)
+        params = corpus_params(cfg, table)
+        single = []
+        for s in samples:
+            enc = encode_sample(s, table, cfg.max_len, not text_only)
+            single.append(int(np.argmax(md.forward(enc, params, cfg).probs.data)))
+        batches = make_batches(samples, table, batch_size=tr.EVAL_BATCH,
+                               max_len=cfg.max_len, text_only=text_only)
+        assert [len(b) for b in batches] == [tr.EVAL_BATCH, 9]
+        batched = []
+        for b in batches:
+            batched += np.argmax(md.forward(b, params, cfg).probs.data, axis=1).tolist()
+        assert batched == single
+        truths = [s.label for s in samples]
+        assert evaluate(params, table, samples, cfg) == metrics_from_pairs(truths, single)
+
     def test_empty_dataset(self, tmp_path):
         table, _ = synth_corpus(tmp_path)
         cfg = corpus_config()
@@ -245,6 +272,23 @@ class TestTrain:
         for i, line in enumerate(lines[1:], start=1):
             assert ROW_RE.match(line), line
             assert line.split(",")[0] == str(i)
+
+    def test_metrics_log_keeps_rows_of_finished_epochs(self, tmp_path):
+        table, samples = synth_corpus(tmp_path, rule="none")
+        cfg = corpus_config(text_only=True)
+        params = corpus_params(cfg, table)
+        log = tmp_path / "metrics.csv"
+        rows = []
+
+        def poison(row):
+            rows.append(row)
+            params.cls_b.data[:] = np.nan
+
+        with pytest.raises(TrainError, match="epoch 2"):
+            train(params, table, samples, samples, cfg, epochs=3, batch_size=4,
+                  log_path=log, on_epoch=poison)
+        assert len(rows) == 1
+        assert log.read_text().splitlines() == [tr.METRICS_HEADER] + rows
 
     def test_zero_epochs(self, tmp_path):
         table, samples = synth_corpus(tmp_path, rule="none")
