@@ -12,6 +12,7 @@ encoded sample runs the same stages without the batch axis.
 
 from __future__ import annotations
 
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -256,21 +257,22 @@ def encode_visual(features, params: CapsuleParams):
 
 def image_attention(h_ta: Tensor, r: Tensor, w_ta: Tensor, w_r: Tensor, mask=None):
     """One query (pooled target encoding) attends over projected regions;
-    keys and values are the same projection. Returns the attended vector
-    and the region weights. ``h_ta`` is [m, d] with ``r`` [49, C], or
-    [B, m, d] with [B, 49, C]; ``mask`` ([(B,) m]) marks the target rows
-    that are pooled."""
+    keys and values are the same projection, which the fused op never
+    forms. Returns the attended vector and the region weights, a detached
+    value. ``h_ta`` is [m, d] with ``r`` [49, C], or [B, m, d] with
+    [B, 49, C]; ``mask`` ([(B,) m]) marks the target rows that are pooled."""
     if w_ta.shape[1] != w_r.shape[1]:
         raise ConfigError(
             f"image attention widths differ: {w_ta.shape[1]} vs {w_r.shape[1]}"
         )
     pooled = tx.mean_pool(h_ta, mask)
-    lead = pooled.shape[:-1]
-    query = tx.matmul(tx.reshape(pooled, lead + (1, pooled.shape[-1])), w_ta)
-    keys = tx.matmul(r, w_r)
-    out, weights = ly.scaled_dot_attention(query, keys, keys, return_weights=True)
-    return (tx.reshape(out, lead + (out.shape[-1],)),
-            tx.reshape(weights, lead + (weights.shape[-1],)))
+    if pooled.data.ndim == 1:
+        row = tx.matmul(tx.reshape(pooled, (1, pooled.shape[0])), w_ta)
+        query = tx.reshape(row, (w_ta.shape[1],))
+    else:
+        query = tx.matmul(pooled, w_ta)
+    out, weights = tx.region_attention(query, r, w_r)
+    return out, Tensor(weights)
 
 
 def interact(h_ta: Tensor, h_c: Tensor, h_i, params: EFNetParams, ctx_mask=None,
@@ -452,17 +454,30 @@ def forward(sample, params: EFNetParams, config: ModelConfig, train: bool = Fals
 
 
 def save_checkpoint(path, params: EFNetParams) -> None:
-    """Write every named parameter, in registry order, as float32 records."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        for name, p in params.named_parameters():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", p.data.ndim))
-            fh.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
-            fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+    """Write every named parameter, in registry order, as float32 records.
+
+    The records go to a temporary file beside ``path``, which is flushed,
+    synced and then renamed over ``path``, so a crash or kill mid-write
+    leaves the previous checkpoint whole. On error the temporary is removed.
+    """
+    tmp = Path(f"{os.fspath(path)}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            for name, p in params.named_parameters():
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<I", p.data.ndim))
+                fh.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
+                fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_checkpoint_records(blob: bytes, path) -> dict:

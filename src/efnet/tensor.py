@@ -619,11 +619,70 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, wq: Sequence[Tensor],
     return out, attn if rank == 3 else attn[0]
 
 
+def region_attention(query: Tensor, r: Tensor, w_r: Tensor):
+    """One query vector attending over projected regions, as one op.
+
+    Computes softmax(q (r w_r)^T / sqrt(a)) (r w_r) without forming the
+    [n, a] keys r w_r. The key projection is folded into the query, so the
+    scores are r (q w_r^T), and applied once after pooling, so the output is
+    (weights r) w_r (the weight absorption of DeepSeek-V2, arXiv:2405.04434).
+    ``r`` is read by two matrix-vector passes forward and two backward,
+    O(n C) per row instead of O(n C a). ``query`` is [a] with ``r`` [n, C],
+    or [B, a] with [B, n, C]; ``w_r`` is [C, a]. Returns the attended
+    vector, [(B,) a], and the region weights as a plain [(B,) n] array.
+    The gradient of ``r`` is formed only when ``r`` is on a tape.
+    """
+    rank = r.data.ndim
+    if rank not in (2, 3) or query.data.ndim != rank - 1 or w_r.data.ndim != 2:
+        raise ShapeError(
+            f"region_attention: need query [a] with regions [n, C], or [B, a] with "
+            f"[B, n, C], and a rank-2 projection; got {query.shape}, {r.shape}, {w_r.shape}"
+        )
+    rd = r.data if rank == 3 else r.data[None]
+    qd = query.data.reshape(-1, query.shape[-1])
+    wd = w_r.data
+    b, n, width = rd.shape
+    if qd.shape[0] != b or wd.shape != (width, qd.shape[1]):
+        raise ShapeError(
+            f"region_attention: query {query.shape} and regions {r.shape} do not fit "
+            f"projection {w_r.shape}"
+        )
+    c = 1.0 / math.sqrt(wd.shape[1])
+    qk = qd @ wd.T
+    scores = (rd @ qk[:, :, None])[:, :, 0] * c
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    attn = e / e.sum(axis=1, keepdims=True)
+    pooled = (attn[:, None, :] @ rd)[:, 0]
+    out = Tensor((pooled @ wd).reshape(query.shape))
+    weights = attn if rank == 3 else attn[0]
+    inputs = (query, r, w_r)
+    if (tape := _find_tape(inputs)) is None:
+        return out, weights
+    want_r = r.requires_grad or r.tape is not None
+    q_shape, r_shape = query.shape, r.shape
+
+    def backward(g):
+        g = g.reshape(b, -1)
+        d_pooled = g @ wd.T
+        d_attn = (rd @ d_pooled[:, :, None])[:, :, 0]
+        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=1, keepdims=True)) * c
+        d_qk = (d_scores[:, None, :] @ rd)[:, 0]
+        d_r = None
+        if want_r:
+            # both paths through r as one rank-2 update per batch row
+            d_r = (np.stack([d_scores, attn], axis=2)
+                   @ np.stack([qk, d_pooled], axis=1)).reshape(r_shape)
+        # both products into w_r as one matrix product with 2b inner terms
+        d_w = np.concatenate([pooled, d_qk]).T @ np.concatenate([g, qd])
+        return (d_qk @ wd).reshape(q_shape), d_r, d_w
+
+    return _record(tape, out, inputs, _joint(backward, 3)), weights
+
+
 def _col_blocks(a: np.ndarray, count: int) -> list:
-    """``a`` [n, count * w] as ``count`` contiguous [n, w] column blocks:
-    optimizer updates on strided views run markedly slower."""
+    """``a`` [n, count * w] as ``count`` [n, w] column blocks (views)."""
     n, width = a.shape[0], a.shape[1] // count
-    return list(np.ascontiguousarray(a.reshape(n, count, width).transpose(1, 0, 2)))
+    return list(a.reshape(n, count, width).transpose(1, 0, 2))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -25,7 +25,9 @@ class OptimizerState:
     """Adaptive-moment descent state; one moment pair per parameter name.
 
     Accumulators always shape-match their parameters; ``t`` strictly
-    increases, one tick per step.
+    increases, one tick per step. The first step allocates the moments as
+    two flat buffers, updated in place, and ``m``/``v`` map each name to
+    its view into them.
     """
 
     lr: float = 1e-3
@@ -35,6 +37,8 @@ class OptimizerState:
     t: int = 0
     m: dict = dataclasses.field(default_factory=dict)
     v: dict = dataclasses.field(default_factory=dict)
+    _flat: tuple | None = dataclasses.field(default=None, init=False, repr=False,
+                                            compare=False)
 
 
 @dataclasses.dataclass
@@ -53,13 +57,18 @@ class EvalReport:
 def adam_step(params: EFNetParams, grads, state: OptimizerState) -> None:
     """Apply one bias-corrected moment update to every named parameter.
 
-    The padding embedding row is re-zeroed afterwards so index 0 never
-    drifts away from zero.
+    All parameters run as one flat vector: the arithmetic is the same,
+    element by element, as a loop over parameters, so the result is bitwise
+    equal to it, and afterwards each parameter is a view into the updated
+    vector. A non-finite gradient or update raises ``TrainError`` naming the
+    first parameter it reaches, before any parameter changes (after a
+    non-finite update the moments have advanced). The padding embedding row
+    is re-zeroed afterwards so index 0 never drifts away from zero.
     """
-    state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
-    for name, p in params.named_parameters():
+    named = params.named_parameters()
+    dtype = named[0][1].data.dtype
+    values, flat_grads, bounds = [], [], [0]
+    for name, p in named:
         g = grads.get(p)
         if g is None:
             raise InternalError(f"missing gradient for parameter {name}")
@@ -68,18 +77,57 @@ def adam_step(params: EFNetParams, grads, state: OptimizerState) -> None:
                 f"gradient shape {g.shape} does not match parameter "
                 f"{name} with shape {p.data.shape}"
             )
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        # epsilon sits outside the square root
-        p.data = p.data - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        if p.data.dtype != dtype or g.dtype != dtype:
+            raise InternalError(
+                f"parameter {name} is {p.data.dtype} with a {g.dtype} gradient; "
+                f"the first parameter is {dtype}"
+            )
+        values.append(p.data)
+        flat_grads.append(g)
+        bounds.append(bounds[-1] + g.size)
+    g = np.concatenate(flat_grads, axis=None)
+    if not np.isfinite(g).all():
+        raise TrainError(
+            f"non-finite gradient for parameter {_first_non_finite(g, named, bounds)}"
+        )
+    if state._flat is None:
+        state._flat = (np.zeros_like(g), np.zeros_like(g))
+        for moments, flat in zip((state.m, state.v), state._flat):
+            for (name, p), lo, hi in zip(named, bounds, bounds[1:]):
+                moments[name] = flat[lo:hi].reshape(p.data.shape)
+    m, v = state._flat
+    state.t += 1
+    c1 = 1.0 - state.beta1 ** state.t
+    c2 = 1.0 - state.beta2 ** state.t
+    # in-place forms of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    # p - lr (m / c1) / (sqrt(v / c2) + eps), rounding for rounding
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    g *= g
+    g *= 1.0 - state.beta2
+    v *= state.beta2
+    v += g
+    step = m / c1
+    step *= state.lr
+    root = v / c2
+    np.sqrt(root, out=root)
+    # epsilon sits outside the square root
+    root += state.eps
+    step /= root
+    updated = np.concatenate(values, axis=None)
+    updated -= step
+    if not np.isfinite(updated).all():
+        raise TrainError(
+            f"non-finite update for parameter {_first_non_finite(updated, named, bounds)}"
+        )
+    for (_, p), lo, hi in zip(named, bounds, bounds[1:]):
+        p.data = updated[lo:hi].reshape(p.data.shape)
     params.embed.data[0] = 0.0
+
+
+def _first_non_finite(flat: np.ndarray, named, bounds) -> str:
+    return next(name for (name, _), lo, hi in zip(named, bounds, bounds[1:])
+                if not np.isfinite(flat[lo:hi]).all())
 
 
 def _release(params: EFNetParams) -> None:

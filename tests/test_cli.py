@@ -156,6 +156,20 @@ class TestTrainEval:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_truncated_feature_file_is_exit_2(self, tmp_path, capsys):
+        # grids are read when their batch runs, so a damaged file stops the
+        # epoch at that batch, named
+        assert main(["synth", "--seed", "1", "--n", "10", "--out", str(tmp_path / "corpus"),
+                     "--vocab", "20", "--embed-dim", "8"]) == 0
+        damaged = tmp_path / "corpus" / "features" / "s0005.efvf"
+        damaged.write_bytes(damaged.read_bytes()[:5000])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(text_only="false"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "s0005.efvf" in capsys.readouterr().err
+        assert (tmp_path / "run" / "metrics.csv").read_text() == METRICS_HEADER + "\n"
+
     def test_checkpoint_mismatch_is_exit_3(self, workdir, capsys):
         cfg = workdir / "narrow.cfg"
         cfg.write_text(CONFIG_TEMPLATE.format(text_only="false").replace(

@@ -14,7 +14,7 @@ from conftest import (
     tiny_params,
     tiny_sample,
 )
-from test_acceptance import PAD_APPEND_TOL, REF_TOL
+from test_acceptance import PAD_APPEND_TOL, REF_TOL, overfit_config
 
 from efnet import data as dio
 from efnet import layers as ly
@@ -172,6 +172,17 @@ class TestImageAttention:
         _, weights = md.image_attention(h_ta, Tensor(r), w_ta, Tensor(np.eye(3)))
         assert weights.data[0, 31] > 1.0 - 1e-6
         assert np.argmax(weights.data[0]) == 31
+
+    def test_weights_are_detached(self):
+        rng = np.random.default_rng(12)
+        tape = Tape()
+        w_r = tape.watch(Tensor(rand(rng, 6, 5), requires_grad=True))
+        for lead in ((), (2,)):
+            h_att, weights = md.image_attention(
+                Tensor(rand(rng, *lead, 3, 4)), Tensor(rand(rng, *lead, 49, 6)),
+                Tensor(rand(rng, 4, 5)), w_r)
+            assert h_att.tape is tape and h_att.shape == lead + (5,)
+            assert weights.tape is None and weights.shape == lead + (49,)
 
     def test_subspace_mismatch(self):
         with pytest.raises(ConfigError, match="widths"):
@@ -491,6 +502,33 @@ class TestForward:
         assert out.trace.image_grid is None
 
 
+TRAIN_BATCH_NODE_LIMIT = 31  # non-leaf tape nodes of one training batch
+
+
+def test_training_batch_tape_size(tmp_path):
+    """The first training batch of 8 on the overfit config (the benchmark's
+    train_mm workload) records at most TRAIN_BATCH_NODE_LIMIT op nodes: op
+    dispatch is the cost of a batch, so fused ops must not come apart."""
+    dio.synth_generate(tmp_path, seed=0, n=300, grid_rule="both", embed_dim=16)
+    table = dio.load_embeddings(tmp_path / "embeddings.txt")
+    samples = dio.load_dataset(tmp_path / "dataset.jsonl")[:240]
+    cfg = overfit_config()
+    params = EFNetParams.create(cfg, np.random.default_rng(cfg.seed),
+                                Tensor(table.matrix.data.copy(), requires_grad=True))
+    rng = np.random.default_rng(cfg.seed)
+    batch = dio.make_batches(samples, table, batch_size=8, max_len=cfg.max_len,
+                             text_only=False, rng=rng)[0]
+    tape = Tape()
+    named = params.named_parameters()
+    for _, p in named:
+        tape.watch(p)
+    out = md.forward(batch, params, cfg, train=True, rng=rng)
+    value = md.loss([out.probs], batch.labels, params, cfg.l2_lambda)
+    assert value.tape is tape and len(batch) == 8
+    nodes = len(tape) - len(named)
+    assert nodes <= TRAIN_BATCH_NODE_LIMIT, f"{nodes} op nodes for one batch"
+
+
 class TestBatchedForward:
     """One forward over a padded batch against the per-sample oracles."""
 
@@ -708,6 +746,25 @@ class TestCheckpoint:
                 md.load_checkpoint(bad, params)
             for n, p in params.named_parameters():
                 np.testing.assert_array_equal(p.data, saved[n], err_msg=n)
+
+    def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path):
+        cfg, params, path = self.roundtrip_params(tmp_path)
+        saved = {n: p.data.copy() for n, p in params.named_parameters()}
+        for _, p in params.named_parameters():
+            p.data = p.data + 1.0
+
+        def dies_mid_write():
+            for i, item in enumerate(params.named_parameters()):
+                if i == 5:
+                    raise OSError("disk full")
+                yield item
+
+        with pytest.raises(OSError, match="disk full"):
+            md.save_checkpoint(path, SimpleNamespace(named_parameters=dies_mid_write))
+        assert [f.name for f in tmp_path.iterdir()] == [path.name]
+        md.load_checkpoint(path, params)
+        for n, p in params.named_parameters():
+            np.testing.assert_array_equal(p.data, saved[n], err_msg=n)
 
     def test_missing_file_is_input_error(self, tmp_path):
         rng = np.random.default_rng(31)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import fd_check, gru_reference, mha_loop_reference, rand
+from conftest import fd_check, gru_reference, mha_loop_reference, rand, softmax_rows
 
 from efnet import tensor as tx
 from efnet.gradcheck import fd_gradient
@@ -397,6 +397,53 @@ class TestMultiHeadAttention:
         with pytest.raises(ShapeError):
             tx.multi_head_attention(Tensor(q), Tensor(k), Tensor(v), *self.split(wt, 2),
                                     mask=mask[0])
+
+
+class TestRegionAttention:
+    def explicit(self, q, r, w_r):
+        # the keys r w_r formed explicitly, as the reassociated op never does
+        keys = r @ w_r
+        weights = softmax_rows((keys @ q[..., None])[..., 0] / math.sqrt(w_r.shape[1]))
+        return (weights[..., None, :] @ keys)[..., 0, :], weights
+
+    def operands(self, rng, lead):
+        return rand(rng, *lead, 5), rand(rng, *lead, 49, 7) * 0.5, rand(rng, 7, 5) * 0.5
+
+    def test_matches_explicit_keys(self):
+        rng = np.random.default_rng(81)
+        for lead in ((), (3,)):
+            q, r, w_r = self.operands(rng, lead)
+            out, weights = tx.region_attention(Tensor(q), Tensor(r), Tensor(w_r))
+            want_out, want_weights = self.explicit(q, r, w_r)
+            assert out.shape == lead + (5,) and weights.shape == lead + (49,)
+            np.testing.assert_allclose(out.data, want_out, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(weights, want_weights, rtol=0, atol=1e-12)
+
+    def test_gradients(self):
+        rng = np.random.default_rng(82)
+        for lead in ((), (3,)):
+            q, r, w_r = self.operands(rng, lead)
+            fd_check(lambda q, r, w_r: tx.region_attention(q, r, w_r)[0], q, r, w_r)
+            fd_check(lambda q, w_r: tx.region_attention(q, Tensor(r), w_r)[0], q, w_r)
+
+    def test_constant_regions_stay_off_the_tape(self):
+        rng = np.random.default_rng(83)
+        q, r, w_r = self.operands(rng, (2,))
+        tape = Tape()
+        query = tape.watch(Tensor(q, requires_grad=True))
+        regions = Tensor(r)
+        out, _ = tx.region_attention(query, regions, Tensor(w_r, requires_grad=True))
+        grads = tape.backward(tx.sum_all(out))
+        assert regions.tape is None and regions not in grads
+        assert grads[query].shape == q.shape
+
+    def test_shape_errors(self):
+        rng = np.random.default_rng(84)
+        q, r, w_r = self.operands(rng, (2,))
+        for args in ((q[0], r, w_r), (q, r[0], w_r), (q[:1], r, w_r), (q, r, w_r[:6]),
+                     (q, r, w_r[:, :4])):
+            with pytest.raises(ShapeError):
+                tx.region_attention(*(Tensor(a) for a in args))
 
 
 class TestGRUSequence:

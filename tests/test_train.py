@@ -18,7 +18,7 @@ from efnet.data import (
 )
 from efnet.layers import ConfigError
 from efnet.model import InternalError
-from efnet.tensor import Tensor
+from efnet.tensor import Tape, Tensor
 from efnet.train import (
     EvalReport,
     OptimizerState,
@@ -109,6 +109,94 @@ class TestAdamStep:
                 adam_step(params, grads, state)
             outs.append(w.data.copy())
         np.testing.assert_array_equal(outs[0], outs[1])
+
+
+def loop_adam_step(params, grads, state):
+    """Adam one parameter at a time, the per-parameter loop ``adam_step``
+    must match bit for bit."""
+    state.t += 1
+    c1 = 1.0 - state.beta1 ** state.t
+    c2 = 1.0 - state.beta2 ** state.t
+    for name, p in params.named_parameters():
+        g = grads.get(p)
+        m = state.m.get(name)
+        if m is None:
+            m = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        v = state.v[name]
+        m = state.beta1 * m + (1.0 - state.beta1) * g
+        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        state.m[name] = m
+        state.v[name] = v
+        p.data = p.data - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    params.embed.data[0] = 0.0
+
+
+def tape_gradients(params, cfg, sample):
+    for _, p in params.named_parameters():
+        p.tape = p.node = None
+    tape = Tape()
+    for _, p in params.named_parameters():
+        tape.watch(p)
+    out = md.forward(sample, params, cfg)
+    return tape.backward(md.loss([out.probs], [sample.label], params, cfg.l2_lambda))
+
+
+class TestFlatAdam:
+    def models(self, precision):
+        cfg = tiny_config(precision=precision, l2_lambda=1e-2)
+        rng = np.random.default_rng(5)
+        flat = tiny_params(cfg, rng)
+        sample = tiny_sample(cfg, rng)
+        loop = tiny_params(cfg, np.random.default_rng(5))
+        return cfg, flat, loop, sample
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_bitwise_equal_to_per_parameter_loop(self, precision):
+        cfg, flat, loop, sample = self.models(precision)
+        flat_state, loop_state = OptimizerState(lr=3e-2), OptimizerState(lr=3e-2)
+        for step in range(6):
+            adam_step(flat, tape_gradients(flat, cfg, sample), flat_state)
+            loop_adam_step(loop, tape_gradients(loop, cfg, sample), loop_state)
+            for (name, p), (_, q) in zip(flat.named_parameters(), loop.named_parameters()):
+                assert p.data.dtype == cfg.dtype and p.data.shape == q.data.shape
+                np.testing.assert_array_equal(p.data, q.data, err_msg=f"{name}, step {step}")
+                for moments, want in ((flat_state.m, loop_state.m),
+                                      (flat_state.v, loop_state.v)):
+                    assert moments[name].shape == p.data.shape
+                    np.testing.assert_array_equal(moments[name], want[name], err_msg=name)
+        assert flat_state.t == loop_state.t == 6
+
+    def test_nan_gradient_names_parameter_and_changes_nothing(self):
+        cfg, params, _, sample = self.models("single")
+        state = OptimizerState()
+        adam_step(params, tape_gradients(params, cfg, sample), state)
+        before = {name: p.data.copy() for name, p in params.named_parameters()}
+        moments = {name: m.copy() for name, m in state.m.items()}
+        grads = tape_gradients(params, cfg, sample)
+        grads[params.fusion.wk[1]][0, 1] = np.nan
+        with pytest.raises(TrainError, match=r"non-finite gradient for parameter fusion\.h1\.wk"):
+            adam_step(params, grads, state)
+        assert state.t == 1
+        for name, p in params.named_parameters():
+            np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+            np.testing.assert_array_equal(state.m[name], moments[name], err_msg=name)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_infinite_rate_names_first_parameter(self):
+        cfg, params, _, sample = self.models("double")
+        before = {name: p.data.copy() for name, p in params.named_parameters()}
+        with pytest.raises(TrainError, match=r"non-finite update for parameter embed\.table"):
+            adam_step(params, tape_gradients(params, cfg, sample), OptimizerState(lr=np.inf))
+        for name, p in params.named_parameters():
+            np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+
+    def test_mixed_dtypes_rejected(self):
+        w = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+        params = fake_model(w=w)
+        grads = FakeGrads({id(params.embed): np.zeros((3, 2)), id(w): np.zeros(2, np.float32)})
+        with pytest.raises(InternalError, match="parameter w is float32"):
+            adam_step(params, grads, OptimizerState())
 
 
 class TestMetrics:
