@@ -97,12 +97,15 @@ def load_embeddings(path, rng=None, dtype=DEFAULT_DTYPE) -> EmbeddingTable:
     """Read "token v1 ... vd" lines into a table with pad/unk rows prepended.
 
     The unknown row is drawn uniform in +-0.05 from ``rng`` (a fixed default
-    generator when omitted, so loading stays deterministic).
+    generator when omitted, so loading stays deterministic). A value that is
+    not finite in ``dtype`` (nan, inf, or beyond its range) is a
+    ``ParseError`` naming the file, the line and the token.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     index: dict = {}
     rows = []
+    linenos = []
     dim = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -126,11 +129,20 @@ def load_embeddings(path, rng=None, dtype=DEFAULT_DTYPE) -> EmbeddingTable:
                 raise ParseError(f"line {lineno}: non-numeric embedding value") from None
             index[token] = len(rows) + 2
             rows.append(row)
+            linenos.append(lineno)
     if dim is None:
         raise InputError(f"embedding file {path} is empty")
     matrix = np.zeros((len(rows) + 2, dim), dtype=dtype)
     matrix[UNK_INDEX] = rng.uniform(-0.05, 0.05, size=dim).astype(dtype)
-    matrix[2:] = np.asarray(rows, dtype=dtype)
+    with np.errstate(over="ignore"):
+        matrix[2:] = np.asarray(rows, dtype=dtype)
+    bad = np.argwhere(~np.isfinite(matrix[2:]))
+    if bad.size:
+        r, c = bad[0]
+        raise ParseError(
+            f"{path}: line {linenos[r]}: token {list(index)[r]!r} has value {rows[r][c]!r}, "
+            f"not finite as {np.dtype(dtype).name}"
+        )
     return EmbeddingTable(index, Tensor(matrix, requires_grad=True))
 
 

@@ -4,12 +4,14 @@ the capsule projection, and the relative-position embedding table.
 Parameter containers are plain dataclasses holding trainable Tensors; each
 has a seeded ``create`` factory. Functions take inputs first and parameters
 after, and everything runs on the autodiff primitives from ``tensor``.
+``ParamBuffer`` packs trainable tensors into one flat array; the multi-head
+projections always live in one, as [H, d, d_head] blocks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +25,10 @@ class ConfigError(ValueError):
     """A configuration value is inconsistent (head counts, widths, ...)."""
 
 
+class InternalError(RuntimeError):
+    """An internal invariant was violated; indicates a defect, not bad input."""
+
+
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, dtype=DEFAULT_DTYPE) -> Tensor:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     w = rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
@@ -33,21 +39,109 @@ def zeros_param(shape, dtype=DEFAULT_DTYPE) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
 
 
+@dataclass(eq=False, repr=False)
+class ParamBuffer:
+    """Trainable tensors packed into one flat array.
+
+    ``pack`` takes groups of (name, tensor) pairs: the tensors of a group
+    share a shape, and all tensors share a dtype. Group j becomes
+    ``blocks[j]``, a [len(group), *shape] slice of ``flat``, and each
+    tensor's ``data`` becomes its row of that block, a C-contiguous view,
+    so ``data.reshape(-1)`` is a view too and writes through to ``flat``.
+
+    Code outside the buffer may still rebind a tensor's ``data``. ``sync``
+    finds such a tensor by identity, copies its values into its row and
+    points ``data`` back there, so ``flat`` and ``blocks`` are current only
+    after a ``sync``. Rebinding to another shape or dtype is an
+    ``InternalError``.
+    """
+
+    flat: np.ndarray
+    blocks: list
+    names: list
+    tensors: list
+    views: list
+
+    @classmethod
+    def pack(cls, groups) -> "ParamBuffer":
+        names = [name for group in groups for name, _ in group]
+        tensors = [t for group in groups for _, t in group]
+        flat = np.empty(sum(t.data.size for t in tensors), dtype=tensors[0].data.dtype)
+        blocks = []
+        lo = 0
+        for group in groups:
+            shape = (len(group),) + group[0][1].data.shape
+            blocks.append(flat[lo:lo + math.prod(shape)].reshape(shape))
+            lo += blocks[-1].size
+        buffer = cls(flat, blocks, names, tensors, [row for b in blocks for row in b])
+        buffer.sync()
+        return buffer
+
+    @classmethod
+    def of(cls, params) -> "ParamBuffer":
+        """The synced buffer of a parameter set: its ``buffer``, or for a
+        set without one, such as a test double of plain tensors, one packed
+        from ``named_parameters()`` (one tensor per block) on first use."""
+        buffer = getattr(params, "buffer", None)
+        if buffer is None:
+            buffer = params.buffer = cls.pack([[item] for item in params.named_parameters()])
+        buffer.sync()
+        return buffer
+
+    def part(self, start: int, stop: int) -> "ParamBuffer":
+        """Blocks ``start`` to ``stop - 1`` as a buffer of their own that
+        shares this one's memory and views."""
+        rows = [len(b) for b in self.blocks]
+        first, last = sum(rows[:start]), sum(rows[:stop])
+        lo = sum(b.size for b in self.blocks[:start])
+        hi = lo + sum(b.size for b in self.blocks[start:stop])
+        return ParamBuffer(self.flat[lo:hi], self.blocks[start:stop], self.names[first:last],
+                           self.tensors[first:last], self.views[first:last])
+
+    def sync(self) -> None:
+        for name, t, view in zip(self.names, self.tensors, self.views):
+            if t.data is not view:
+                if t.data.shape != view.shape or t.data.dtype != view.dtype:
+                    raise InternalError(
+                        f"parameter {name} is {t.data.dtype} of shape {t.data.shape}; "
+                        f"its slot in the buffer is {view.dtype} of shape {view.shape}"
+                    )
+                view[...] = t.data
+                t.data = view
+
+
 @dataclass
 class MHAParams:
-    """Per-head projection triples; output width is head_count * d_head."""
+    """Per-head projection triples; output width is head_count * d_head.
+
+    Construction packs the heads of each role into one [H, d, d_head]
+    block: each head's ``data`` becomes a row of its role's block, and the
+    attention op reads the blocks (``packed``)."""
 
     wq: list
     wk: list
     wv: list
+    buffer: ParamBuffer = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (len(self.wq) == len(self.wk) == len(self.wv)) or not self.wq:
             raise ConfigError("need one (wq, wk, wv) triple per head")
         d_head = self.wq[0].shape[1]
         for w in (*self.wq, *self.wk, *self.wv):
-            if w.shape[1] != d_head:
+            if w.data.ndim != 2 or w.shape[1] != d_head:
                 raise ConfigError("all heads must share one d_head")
+        for role in (self.wq, self.wk, self.wv):
+            if any(w.shape != role[0].shape for w in role):
+                raise ConfigError("the heads of one projection must share one input width")
+        self.buffer = ParamBuffer.pack([
+            [(f"{name}[{h}]", w) for h, w in enumerate(role)]
+            for name, role in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv))
+        ])
+
+    def packed(self) -> ParamBuffer:
+        """The synced buffer whose blocks are wq, wk and wv, in that order."""
+        self.buffer.sync()
+        return self.buffer
 
     @property
     def head_count(self) -> int:
@@ -148,8 +242,9 @@ def multi_head(q: Tensor, k: Tensor, v: Tensor, params: MHAParams, mask=None, re
     projection afterwards. All heads run as one fused op; the per-head
     weights it returns ([(B,) n_q, n_kv] each) are detached values, not
     tape nodes."""
+    buffer = params.packed()
     out, weights = tx.multi_head_attention(
-        q, k, v, params.wq, params.wk, params.wv, mask=mask
+        q, k, v, buffer.blocks, buffer.tensors, mask=mask
     )
     if not return_weights:
         return out

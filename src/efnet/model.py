@@ -4,8 +4,10 @@ and the softmax classifier, plus the training loss and checkpoint I/O.
 
 Every trainable tensor is reachable through ``EFNetParams.named_parameters``
 under a stable name; the optimizer, the L2 term, and the checkpoint format
-all iterate exactly that list. In text_only mode the visual parameters are
-never created, so their gradients are structurally absent rather than zero.
+all cover exactly that list. Its tensors are views into one flat
+``ParamBuffer``, which the L2 term and the optimizer read whole. In
+text_only mode the visual parameters are never created, so their gradients
+are structurally absent rather than zero.
 ``forward`` runs a whole padded batch at once, [B, ...] per stage; a single
 encoded sample runs the same stages without the batch axis.
 """
@@ -28,7 +30,9 @@ from .layers import (
     CapsuleParams,
     ConfigError,
     GRUParams,
+    InternalError,
     MHAParams,
+    ParamBuffer,
     PositionTable,
 )
 from .tensor import MaskError, ShapeError, TapeError, Tensor
@@ -37,10 +41,6 @@ NUM_CLASSES = 3
 
 CHECKPOINT_MAGIC = b"EFCK"
 CHECKPOINT_VERSION = 1
-
-
-class InternalError(RuntimeError):
-    """An internal invariant was violated; indicates a defect, not bad input."""
 
 
 class CheckpointMismatch(ValueError):
@@ -129,7 +129,25 @@ class EFNetParams:
     inter_img: MHAParams | None = None
     img_w_ta: Tensor | None = None
     img_w_r: Tensor | None = None
+    buffer: ParamBuffer = field(init=False, repr=False, compare=False)
     _named: list | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Every parameter moves into one flat buffer. A multi-head role stays
+        # one [H, d, d_head] block, now a slice of this buffer, and its
+        # MHAParams reads the block there.
+        named = self.named_parameters()
+        mhas = [m for m in (self.ctx_mhsa, self.inter_ctx, self.inter_img, self.fusion)
+                if m is not None]
+        in_mha = {id(w) for m in mhas for w in m.buffer.tensors}
+        names = {id(p): name for name, p in named}
+        groups = [[(name, p)] for name, p in named if id(p) not in in_mha]
+        first = len(groups)
+        for m in mhas:
+            groups += [[(names[id(w)], w) for w in ws] for ws in (m.wq, m.wk, m.wv)]
+        self.buffer = ParamBuffer.pack(groups)
+        for i, m in enumerate(mhas):
+            m.buffer = self.buffer.part(first + 3 * i, first + 3 * i + 3)
 
     @classmethod
     def create(cls, config: ModelConfig, rng, embed_matrix: Tensor) -> "EFNetParams":
@@ -143,7 +161,8 @@ class EFNetParams:
             embed_matrix = Tensor(embed_matrix.data.astype(dtype), requires_grad=True)
         d_c = config.context_width
         d_t = config.target_width
-        params = cls(
+        # the draws keep this order, so a seed gives the same weights
+        fields = dict(
             embed=embed_matrix,
             pos=PositionTable.create(rng, config.max_len, config.embed_dim, dtype),
             ctx_mhsa=MHAParams.create(rng, config.head_count, d_c, d_c, d_c, dtype),
@@ -155,17 +174,20 @@ class EFNetParams:
             cls_b=ly.zeros_param(NUM_CLASSES, dtype),
         )
         if not config.text_only:
-            params.capsule = CapsuleParams.create(rng, 2048, config.capsule_dim, dtype)
-            params.img_w_ta = ly.glorot(rng, d_t, config.att_dim, dtype)
-            params.img_w_r = ly.glorot(rng, 2048, config.att_dim, dtype)
-            params.inter_img = MHAParams.create(
-                rng, config.head_count, d_t, config.capsule_dim, d_t, dtype
+            fields.update(
+                capsule=CapsuleParams.create(rng, 2048, config.capsule_dim, dtype),
+                img_w_ta=ly.glorot(rng, d_t, config.att_dim, dtype),
+                img_w_r=ly.glorot(rng, 2048, config.att_dim, dtype),
+                inter_img=MHAParams.create(
+                    rng, config.head_count, d_t, config.capsule_dim, d_t, dtype
+                ),
             )
-        return params
+        return cls(**fields)
 
     def named_parameters(self) -> list:
         """(name, tensor) pairs in registry order. Fields are assigned only
-        by ``create``, so the list is built once; callers must not mutate it."""
+        at construction, so the list is built once; callers must not mutate
+        it."""
         if self._named is None:
             self._named = self._build_named()
         return self._named
@@ -332,7 +354,8 @@ def classify(fused: Tensor, w_o: Tensor, b_o: Tensor) -> ForwardOutput:
 
 def loss(predictions, labels, params, l2_lambda: float) -> Tensor:
     """Mean cross-entropy of the true-class probabilities plus an L2 penalty
-    over every named parameter. ``predictions`` holds probability vectors
+    over every named parameter, one dot product over the flat parameter
+    buffer. ``predictions`` holds probability vectors
     [3] or batches of them [B, 3], with one label per vector. Probabilities
     are clamped at 1e-12 inside the log so a saturated softmax cannot
     produce a NaN."""
@@ -351,7 +374,8 @@ def loss(predictions, labels, params, l2_lambda: float) -> Tensor:
     ce = tx.scale(tx.sum_all(log_p), -1.0 / labels.size)
     if l2_lambda == 0.0:
         return ce
-    reg = tx.sum_squares([p for _, p in params.named_parameters()])
+    buffer = ParamBuffer.of(params)
+    reg = tx.sum_squares(buffer.tensors, buffer.flat)
     return tx.add(ce, tx.scale(reg, l2_lambda))
 
 
@@ -520,9 +544,9 @@ def _read_checkpoint_records(blob: bytes, path) -> dict:
 
 
 def load_checkpoint(path, params: EFNetParams) -> None:
-    """Load saved values into ``params`` in place. Structural damage raises
-    a format error; any name/shape disagreement with the model raises
-    CheckpointMismatch."""
+    """Copy saved values into ``params``' buffer views, in place. Structural
+    damage raises a format error; any name/shape disagreement with the model
+    raises CheckpointMismatch. Either leaves every parameter as it was."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -539,10 +563,11 @@ def load_checkpoint(path, params: EFNetParams) -> None:
             + (f"; unexpected {sorted(extra)}" if extra else "")
             + (f"; missing {sorted(missing)}" if missing else "")
         )
+    ParamBuffer.of(params)  # every p.data is its buffer view again
     for name, p in named:
-        values = records[name]
-        if values.shape != p.data.shape:
+        if records[name].shape != p.data.shape:
             raise CheckpointMismatch(
-                f"{path}: {name} has shape {values.shape}, model expects {p.data.shape}"
+                f"{path}: {name} has shape {records[name].shape}, model expects {p.data.shape}"
             )
-        p.data = values.astype(p.data.dtype)
+    for name, p in named:
+        p.data[...] = records[name]

@@ -205,10 +205,6 @@ def _joint(backward: Callable, count: int) -> list:
     return [part(i) for i in range(count)]
 
 
-def as_tensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -254,15 +250,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _record(tape, out, (a, b), (lambda g: g, lambda g: g))
     n = b.shape[0]
     return _record(tape, out, (a, b), (lambda g: g, lambda g: g.reshape(-1, n).sum(axis=0)))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} - {b.shape}")
-    out = Tensor(a.data - b.data)
-    if (tape := _find_tape((a, b))) is None:
-        return out
-    return _record(tape, out, (a, b), (lambda g: g, lambda g: -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -326,24 +313,6 @@ def transpose(a: Tensor) -> Tensor:
     if (tape := _find_tape((a,))) is None:
         return out
     return _record(tape, out, (a,), (lambda g: np.swapaxes(g, -1, -2),))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    y = y.astype(x.dtype)
-    out = Tensor(y)
-    if (tape := _find_tape((a,))) is None:
-        return out
-    return _record(tape, out, (a,), (lambda g: g * y * (1.0 - y),))
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    out = Tensor(y)
-    if (tape := _find_tape((a,))) is None:
-        return out
-    return _record(tape, out, (a,), (lambda g: g * (1.0 - y * y),))
 
 
 def log(a: Tensor, floor: float | None = None) -> Tensor:
@@ -461,15 +430,18 @@ def sum_all(a: Tensor) -> Tensor:
     return _record(tape, out, (a,), (lambda g: np.full(shape, g, dtype=dtype),))
 
 
-def sum_squares(parts: Sequence[Tensor]) -> Tensor:
-    """Sum of squared elements over a list of tensors, as one scalar node."""
+def sum_squares(parts: Sequence[Tensor], flat: np.ndarray) -> Tensor:
+    """Sum of squared elements over a list of tensors, as one scalar node.
+
+    ``flat`` holds the values of every part and nothing else, in any order,
+    such as a flat parameter buffer that the parts' data are views of. The
+    sum is one dot product over it; each part's gradient is 2 g times its
+    own data.
+    """
     parts = list(parts)
     if not parts:
         raise ShapeError("sum_squares: need at least one tensor")
-    dtype = parts[0].data.dtype
-    # vdot reads each tensor in place: no squared temporary per tensor
-    total = sum(np.vdot(p.data, p.data) for p in parts)
-    out = Tensor(np.asarray(total, dtype=dtype))
+    out = Tensor(np.asarray(np.vdot(flat, flat), dtype=parts[0].data.dtype))
     if (tape := _find_tape(parts)) is None:
         return out
     return _record(tape, out, parts,
@@ -533,49 +505,55 @@ def squash_rows(a: Tensor) -> Tensor:
 # fused layers: one tape node each, with hand-written backward rules
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, wq: Sequence[Tensor],
-                         wk: Sequence[Tensor], wv: Sequence[Tensor], mask=None):
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.ndarray],
+                         leaves: Sequence[Tensor], mask=None):
     """Multi-head scaled dot-product attention as one op.
 
     Head i attends with softmax(q wq[i] (k wk[i])^T / sqrt(d_head)) v wv[i].
-    The per-head [d, d_head] projections sit side by side as one
-    [d, H * d_head] matrix, so each role is one matrix product for all
-    heads and all batch rows (Vaswani et al. 2017). ``q``, ``k`` and ``v``
-    are [n, d], or [B, n, d] for a batch; they may be one tensor
-    (self-attention). ``mask`` ([n_kv] or [n_q, n_kv], with a leading B for
-    a batch; True = attend) applies to every head. Masked weights are
-    exactly zero, and a query row with no key left is a MaskError.
+    ``blocks`` holds each role's projections, wq, wk and wv, as one
+    [H, d, d_head] array, so each role is one broadcast product for all
+    heads and all batch rows (Vaswani et al. 2017). ``leaves`` are the 3H
+    trainable tensors whose data are the blocks' rows, the wq heads first,
+    then wk, then wv; the op reads only the blocks and gives each leaf its
+    row of the block gradient. ``q``, ``k`` and ``v`` are [n, d], or
+    [B, n, d] for a batch; they may be one tensor (self-attention).
+    ``mask`` ([n_kv] or [n_q, n_kv], with a leading B for a batch; True =
+    attend) applies to every head. Masked weights are exactly zero, and a
+    query row with no key left is a MaskError.
 
     Returns the head outputs concatenated along features, [(B,) n_q,
     H * d_head], and the attention weights as a plain [(B,) H, n_q, n_kv]
     array.
     """
-    heads = len(wq)
-    if heads < 1 or len(wk) != heads or len(wv) != heads:
-        raise ShapeError("multi_head_attention: need one (wq, wk, wv) triple per head")
+    w_q, w_k, w_v = blocks
+    heads, d_head = w_q.shape[0], w_q.shape[-1]
+    if w_q.ndim != 3 or w_k.shape[::2] != w_q.shape[::2] or w_v.shape[::2] != w_q.shape[::2] \
+            or len(leaves) != 3 * heads:
+        raise ShapeError(
+            "multi_head_attention: need [H, d, d_head] blocks with one H and d_head, "
+            "and 3H leaves"
+        )
     rank = q.data.ndim
     if rank not in (2, 3) or k.data.ndim != rank or v.data.ndim != rank:
         raise ShapeError("attention operands must be rank 2, or rank 3 with a batch axis")
-    qd, kd, vd = (t.data if rank == 3 else t.data[None] for t in (q, k, v))
-    b, n_q, n_kv = qd.shape[0], qd.shape[1], kd.shape[1]
-    if kd.shape[0] != b or vd.shape[0] != b:
+    b = q.shape[0] if rank == 3 else 1
+    n_q, n_kv = q.shape[-2], k.shape[-2]
+    if k.shape[:-2] != q.shape[:-2] or v.shape[:-2] != q.shape[:-2]:
         raise ShapeError(f"batch sizes differ: {q.shape}, {k.shape}, {v.shape}")
-    if vd.shape[1] != n_kv:
-        raise ShapeError(f"key count {n_kv} != value count {vd.shape[1]}")
-    d_head = wq[0].shape[1]
-    if any(w.data.ndim != 2 or w.shape[1] != d_head for w in (*wq, *wk, *wv)):
-        raise ShapeError("multi_head_attention: heads must share one d_head")
-    w_q, w_k, w_v = (np.concatenate([w.data for w in ws], axis=1) for ws in (wq, wk, wv))
-    q2, k2, v2 = (x.reshape(-1, x.shape[2]) for x in (qd, kd, vd))
+    if v.shape[-2] != n_kv:
+        raise ShapeError(f"key count {n_kv} != value count {v.shape[-2]}")
+    q2 = q.data.reshape(-1, q.shape[-1])
+    k2 = k.data.reshape(-1, k.shape[-1])
+    v2 = v.data.reshape(-1, v.shape[-1])
     try:
-        qh, kh, vh = (
-            (x @ w).reshape(b, n, heads, d_head).transpose(0, 2, 1, 3)
-            for x, w, n in ((q2, w_q, n_q), (k2, w_k, n_kv), (v2, w_v, n_kv))
-        )
+        # [b * n, d] rows against [H, d, d_head] give [H, b * n, d_head]
+        qh = np.matmul(q2, w_q).reshape(heads, b, n_q, d_head)
+        kh = np.matmul(k2, w_k).reshape(heads, b, n_kv, d_head)
+        vh = np.matmul(v2, w_v).reshape(heads, b, n_kv, d_head)
     except ValueError as e:
         raise ShapeError(f"multi_head_attention: {e}") from None
     c = 1.0 / math.sqrt(d_head)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * c
+    scores = (qh @ kh.swapaxes(2, 3)) * c
     if mask is not None:
         m = np.asarray(mask)
         want = ((n_kv,), (n_q, n_kv)) if rank == 2 else ((b, n_kv), (b, n_q, n_kv))
@@ -585,38 +563,29 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, wq: Sequence[Tensor],
             )
         if not m.any(axis=-1).all():
             raise MaskError("multi_head_attention: a query has every key masked")
-        m = m.reshape((b, 1, -1, n_kv))
-        scores = np.where(m, scores, -np.inf)
+        scores = np.where(m.reshape((b, -1, n_kv)), scores, -np.inf)
     e = np.exp(scores - scores.max(axis=3, keepdims=True))
     attn = e / e.sum(axis=3, keepdims=True)
-    out = Tensor((attn @ vh).transpose(0, 2, 1, 3).reshape(q.shape[:-1] + (heads * d_head,)))
-    inputs = (q, k, v, *wq, *wk, *wv)
+    out = Tensor((attn @ vh).transpose(1, 2, 0, 3).reshape(q.shape[:-1] + (heads * d_head,)))
+    weights = attn.transpose(1, 0, 2, 3) if rank == 3 else attn[:, 0]
+    inputs = (q, k, v, *leaves)
     if (tape := _find_tape(inputs)) is None:
-        return out, attn if rank == 3 else attn[0]
-    q_shape, k_shape, v_shape = q.shape, k.shape, v.shape
-
-    def rows(d, n):
-        # [b, H, n, d_head] -> [b * n, H * d_head], the layout of the projections
-        return d.transpose(0, 2, 1, 3).reshape(b * n, heads * d_head)
+        return out, weights
+    shapes = (q.shape, k.shape, v.shape)
 
     def backward(g):
-        g_heads = g.reshape(b, n_q, heads, d_head).transpose(0, 2, 1, 3)
-        d_attn = g_heads @ vh.transpose(0, 1, 3, 2)
-        d_vh = attn.transpose(0, 1, 3, 2) @ g_heads
+        g_heads = g.reshape(b, n_q, heads, d_head).transpose(2, 0, 1, 3)
+        d_attn = g_heads @ vh.swapaxes(2, 3)
         d_scores = attn * (d_attn - (d_attn * attn).sum(axis=3, keepdims=True)) * c
-        d_q = rows(d_scores @ kh, n_q)
-        d_k = rows(d_scores.transpose(0, 1, 3, 2) @ qh, n_kv)
-        d_v = rows(d_vh, n_kv)
-        return (
-            (d_q @ w_q.T).reshape(q_shape),
-            (d_k @ w_k.T).reshape(k_shape),
-            (d_v @ w_v.T).reshape(v_shape),
-            *_col_blocks(q2.T @ d_q, heads), *_col_blocks(k2.T @ d_k, heads),
-            *_col_blocks(v2.T @ d_v, heads),
-        )
+        d_heads = (d_scores @ kh, d_scores.swapaxes(2, 3) @ qh, attn.swapaxes(2, 3) @ g_heads)
+        d_inputs, d_leaves = [], []
+        for x, w, d, shape in zip((q2, k2, v2), blocks, d_heads, shapes):
+            d = d.reshape(heads, -1, d_head)
+            d_inputs.append(np.matmul(d, w.swapaxes(1, 2)).sum(axis=0).reshape(shape))
+            d_leaves.extend(np.matmul(x.T, d))
+        return d_inputs + d_leaves
 
-    out = _record(tape, out, inputs, _joint(backward, len(inputs)))
-    return out, attn if rank == 3 else attn[0]
+    return _record(tape, out, inputs, _joint(backward, len(inputs))), weights
 
 
 def region_attention(query: Tensor, r: Tensor, w_r: Tensor):

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 
 from .data import InputError, make_batches
+from .layers import ParamBuffer
 from .model import EFNetParams, InternalError, ModelConfig, forward, save_checkpoint
 from .model import loss as batch_loss
 from .tensor import Tape, Tensor
@@ -57,18 +60,19 @@ class EvalReport:
 def adam_step(params: EFNetParams, grads, state: OptimizerState) -> None:
     """Apply one bias-corrected moment update to every named parameter.
 
-    All parameters run as one flat vector: the arithmetic is the same,
-    element by element, as a loop over parameters, so the result is bitwise
-    equal to it, and afterwards each parameter is a view into the updated
-    vector. A non-finite gradient or update raises ``TrainError`` naming the
-    first parameter it reaches, before any parameter changes (after a
-    non-finite update the moments have advanced). The padding embedding row
-    is re-zeroed afterwards so index 0 never drifts away from zero.
+    The update runs on the flat parameter buffer and two flat moment
+    buffers, in place, so every parameter's ``data`` array changes in
+    place. The arithmetic is the same, element by element, as a loop over
+    parameters, so the result is bitwise equal to it. A non-finite gradient
+    or update raises ``TrainError`` naming the first parameter it reaches,
+    before any parameter changes (after a non-finite update the moments
+    have advanced). The padding embedding row is re-zeroed afterwards so
+    index 0 never drifts away from zero.
     """
-    named = params.named_parameters()
-    dtype = named[0][1].data.dtype
-    values, flat_grads, bounds = [], [], [0]
-    for name, p in named:
+    buffer = ParamBuffer.of(params)
+    dtype = buffer.flat.dtype
+    flat_grads = []
+    for name, p in zip(buffer.names, buffer.tensors):
         g = grads.get(p)
         if g is None:
             raise InternalError(f"missing gradient for parameter {name}")
@@ -77,24 +81,18 @@ def adam_step(params: EFNetParams, grads, state: OptimizerState) -> None:
                 f"gradient shape {g.shape} does not match parameter "
                 f"{name} with shape {p.data.shape}"
             )
-        if p.data.dtype != dtype or g.dtype != dtype:
-            raise InternalError(
-                f"parameter {name} is {p.data.dtype} with a {g.dtype} gradient; "
-                f"the first parameter is {dtype}"
-            )
-        values.append(p.data)
+        if g.dtype != dtype:
+            raise InternalError(f"parameter {name} has a {g.dtype} gradient; it is {dtype}")
         flat_grads.append(g)
-        bounds.append(bounds[-1] + g.size)
     g = np.concatenate(flat_grads, axis=None)
     if not np.isfinite(g).all():
-        raise TrainError(
-            f"non-finite gradient for parameter {_first_non_finite(g, named, bounds)}"
-        )
+        raise TrainError(f"non-finite gradient for parameter {_first_non_finite(g, buffer)}")
     if state._flat is None:
         state._flat = (np.zeros_like(g), np.zeros_like(g))
+        bounds = _bounds(buffer)
         for moments, flat in zip((state.m, state.v), state._flat):
-            for (name, p), lo, hi in zip(named, bounds, bounds[1:]):
-                moments[name] = flat[lo:hi].reshape(p.data.shape)
+            for name, view, lo, hi in zip(buffer.names, buffer.views, bounds, bounds[1:]):
+                moments[name] = flat[lo:hi].reshape(view.shape)
     m, v = state._flat
     state.t += 1
     c1 = 1.0 - state.beta1 ** state.t
@@ -114,19 +112,22 @@ def adam_step(params: EFNetParams, grads, state: OptimizerState) -> None:
     # epsilon sits outside the square root
     root += state.eps
     step /= root
-    updated = np.concatenate(values, axis=None)
-    updated -= step
+    updated = np.subtract(buffer.flat, step, out=step)
     if not np.isfinite(updated).all():
         raise TrainError(
-            f"non-finite update for parameter {_first_non_finite(updated, named, bounds)}"
+            f"non-finite update for parameter {_first_non_finite(updated, buffer)}"
         )
-    for (_, p), lo, hi in zip(named, bounds, bounds[1:]):
-        p.data = updated[lo:hi].reshape(p.data.shape)
+    buffer.flat[...] = updated
     params.embed.data[0] = 0.0
 
 
-def _first_non_finite(flat: np.ndarray, named, bounds) -> str:
-    return next(name for (name, _), lo, hi in zip(named, bounds, bounds[1:])
+def _bounds(buffer: ParamBuffer) -> list:
+    return [0, *itertools.accumulate(view.size for view in buffer.views)]
+
+
+def _first_non_finite(flat: np.ndarray, buffer: ParamBuffer) -> str:
+    bounds = _bounds(buffer)
+    return next(name for name, lo, hi in zip(buffer.names, bounds, bounds[1:])
                 if not np.isfinite(flat[lo:hi]).all())
 
 
@@ -205,10 +206,15 @@ def train(params: EFNetParams, table, train_samples, val_samples,
     of its rows. Returns the best validation report, or None when
     no epoch ran. ``on_epoch``, when given, receives each formatted row;
     ``stop_accuracy`` ends the run early once validation accuracy reaches
-    the threshold.
+    the threshold. A ``batch_size`` below 1, or an ``lr`` that is not finite
+    and greater than 0, is an ``InputError`` before anything is written.
     """
     if epochs < 0:
         raise InputError(f"train: negative epoch count {epochs}")
+    if batch_size < 1:
+        raise InputError(f"train: batch_size must be at least 1, got {batch_size}")
+    if not 0.0 < lr < math.inf:
+        raise InputError(f"train: lr must be finite and greater than 0, got {lr}")
     rng = np.random.default_rng(config.seed)
     state = OptimizerState(lr=lr)
     named = params.named_parameters()

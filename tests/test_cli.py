@@ -170,6 +170,29 @@ class TestTrainEval:
         assert "s0005.efvf" in capsys.readouterr().err
         assert (tmp_path / "run" / "metrics.csv").read_text() == METRICS_HEADER + "\n"
 
+    @pytest.mark.parametrize("old, new, field", [
+        ("batch_size = 8", "batch_size = 0", "batch_size"),
+        ("lr = 0.003", "lr = -1", "lr"),
+        ("lr = 0.003", "lr = nan", "lr"),
+        (None, "nonfinite 1 2 3 nan 5 6 7 8", "embeddings.txt"),
+    ])
+    def test_bad_run_input_is_exit_2(self, tmp_path, capsys, old, new, field):
+        assert main(["synth", "--seed", "1", "--n", "10", "--out", str(tmp_path / "corpus"),
+                     "--vocab", "20", "--embed-dim", "8"]) == 0
+        text = CONFIG_TEMPLATE.format(text_only="false")
+        if old is None:
+            with open(tmp_path / "corpus" / "embeddings.txt", "a", encoding="utf-8") as fh:
+                fh.write(new + "\n")
+        else:
+            text = text.replace(old, new)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "run" / "model.efck").exists()
+
     def test_checkpoint_mismatch_is_exit_3(self, workdir, capsys):
         cfg = workdir / "narrow.cfg"
         cfg.write_text(CONFIG_TEMPLATE.format(text_only="false").replace(

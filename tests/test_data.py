@@ -49,6 +49,13 @@ class TestEmbeddings:
         with pytest.raises(ParseError, match="line 1"):
             dio.load_embeddings(self.write(tmp_path, "cat 1 x 3\n"))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
+    def test_non_finite_value_names_file_line_and_token(self, tmp_path, value):
+        # 1e39 is finite as a float but overflows the float32 table
+        path = self.write(tmp_path, f"cat 1 2\ndog 3 {value}\n")
+        with pytest.raises(ParseError, match=rf"emb\.txt: line 2: token 'dog'"):
+            dio.load_embeddings(path)
+
     def test_duplicate_token(self, tmp_path):
         with pytest.raises(ParseError, match="duplicate"):
             dio.load_embeddings(self.write(tmp_path, "cat 1 2\ncat 3 4\n"))

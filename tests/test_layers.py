@@ -123,6 +123,27 @@ class TestMultiHead:
             )
             np.testing.assert_allclose(got, want, atol=1e-6)
 
+    def test_loose_heads_packed_and_rebound_head_read(self):
+        rng = np.random.default_rng(9)
+        q, k, v = rand(rng, 3, 4), rand(rng, 5, 6), rand(rng, 5, 6)
+        wqs = [rand(rng, 4, 2) for _ in range(2)]
+        wks, wvs = ([rand(rng, 6, 2) for _ in range(2)] for _ in range(2))
+        params = MHAParams(wq=[Tensor(w) for w in wqs], wk=[Tensor(w) for w in wks],
+                           wv=[Tensor(w) for w in wvs])
+        blocks = params.packed().blocks
+        for block, role in zip(blocks, (params.wq, params.wk, params.wv)):
+            for h, w in enumerate(role):
+                assert np.shares_memory(w.data, block) and w.data.flags.c_contiguous
+        got = ly.multi_head(Tensor(q), Tensor(k), Tensor(v), params).data
+        np.testing.assert_allclose(got, mha_loop_reference(q, k, v, wqs, wks, wvs),
+                                   atol=1e-12)
+        wvs[1] = wvs[1] * 3.0
+        params.wv[1].data = wvs[1].copy()
+        got = ly.multi_head(Tensor(q), Tensor(k), Tensor(v), params).data
+        np.testing.assert_allclose(got, mha_loop_reference(q, k, v, wqs, wks, wvs),
+                                   atol=1e-12)
+        assert np.shares_memory(params.wv[1].data, blocks[2])
+
     def test_create_validates(self):
         rng = np.random.default_rng(7)
         with pytest.raises(ConfigError, match="divisible"):
@@ -136,6 +157,12 @@ class TestMultiHead:
                 wq=[Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3)))],
                 wk=[Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3)))],
                 wv=[Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3)))],
+            )
+        with pytest.raises(ConfigError, match="input width"):
+            MHAParams(
+                wq=[Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2)))],
+                wk=[Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2)))],
+                wv=[Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2)))],
             )
 
     def test_gradients(self):

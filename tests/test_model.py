@@ -83,6 +83,65 @@ class TestParams:
         assert all(p.data.dtype == np.float32 for _, p in params.named_parameters())
 
 
+def same_array(a, b):
+    """``a`` and ``b`` view the same memory with the same layout."""
+    return (a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+            and a.shape == b.shape and a.strides == b.strides and a.dtype == b.dtype)
+
+
+class TestParamBuffer:
+    @pytest.mark.parametrize("text_only", [False, True])
+    def test_every_parameter_is_a_contiguous_view_of_the_buffer(self, text_only):
+        params = tiny_params(tiny_config(text_only=text_only), np.random.default_rng(40))
+        flat = params.buffer.flat
+        named = params.named_parameters()
+        assert flat.size == sum(p.data.size for _, p in named)
+        for name, p in named:
+            assert p.data.flags.c_contiguous, name
+            assert np.shares_memory(p.data, flat), name
+            assert p.data.reshape(-1).base is not None, name
+        mhas = [params.ctx_mhsa, params.inter_ctx, params.fusion]
+        mhas += [] if text_only else [params.inter_img]
+        for mha in mhas:
+            blocks = mha.packed().blocks
+            assert all(np.shares_memory(b, flat) for b in blocks)
+            for block, role in zip(blocks, (mha.wq, mha.wk, mha.wv)):
+                assert block.shape == (len(role),) + role[0].shape
+                for h, w in enumerate(role):
+                    assert same_array(w.data, block[h])
+
+    def test_l2_reads_a_rebound_parameter(self):
+        cfg = tiny_config(l2_lambda=1.0)
+        rng = np.random.default_rng(41)
+        params = tiny_params(cfg, rng)
+        sample = tiny_sample(cfg, rng)
+        params.embed.data = params.embed.data * 2
+        params.fusion.wk[1].data = params.fusion.wk[1].data - 0.5
+        want = sum(np.vdot(p.data, p.data) for _, p in params.named_parameters())
+        out = md.forward(sample, params, cfg)
+        ce = md.loss([out.probs], [sample.label], params, 0.0).data
+        got = md.loss([out.probs], [sample.label], params, 1.0).data - ce
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert same_array(params.embed.data, params.buffer.views[0])
+
+    def test_rebind_to_another_shape_or_dtype_is_internal_error(self):
+        cfg = tiny_config(l2_lambda=1.0)
+        rng = np.random.default_rng(42)
+        params = tiny_params(cfg, rng)
+        sample = tiny_sample(cfg, rng)
+        out = md.forward(sample, params, cfg)
+        params.cls_b.data = np.zeros(4)
+        with pytest.raises(InternalError, match=r"cls\.b is float64 of shape \(4,\)"):
+            md.loss([out.probs], [sample.label], params, 1.0)
+        params.cls_b.data = np.zeros(3, dtype=np.float32)
+        with pytest.raises(InternalError, match="cls.b is float32"):
+            md.loss([out.probs], [sample.label], params, 1.0)
+        params.cls_b.data = np.zeros(3)
+        params.ctx_mhsa.wv[0].data = params.ctx_mhsa.wv[0].data[:, :1]
+        with pytest.raises(InternalError, match=r"ctx_mhsa\.h0\.wv"):
+            md.forward(sample, params, cfg)
+
+
 class TestEncodeContext:
     # stage tests run at B=1: one batch row, masks with a leading batch axis
     def setup_method(self):
@@ -687,6 +746,20 @@ class TestCheckpoint:
         for n, p in params.named_parameters():
             np.testing.assert_array_equal(p.data, saved[n], err_msg=n)
 
+    def test_load_copies_into_the_buffer_views(self, tmp_path):
+        cfg, params, path = self.roundtrip_params(tmp_path)
+        saved = {n: p.data.copy() for n, p in params.named_parameters()}
+        views = [p.data for _, p in params.named_parameters()]
+        params.cls_w.data = params.cls_w.data + 1.0
+        params.buffer.flat[...] = 0.0
+        md.load_checkpoint(path, params)
+        for (n, p), view in zip(params.named_parameters(), views):
+            assert p.data is view, n
+        np.testing.assert_array_equal(params.buffer.flat, np.concatenate(
+            [p.data.reshape(-1) for p in params.buffer.tensors]))
+        for n, p in params.named_parameters():
+            np.testing.assert_array_equal(p.data, saved[n], err_msg=n)
+
     def test_save_is_deterministic(self, tmp_path):
         cfg, params, path = self.roundtrip_params(tmp_path)
         again = tmp_path / "again.efck"
@@ -715,6 +788,17 @@ class TestCheckpoint:
         other = tiny_params(tiny_config(hidden_dim=4, precision="single"), rng)
         with pytest.raises(CheckpointMismatch, match="shape"):
             md.load_checkpoint(path, other)
+
+    def test_shape_mismatch_changes_no_parameter(self, tmp_path):
+        # the first records fit; a later one does not
+        cfg, params, path = self.roundtrip_params(tmp_path)
+        other = tiny_params(tiny_config(hidden_dim=4, precision="single"),
+                            np.random.default_rng(33))
+        before = {n: p.data.copy() for n, p in other.named_parameters()}
+        with pytest.raises(CheckpointMismatch, match="gru_fwd"):
+            md.load_checkpoint(path, other)
+        for n, p in other.named_parameters():
+            np.testing.assert_array_equal(p.data, before[n], err_msg=n)
 
     def test_corruption_is_format_error(self, tmp_path):
         cfg, params, path = self.roundtrip_params(tmp_path)

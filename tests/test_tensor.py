@@ -10,6 +10,10 @@ from efnet.layers import GRUParams
 from efnet.tensor import MaskError, ShapeError, Tape, TapeError, Tensor
 
 
+def flat_of(arrays):
+    return np.concatenate([a.reshape(-1) for a in arrays])
+
+
 class TestMatmul:
     def test_worked_example_against_loop(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -147,17 +151,6 @@ class TestElementwise:
         grads = tape.backward(y)
         np.testing.assert_allclose(grads[x], 6.0)
 
-    def test_sigmoid_tanh_values(self):
-        np.testing.assert_allclose(tx.sigmoid(Tensor(np.array(0.0))).data, 0.5)
-        np.testing.assert_allclose(
-            tx.tanh(Tensor(np.array(1.0, dtype=np.float64))).data, math.tanh(1.0)
-        )
-
-    def test_sigmoid_saturation_is_finite(self):
-        y = tx.sigmoid(Tensor(np.array([-500.0, 500.0]))).data
-        assert np.isfinite(y).all()
-        np.testing.assert_allclose(y, [0.0, 1.0], atol=1e-6)
-
     def test_log_floor_clamps(self):
         y = tx.log(Tensor(np.array([1.0, 0.0])), floor=1e-12).data
         np.testing.assert_allclose(y[0], 0.0, atol=1e-7)
@@ -173,7 +166,7 @@ class TestElementwise:
     def test_sum_squares_matches_manual(self):
         rng = np.random.default_rng(61)
         parts = [rand(rng, 3, 2), rand(rng, 4)]
-        got = tx.sum_squares([Tensor(p) for p in parts]).data
+        got = tx.sum_squares([Tensor(p) for p in parts], flat_of(parts)).data
         np.testing.assert_allclose(got, sum((p * p).sum() for p in parts))
 
     def test_gradients(self):
@@ -182,14 +175,12 @@ class TestElementwise:
         fd_check(tx.add, x, rand(rng, 4, 3))
         fd_check(tx.add, x, rand(rng, 3))
         fd_check(tx.add, rand(rng, 2, 4, 3), rand(rng, 3))
-        fd_check(tx.sub, x, rand(rng, 4, 3))
         fd_check(tx.mul, x, rand(rng, 4, 3))
         fd_check(lambda t: tx.scale(t, -2.5), x)
-        fd_check(tx.sigmoid, x)
-        fd_check(tx.tanh, x)
         fd_check(lambda t: tx.log(t, floor=1e-12), np.abs(x) + 0.5)
         fd_check(tx.sum_all, x)
-        fd_check(lambda a, b: tx.sum_squares([a, b]), x, rand(rng, 2, 5))
+        fd_check(lambda a, b: tx.sum_squares([a, b], flat_of([a.data, b.data])),
+                 x, rand(rng, 2, 5))
 
 
 class TestShapeOps:
@@ -317,7 +308,9 @@ class TestSquashRows:
 
 class TestMultiHeadAttention:
     def split(self, ws, heads):
-        return ws[:heads], ws[heads:2 * heads], ws[2 * heads:]
+        """The op's (blocks, leaves) for 3H per-head tensors, wq heads first."""
+        roles = ws[:heads], ws[heads:2 * heads], ws[2 * heads:]
+        return [np.stack([w.data for w in role]) for role in roles], list(ws)
 
     def test_matches_per_head_loop(self):
         rng = np.random.default_rng(71)
@@ -326,8 +319,7 @@ class TestMultiHeadAttention:
         wk = [rand(rng, 3, 2) for _ in range(3)]
         wv = [rand(rng, 3, 2) for _ in range(3)]
         out, attn = tx.multi_head_attention(
-            Tensor(q), Tensor(k), Tensor(v),
-            [Tensor(w) for w in wq], [Tensor(w) for w in wk], [Tensor(w) for w in wv])
+            Tensor(q), Tensor(k), Tensor(v), *self.split([Tensor(w) for w in wq + wk + wv], 3))
         np.testing.assert_allclose(out.data, mha_loop_reference(q, k, v, wq, wk, wv),
                                    atol=1e-12)
         assert attn.shape == (3, 2, 4)
@@ -584,7 +576,7 @@ class TestTape:
         rng = np.random.default_rng(59)
 
         def net(a, b, c):
-            h = tx.tanh(tx.matmul(a, b))
+            h = tx.softmax(tx.matmul(a, b))
             return tx.mean_pool(tx.mul(h, c))
 
         fd_check(net, rand(rng, 4, 3), rand(rng, 3, 5), rand(rng, 4, 5))

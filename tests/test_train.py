@@ -167,6 +167,22 @@ class TestFlatAdam:
                     np.testing.assert_array_equal(moments[name], want[name], err_msg=name)
         assert flat_state.t == loop_state.t == 6
 
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_rebound_parameter_updated_as_the_loop_does(self, precision):
+        cfg, flat, loop, sample = self.models(precision)
+        flat_state, loop_state = OptimizerState(lr=3e-2), OptimizerState(lr=3e-2)
+        for step in range(3):
+            grads = tape_gradients(flat, cfg, sample)
+            loop_grads = tape_gradients(loop, cfg, sample)
+            for model in (flat, loop):
+                model.embed.data = model.embed.data * 2
+                model.inter_ctx.wq[1].data = model.inter_ctx.wq[1].data + 0.25
+            adam_step(flat, grads, flat_state)
+            loop_adam_step(loop, loop_grads, loop_state)
+            for (name, p), (_, q) in zip(flat.named_parameters(), loop.named_parameters()):
+                np.testing.assert_array_equal(p.data, q.data, err_msg=f"{name}, step {step}")
+            assert flat.embed.data is flat.buffer.views[0]
+
     def test_nan_gradient_names_parameter_and_changes_nothing(self):
         cfg, params, _, sample = self.models("single")
         state = OptimizerState()
