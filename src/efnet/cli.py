@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,105 +30,107 @@ from .model import CheckpointMismatch, EFNetParams, ModelConfig, forward, load_c
 from .tensor import MaskError, ShapeError
 from .train import TrainError, evaluate, head_sweep, train
 
-_INT_KEYS = ("embed_dim", "hidden_dim", "heads", "capsule_dim", "att_dim",
-             "batch_size", "max_len", "epochs", "seed")
-_FLOAT_KEYS = ("dropout", "lr", "l2_lambda")
-_PATH_KEYS = ("embeddings", "train", "val", "test")
+_FILE_KEY = {"head_count": "heads"}  # field -> its key in the file, where they differ
+_NOT_IN_FILE = {"model", "precision"}
 
 
 @dataclasses.dataclass
 class RunConfig:
-    """Typed view of a ``key = value`` run configuration file."""
+    """Typed view of a ``key = value`` run configuration file: the model's
+    settings plus the run's. Each field of both is a file key, except
+    ``precision``; ``head_count`` is written ``heads``."""
 
-    embed_dim: int = 50
-    hidden_dim: int = 32
-    heads: int = 4
-    capsule_dim: int = 16
-    att_dim: int = 32
-    dropout: float = 0.3
+    model: ModelConfig = dataclasses.field(default_factory=ModelConfig)
     lr: float = 1e-3
-    l2_lambda: float = 1e-5
     batch_size: int = 128
-    max_len: int = 36
     epochs: int = 10
-    seed: int = 0
-    text_only: bool = False
     embeddings: str | None = None
     train: str | None = None
     val: str | None = None
     test: str | None = None
 
+    def file_fields(self) -> dict:
+        """Each file key mapped to the (object, field) it sets."""
+        return {_FILE_KEY.get(f.name, f.name): (obj, f.name)
+                for obj in (self.model, self) for f in dataclasses.fields(obj)
+                if f.name not in _NOT_IN_FILE}
+
     @classmethod
     def load(cls, path) -> "RunConfig":
-        """Parse the file at ``path``; unknown or malformed keys are
-        rejected by name. Relative paths resolve against the file's
-        directory."""
+        """Parse and validate the file at ``path``. Each error starts with
+        the path, then the line, then the key. A field's type is its
+        default's; relative paths resolve against the file's directory."""
         cfg = cls()
+        slots = cfg.file_fields()
         base = Path(path).resolve().parent
-        seen = set()
+        lines = {}
+
+        def where(key):
+            return f"{path}: line {lines[key]}: {key}" if key in lines else f"{path}: {key}"
+
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
                 key, sep, value = (part.strip() for part in line.partition("="))
-                if not sep or not key:
-                    raise ConfigError(
-                        f"config line {lineno}: expected 'key = value'")
-                if key in seen:
-                    raise ConfigError(f"config line {lineno}: duplicate key '{key}'")
-                seen.add(key)
-                cfg._assign(key, value, base)
+                if not sep or not key or not value:
+                    raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
+                if key not in slots:
+                    raise ConfigError(f"{path}: line {lineno}: unknown config key '{key}'")
+                if key in lines:
+                    raise ConfigError(f"{path}: line {lineno}: duplicate key '{key}'")
+                lines[key] = lineno
+                obj, name = slots[key]
+                setattr(obj, name, _parse(where(key), value, getattr(obj, name), base))
+        cfg.validate(where)
         return cfg
 
-    def _assign(self, key: str, value: str, base: Path) -> None:
-        if key in _INT_KEYS:
-            try:
-                setattr(self, key, int(value))
-            except ValueError:
-                raise ConfigError(f"config key '{key}': not an integer: {value!r}")
-        elif key in _FLOAT_KEYS:
-            try:
-                setattr(self, key, float(value))
-            except ValueError:
-                raise ConfigError(f"config key '{key}': not a number: {value!r}")
-        elif key == "text_only":
-            lowered = value.lower()
-            if lowered in ("true", "1", "yes"):
-                self.text_only = True
-            elif lowered in ("false", "0", "no"):
-                self.text_only = False
-            else:
-                raise ConfigError(f"config key 'text_only': not a boolean: {value!r}")
-        elif key in _PATH_KEYS:
-            setattr(self, key, str((base / value).resolve()))
-        else:
-            raise ConfigError(f"unknown config key '{key}'")
-
-    def require(self, key: str) -> str:
-        value = getattr(self, key)
-        if value is None:
-            raise InputError(f"config is missing required key '{key}'")
-        return value
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            embed_dim=self.embed_dim,
-            hidden_dim=self.hidden_dim,
-            head_count=self.heads,
-            capsule_dim=self.capsule_dim,
-            att_dim=self.att_dim,
-            dropout=self.dropout,
-            l2_lambda=self.l2_lambda,
-            max_len=self.max_len,
-            text_only=self.text_only,
-            seed=self.seed,
-        )
+    def validate(self, where=str) -> None:
+        """Range-check every setting; raises ``ConfigError``. ``where`` maps
+        a file key to the text its error starts with."""
+        self.model.validate(lambda field: where(_FILE_KEY.get(field, field)))
+        for key, ok, rule in (("epochs", self.epochs >= 0, ">= 0"),
+                              ("batch_size", self.batch_size >= 1, ">= 1"),
+                              ("lr", 0.0 < self.lr < math.inf, "finite and > 0")):
+            if not ok:
+                raise ConfigError(f"{where(key)} must be {rule}, got {getattr(self, key)!r}")
 
 
-def _build_model(config: ModelConfig, table) -> EFNetParams:
-    rng = np.random.default_rng(config.seed)
-    return EFNetParams.create(config, rng, table.matrix)
+def _parse(where: str, value: str, default, base: Path):
+    """``value`` as the type of ``default``; a path when the default is None."""
+    if default is None:
+        return str((base / value).resolve())
+    if isinstance(default, bool):
+        lowered = value.lower()
+        if lowered not in ("true", "1", "yes", "false", "0", "no"):
+            raise ConfigError(f"{where}: not a boolean: {value!r}")
+        return lowered in ("true", "1", "yes")
+    try:
+        return type(default)(value)
+    except ValueError:
+        kind = "an integer" if isinstance(default, int) else "a number"
+        raise ConfigError(f"{where}: not {kind}: {value!r}") from None
+
+
+def _prepare(args, splits):
+    """Load and check the run config, its embedding table and ``splits``,
+    and build the model, before anything is written."""
+    cfg = RunConfig.load(args.config)
+
+    def need(key):
+        if getattr(cfg, key) is None:
+            raise InputError(f"{args.config}: missing required key '{key}'")
+        return getattr(cfg, key)
+
+    table = load_embeddings(need("embeddings"))
+    if table.dim != cfg.model.embed_dim:
+        raise ConfigError(f"{args.config}: embed_dim = {cfg.model.embed_dim}, but "
+                          f"{cfg.embeddings} has {table.dim} values per token")
+    data = [load_dataset(need(s)) for s in splits]
+    params = EFNetParams.create(cfg.model, np.random.default_rng(cfg.model.seed),
+                                table.matrix)
+    return cfg, table, data, params
 
 
 def cmd_synth(args) -> int:
@@ -139,16 +142,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = RunConfig.load(args.config)
-    mc = cfg.model_config()
-    mc.validate()
-    table = load_embeddings(cfg.require("embeddings"))
-    train_set = load_dataset(cfg.require("train"))
-    val_set = load_dataset(cfg.require("val"))
+    cfg, table, (train_set, val_set), params = _prepare(args, ("train", "val"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    params = _build_model(mc, table)
-    train(params, table, train_set, val_set, mc,
+    train(params, table, train_set, val_set, cfg.model,
           epochs=cfg.epochs, lr=cfg.lr, batch_size=cfg.batch_size,
           checkpoint_path=out / "model.efck", log_path=out / "metrics.csv",
           on_epoch=print)
@@ -157,14 +154,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = RunConfig.load(args.config)
-    mc = cfg.model_config()
-    mc.validate()
-    table = load_embeddings(cfg.require("embeddings"))
-    samples = load_dataset(cfg.require(args.split))
-    params = _build_model(mc, table)
+    cfg, table, (samples,), params = _prepare(args, (args.split,))
     load_checkpoint(args.checkpoint, params)
-    report = evaluate(params, table, samples, mc)
+    report = evaluate(params, table, samples, cfg.model)
     print(f"{args.split} accuracy={report.accuracy:.6f} "
           f"macro_f1={report.macro_f1:.6f}")
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -174,16 +166,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep_heads(args) -> int:
-    cfg = RunConfig.load(args.config)
     try:
         heads = [int(h) for h in args.heads.split(",") if h.strip()]
     except ValueError:
         raise ConfigError(f"--heads: not a comma-separated integer list: {args.heads!r}")
-    mc = cfg.model_config()
-    table = load_embeddings(cfg.require("embeddings"))
-    train_set = load_dataset(cfg.require("train"))
-    val_set = load_dataset(cfg.require("val"))
-    rows = head_sweep(table, train_set, val_set, mc, heads,
+    cfg, table, (train_set, val_set), _ = _prepare(args, ("train", "val"))
+    rows = head_sweep(table, train_set, val_set, cfg.model, heads,
                       epochs=cfg.epochs, lr=cfg.lr, batch_size=cfg.batch_size,
                       out_path=args.out)
     for count, accuracy, macro_f1 in rows:
@@ -192,24 +180,13 @@ def cmd_sweep_heads(args) -> int:
 
 
 def cmd_dump_attention(args) -> int:
-    cfg = RunConfig.load(args.config)
-    mc = cfg.model_config()
-    mc.validate()
-    table = load_embeddings(cfg.require("embeddings"))
-    sample = None
-    for split in ("train", "val", "test"):
-        path = getattr(cfg, split)
-        if path is None:
-            continue
-        for candidate in load_dataset(path):
-            if candidate.id == args.sample_id:
-                sample = candidate
-                break
-        if sample is not None:
-            break
+    cfg, table, _, params = _prepare(args, ())
+    mc = cfg.model
+    samples = (s for path in (cfg.train, cfg.val, cfg.test) if path is not None
+               for s in load_dataset(path))
+    sample = next((s for s in samples if s.id == args.sample_id), None)
     if sample is None:
         raise InputError(f"sample id '{args.sample_id}' not found in any configured split")
-    params = _build_model(mc, table)
     load_checkpoint(args.checkpoint, params)
     encoded = encode_sample(sample, table, mc.max_len, not mc.text_only)
     out = forward(encoded, params, mc, want_trace=True)

@@ -115,23 +115,23 @@ def load_embeddings(path, rng=None, dtype=DEFAULT_DTYPE) -> EmbeddingTable:
             token, values = parts[0], parts[1:]
             if dim is None:
                 if not values:
-                    raise ParseError(f"line {lineno}: no embedding values")
+                    raise ParseError(f"{path}: line {lineno}: token {token!r} has no values")
                 dim = len(values)
             if len(values) != dim:
-                raise ParseError(
-                    f"line {lineno}: expected {dim} values, got {len(values)}"
-                )
+                raise ParseError(f"{path}: line {lineno}: token {token!r} has "
+                                 f"{len(values)} values, expected {dim}")
             if token in index:
-                raise ParseError(f"line {lineno}: duplicate token {token!r}")
+                raise ParseError(f"{path}: line {lineno}: duplicate token {token!r}")
             try:
                 row = [float(v) for v in values]
             except ValueError:
-                raise ParseError(f"line {lineno}: non-numeric embedding value") from None
+                raise ParseError(
+                    f"{path}: line {lineno}: token {token!r} has a non-numeric value") from None
             index[token] = len(rows) + 2
             rows.append(row)
             linenos.append(lineno)
     if dim is None:
-        raise InputError(f"embedding file {path} is empty")
+        raise InputError(f"{path}: empty embedding file")
     matrix = np.zeros((len(rows) + 2, dim), dtype=dtype)
     matrix[UNK_INDEX] = rng.uniform(-0.05, 0.05, size=dim).astype(dtype)
     with np.errstate(over="ignore"):
@@ -146,9 +146,9 @@ def load_embeddings(path, rng=None, dtype=DEFAULT_DTYPE) -> EmbeddingTable:
     return EmbeddingTable(index, Tensor(matrix, requires_grad=True))
 
 
-def _parse_record(i: int, obj) -> Sample:
+def _parse_record(path, i: int, obj) -> Sample:
     def fail(why):
-        raise ParseError(f"record {i}: {why}")
+        raise ParseError(f"{path}: record {i}: {why}")
 
     if not isinstance(obj, dict):
         fail("not an object")
@@ -168,7 +168,7 @@ def _parse_record(i: int, obj) -> Sample:
     if not isinstance(aspect, list) or not aspect or not all(isinstance(t, str) for t in aspect):
         fail("aspect must be a non-empty list of strings")
     if obj["label"] not in LABELS:
-        fail(f"unknown label {obj['label']!r}")
+        fail(f"label {obj['label']!r} is not one of {', '.join(LABELS)}")
     image = obj.get("image")
     if image is not None and not isinstance(image, str):
         fail("image must be a path string")
@@ -194,8 +194,8 @@ def load_dataset(path) -> list:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError:
-                raise ParseError(f"record {i}: not valid JSON") from None
-            sample = _parse_record(i, obj)
+                raise ParseError(f"{path}: record {i}: not valid JSON") from None
+            sample = _parse_record(path, i, obj)
             if sample.image_ref is not None:
                 sample.image_ref = str(base / sample.image_ref)
             samples.append(sample)
@@ -394,12 +394,15 @@ def synth_generate(out_dir, seed: int, n: int, vocab_size: int = 40,
     fixed feature-grid cells is bright, "both" in (cue + cell) mod 3.
     The rule is written out as rule.json so a test can relabel the corpus
     independently. Everything derives from ``seed``; a fixed seed fixes
-    every output byte.
+    every output byte. A count out of range is an ``InputError`` naming its
+    command-line flag.
     """
     if grid_rule not in ("none", "cell", "both"):
         raise InputError(f"unknown grid_rule {grid_rule!r}")
-    if n < 0:
-        raise InputError(f"sample count must be >= 0, got {n}")
+    for flag, value, low in (("--n", n, 0), ("--seed", seed, 0), ("--vocab", vocab_size, 1),
+                             ("--embed-dim", embed_dim, 1)):
+        if value < low:
+            raise InputError(f"{flag} must be >= {low}, got {value}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -14,6 +14,7 @@ encoded sample runs the same stages without the batch axis.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -79,23 +80,23 @@ class ModelConfig:
         base = self.context_width + self.target_width
         return base if self.text_only else base + self.att_dim
 
-    def validate(self) -> None:
-        for field in ("embed_dim", "hidden_dim", "capsule_dim", "att_dim", "max_len"):
-            if getattr(self, field) < 1:
-                raise ConfigError(f"{field} must be >= 1, got {getattr(self, field)}")
-        if self.head_count < 1:
-            raise ConfigError(f"head_count must be >= 1, got {self.head_count}")
+    def validate(self, name=str) -> None:
+        """Range-check every field; raises ``ConfigError``. ``name`` maps a
+        field to the text its error starts with, the field itself by default."""
+        counts = ("embed_dim", "hidden_dim", "head_count", "capsule_dim", "att_dim", "max_len")
+        for field, ok, rule in (
+            *((f, getattr(self, f) >= 1, ">= 1") for f in counts),
+            ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
+            ("l2_lambda", 0.0 <= self.l2_lambda < math.inf, "finite and >= 0"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("precision", self.precision in ("single", "double"), "single or double"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name(field)} must be {rule}, got {getattr(self, field)!r}")
         for width, what in ((self.context_width, "context"), (self.target_width, "target")):
             if width % self.head_count != 0:
-                raise ConfigError(
-                    f"head count {self.head_count} does not divide the {what} width {width}"
-                )
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.l2_lambda < 0.0:
-            raise ConfigError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
-        if self.precision not in ("single", "double"):
-            raise ConfigError(f"precision must be single or double, got {self.precision!r}")
+                raise ConfigError(f"{name('head_count')} = {self.head_count} does not divide "
+                                  f"the {what} width {width}")
 
 
 @dataclass

@@ -206,11 +206,12 @@ def train(params: EFNetParams, table, train_samples, val_samples,
     of its rows. Returns the best validation report, or None when
     no epoch ran. ``on_epoch``, when given, receives each formatted row;
     ``stop_accuracy`` ends the run early once validation accuracy reaches
-    the threshold. A ``batch_size`` below 1, or an ``lr`` that is not finite
-    and greater than 0, is an ``InputError`` before anything is written.
+    the threshold. A negative ``epochs``, a ``batch_size`` below 1, or an
+    ``lr`` that is not finite and greater than 0, is an ``InputError``
+    before anything is written.
     """
     if epochs < 0:
-        raise InputError(f"train: negative epoch count {epochs}")
+        raise InputError(f"train: epochs must be >= 0, got {epochs}")
     if batch_size < 1:
         raise InputError(f"train: batch_size must be at least 1, got {batch_size}")
     if not 0.0 < lr < math.inf:

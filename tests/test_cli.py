@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -57,22 +58,23 @@ class TestRunConfig:
         return path
 
     def test_types_and_defaults(self, tmp_path):
-        cfg = RunConfig.load(self.write(tmp_path, "heads = 8\nlr = 0.01\n"))
-        assert cfg.heads == 8 and cfg.lr == 0.01
-        assert cfg.embed_dim == 50 and cfg.text_only is False
+        # heads must divide the default widths (100 and 64), so 2, not 8
+        cfg = RunConfig.load(self.write(tmp_path, "heads = 2\nlr = 0.01\n"))
+        assert cfg.model.head_count == 2 and cfg.lr == 0.01
+        assert cfg.model.embed_dim == 50 and cfg.model.text_only is False
         assert cfg.embeddings is None
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         cfg = RunConfig.load(self.write(tmp_path, "# note\n\nseed = 9\n"))
-        assert cfg.seed == 9
+        assert cfg.model.seed == 9
 
     def test_paths_resolve_against_config_dir(self, tmp_path):
         cfg = RunConfig.load(self.write(tmp_path, "embeddings = vec.txt\n"))
         assert cfg.embeddings == str((tmp_path / "vec.txt").resolve())
 
     def test_bool_values(self, tmp_path):
-        assert RunConfig.load(self.write(tmp_path, "text_only = TRUE\n")).text_only
-        assert not RunConfig.load(self.write(tmp_path, "text_only = 0\n")).text_only
+        assert RunConfig.load(self.write(tmp_path, "text_only = TRUE\n")).model.text_only
+        assert not RunConfig.load(self.write(tmp_path, "text_only = 0\n")).model.text_only
         with pytest.raises(ConfigError, match="text_only"):
             RunConfig.load(self.write(tmp_path, "text_only = maybe\n"))
 
@@ -91,11 +93,20 @@ class TestRunConfig:
             RunConfig.load(self.write(tmp_path, "seed = 1\nseed = 2\n"))
         with pytest.raises(ConfigError, match="line 1"):
             RunConfig.load(self.write(tmp_path, "just words\n"))
+        with pytest.raises(ConfigError, match="line 2: expected 'key = value'"):
+            RunConfig.load(self.write(tmp_path, "seed = 1\nembeddings =\n"))
 
     def test_model_config_mapping(self, tmp_path):
         cfg = RunConfig.load(self.write(tmp_path, "heads = 2\nembed_dim = 8\n"))
-        mc = cfg.model_config()
-        assert mc.head_count == 2 and mc.embed_dim == 8
+        assert cfg.model.head_count == 2 and cfg.model.embed_dim == 8
+
+    def test_file_keys_are_the_schema_fields(self, tmp_path):
+        model_keys = {f.name for f in dataclasses.fields(ModelConfig)} - {"precision"}
+        model_keys = (model_keys - {"head_count"}) | {"heads"}
+        run_keys = {"lr", "batch_size", "epochs", "embeddings", "train", "val", "test"}
+        assert set(RunConfig().file_fields()) == model_keys | run_keys
+        with pytest.raises(ConfigError, match="unknown config key 'precision'"):
+            RunConfig.load(self.write(tmp_path, "precision = double\n"))
 
 
 class TestSynth:
@@ -111,9 +122,53 @@ class TestSynth:
         for rel in ("dataset.jsonl", "embeddings.txt", "rule.json"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--vocab", "0"),
+                                             ("--embed-dim", "0")])
+    def test_out_of_range_flag_is_exit_2(self, tmp_path, capsys, flag, value):
+        assert main(["synth", "--n", "2", "--out", str(tmp_path / "c"), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not (tmp_path / "c").exists()
+
     def test_unwritable_out(self, capsys):
         assert main(["synth", "--n", "1", "--out", "/proc/nowhere"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def bad(file, old, new, *names, command="train", code=2):
+    """A row of the bad-input table: ``file`` with the first ``old`` replaced
+    by ``new`` (or ``new`` appended as a line when ``old`` is None), run
+    through ``command``; stderr must hold the file's path and ``names``."""
+    suffix = "" if command == "train" else f"-{command}"
+    return pytest.param(file, old, new, names, command, code,
+                        id=f"{old}-{new}-{names[0]}{suffix}")
+
+
+BAD_INPUTS = [
+    bad("run.cfg", None, "just words", "line 18", "key = value"),
+    bad("run.cfg", None, "mystery = 1", "line 18", "mystery"),
+    bad("run.cfg", "seed = 0", "seed = 1.5", "line 12: seed"),
+    bad("run.cfg", "seed = 0", "seed = -1", "line 12: seed"),
+    bad("run.cfg", "seed = 0", "seed = -1", "line 12: seed", command="sweep-heads"),
+    bad("run.cfg", "batch_size = 8", "batch_size = 0", "batch_size", "line 9: batch_size"),
+    bad("run.cfg", "lr = 0.003", "lr = -1", "lr", "line 7: lr"),
+    bad("run.cfg", "lr = 0.003", "lr = nan", "lr", "line 7: lr"),
+    bad("run.cfg", "lr = 0.003", "lr = 1e400", "line 7: lr", "inf"),
+    bad("run.cfg", "l2_lambda = 0.0", "l2_lambda = inf", "line 8: l2_lambda"),
+    bad("run.cfg", "l2_lambda = 0.0", "l2_lambda = nan", "line 8: l2_lambda"),
+    bad("run.cfg", "epochs = 2", "epochs = -1", "line 11: epochs"),
+    bad("run.cfg", "heads = 2", "heads = 3", "line 3: heads", "divide"),
+    bad("run.cfg", "dropout = 0.0", "dropout = 1", "line 6: dropout"),
+    bad("run.cfg", "max_len = 12", "max_len = 0", "line 10: max_len"),
+    bad("run.cfg", "embed_dim = 8", "embed_dim = 16", "embed_dim",
+        "{corpus}/embeddings.txt"),
+    bad("run.cfg", "embeddings = ", "# embeddings = ", "missing required key 'embeddings'"),
+    bad("dataset.jsonl", '"label": "neutral"', '"label": "great"', "record 1: label"),
+    bad("embeddings.txt", None, "short 1 2 3", "line 24: token 'short'"),
+    bad("embeddings.txt", None, "nonfinite 1 2 3 nan 5 6 7 8", "embeddings.txt",
+        "line 24: token 'nonfinite'"),
+    bad("run.cfg", "hidden_dim = 8", "hidden_dim = 4", "gru_fwd", command="eval", code=3),
+]
 
 
 class TestTrainEval:
@@ -170,28 +225,36 @@ class TestTrainEval:
         assert "s0005.efvf" in capsys.readouterr().err
         assert (tmp_path / "run" / "metrics.csv").read_text() == METRICS_HEADER + "\n"
 
-    @pytest.mark.parametrize("old, new, field", [
-        ("batch_size = 8", "batch_size = 0", "batch_size"),
-        ("lr = 0.003", "lr = -1", "lr"),
-        ("lr = 0.003", "lr = nan", "lr"),
-        (None, "nonfinite 1 2 3 nan 5 6 7 8", "embeddings.txt"),
-    ])
-    def test_bad_run_input_is_exit_2(self, tmp_path, capsys, old, new, field):
-        assert main(["synth", "--seed", "1", "--n", "10", "--out", str(tmp_path / "corpus"),
-                     "--vocab", "20", "--embed-dim", "8"]) == 0
-        text = CONFIG_TEMPLATE.format(text_only="false")
-        if old is None:
-            with open(tmp_path / "corpus" / "embeddings.txt", "a", encoding="utf-8") as fh:
-                fh.write(new + "\n")
+    @pytest.mark.parametrize("file, old, new, names, command, code", BAD_INPUTS)
+    def test_bad_run_input_is_exit_2(self, workdir, tmp_path, capsys,
+                                     file, old, new, names, command, code):
+        """One input file mutated: the error names the file and the field,
+        with no traceback, and nothing is written."""
+        corpus = (workdir / "corpus").resolve()
+        tmp_path = tmp_path.resolve()
+        config = CONFIG_TEMPLATE.format(text_only="false").replace("corpus/", f"{corpus}/")
+        target = tmp_path / file
+        if file == "run.cfg":
+            text = config
         else:
-            text = text.replace(old, new)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
+            text = (corpus / file).read_text(encoding="utf-8")
+            config = config.replace(str(corpus / file), str(target))
+            (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+        target.write_text(text + new + "\n" if old is None else text.replace(old, new, 1),
+                          encoding="utf-8")
+        checkpoint = workdir / "run" / "model.efck"
+        out = tmp_path / "out"
+        argv = {"train": ["train"],
+                "sweep-heads": ["sweep-heads", "--heads", "1,2"],
+                "eval": ["eval", "--checkpoint", str(checkpoint), "--split", "val"]}[command]
         capsys.readouterr()
-        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert main(argv + ["--config", str(tmp_path / "run.cfg"), "--out", str(out)]) == code
         err = capsys.readouterr().err
-        assert field in err and "Traceback" not in err
-        assert not (tmp_path / "run" / "model.efck").exists()
+        named = checkpoint if code == 3 else target
+        assert err.startswith(f"error: {named}: ") and "Traceback" not in err
+        for name in names:
+            assert name.format(corpus=corpus) in err
+        assert not out.exists()
 
     def test_checkpoint_mismatch_is_exit_3(self, workdir, capsys):
         cfg = workdir / "narrow.cfg"

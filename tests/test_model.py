@@ -45,6 +45,13 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="embed_dim"):
             tiny_config(embed_dim=0).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("l2_lambda", math.inf), ("l2_lambda", math.nan),
+    ])
+    def test_seed_and_l2_ranges(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^{field} must be"):
+            tiny_config(**{field: value}).validate()
+
     def test_dtype_and_widths(self):
         cfg = tiny_config()
         assert cfg.dtype == np.float64
