@@ -113,21 +113,28 @@ def _parse(where: str, value: str, default, base: Path):
         raise ConfigError(f"{where}: not {kind}: {value!r}") from None
 
 
+def _read(config_path, cfg: RunConfig, key: str, load):
+    """``load`` the file that config key ``key`` names. A missing key, or a
+    file that cannot be opened, is an ``InputError`` naming the config file
+    and the key."""
+    path = getattr(cfg, key)
+    if path is None:
+        raise InputError(f"{config_path}: missing required key '{key}'")
+    try:
+        return load(path)
+    except OSError as e:
+        raise InputError(f"{config_path}: {key} = {path}: {e.strerror or e}") from None
+
+
 def _prepare(args, splits):
     """Load and check the run config, its embedding table and ``splits``,
     and build the model, before anything is written."""
     cfg = RunConfig.load(args.config)
-
-    def need(key):
-        if getattr(cfg, key) is None:
-            raise InputError(f"{args.config}: missing required key '{key}'")
-        return getattr(cfg, key)
-
-    table = load_embeddings(need("embeddings"))
+    table = _read(args.config, cfg, "embeddings", load_embeddings)
     if table.dim != cfg.model.embed_dim:
         raise ConfigError(f"{args.config}: embed_dim = {cfg.model.embed_dim}, but "
                           f"{cfg.embeddings} has {table.dim} values per token")
-    data = [load_dataset(need(s)) for s in splits]
+    data = [_read(args.config, cfg, s, load_dataset) for s in splits]
     params = EFNetParams.create(cfg.model, np.random.default_rng(cfg.model.seed),
                                 table.matrix)
     return cfg, table, data, params
@@ -171,6 +178,10 @@ def cmd_sweep_heads(args) -> int:
     except ValueError:
         raise ConfigError(f"--heads: not a comma-separated integer list: {args.heads!r}")
     cfg, table, (train_set, val_set), _ = _prepare(args, ("train", "val"))
+    for count in heads:
+        # every count is checked before any training, and named as the flag
+        dataclasses.replace(cfg.model, head_count=count).validate(
+            lambda field: "--heads" if field == "head_count" else field)
     rows = head_sweep(table, train_set, val_set, cfg.model, heads,
                       epochs=cfg.epochs, lr=cfg.lr, batch_size=cfg.batch_size,
                       out_path=args.out)
@@ -182,8 +193,8 @@ def cmd_sweep_heads(args) -> int:
 def cmd_dump_attention(args) -> int:
     cfg, table, _, params = _prepare(args, ())
     mc = cfg.model
-    samples = (s for path in (cfg.train, cfg.val, cfg.test) if path is not None
-               for s in load_dataset(path))
+    samples = (s for key in ("train", "val", "test") if getattr(cfg, key) is not None
+               for s in _read(args.config, cfg, key, load_dataset))
     sample = next((s for s in samples if s.id == args.sample_id), None)
     if sample is None:
         raise InputError(f"sample id '{args.sample_id}' not found in any configured split")

@@ -286,12 +286,8 @@ def bigru_encode(target_embeds: Tensor, aspect_embed: Tensor, fwd: GRUParams, bw
         raise ShapeError(
             f"aspect embedding must be rank {rank - 1}, got {aspect_embed.shape}"
         )
-    h_fwd = tx.gru_sequence(target_embeds, None, _gru_weights(fwd), context=aspect_embed,
-                            mask=mask)
-    h_bwd = tx.gru_sequence(
-        target_embeds, None, _gru_weights(bwd), context=aspect_embed, reverse=True, mask=mask
-    )
-    return tx.concat([h_fwd, h_bwd], axis=-1)
+    return tx.bigru_sequence(target_embeds, _gru_weights(fwd), _gru_weights(bwd),
+                             context=aspect_embed, mask=mask)
 
 
 def capsule_layer(regions: Tensor, params: CapsuleParams) -> Tensor:
@@ -314,11 +310,13 @@ def position_embeddings(span, n: int, table: PositionTable) -> Tensor:
 
     ``span`` is (start, end) as integers, or as two [B] arrays for a batch
     of rows padded to length ``n``; the result is [(B,) n, d_p]."""
-    start, end = (np.asarray(x)[..., None] for x in span)
-    if ((start < 0) | (end <= start) | (end > n)).any():
+    start, end = np.asarray(span[0])[..., None], np.asarray(span[1])[..., None]
+    if not ((0 <= start) & (start < end) & (end <= n)).all():
         raise ShapeError(f"span [{span[0]}, {span[1]}) invalid for sentence length {n}")
-    idx = np.arange(n)
     clip = table.clip
-    before = np.maximum(np.minimum(idx - start, 0), -clip)
-    after = np.minimum(np.maximum(idx - (end - 1), 0), clip)
-    return tx.embedding_lookup(table.rows, before + after + clip)
+    # token i, shifted by clip: its row is clip + (i - start clamped to
+    # [-clip, 0]) + (i - (end - 1) clamped to [0, clip])
+    idx = np.arange(clip, n + clip)
+    before = np.maximum(np.minimum(idx - start, clip), 0)
+    after = np.minimum(np.maximum(idx - (end - 1), clip), 2 * clip)
+    return tx.embedding_lookup(table.rows, before + after - clip)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -288,12 +287,7 @@ def image_attention(h_ta: Tensor, r: Tensor, w_ta: Tensor, w_r: Tensor, mask=Non
         raise ConfigError(
             f"image attention widths differ: {w_ta.shape[1]} vs {w_r.shape[1]}"
         )
-    pooled = tx.mean_pool(h_ta, mask)
-    if pooled.data.ndim == 1:
-        row = tx.matmul(tx.reshape(pooled, (1, pooled.shape[0])), w_ta)
-        query = tx.reshape(row, (w_ta.shape[1],))
-    else:
-        query = tx.matmul(pooled, w_ta)
+    query = tx.matmul(tx.mean_pool(h_ta, mask), w_ta)
     out, weights = tx.region_attention(query, r, w_r)
     return out, Tensor(weights)
 
@@ -302,9 +296,11 @@ def interact(h_ta: Tensor, h_c: Tensor, h_i, params: EFNetParams, ctx_mask=None,
              return_weights: bool = False):
     """Let the target encoding attend into the context and (when present)
     into the capsule regions."""
-    h_tac, ctx_w = ly.multi_head(
-        h_ta, h_c, h_c, params.inter_ctx, mask=ctx_mask, return_weights=True
+    h_tac = ly.multi_head(
+        h_ta, h_c, h_c, params.inter_ctx, mask=ctx_mask, return_weights=return_weights
     )
+    if return_weights:
+        h_tac, ctx_w = h_tac
     h_tai = None
     if h_i is not None:
         if params.inter_img is None:
@@ -325,9 +321,11 @@ def fuse(h_ta: Tensor, h_tac: Tensor, h_tai, h_avg_c: Tensor, h_att_i,
         raise InternalError(
             f"fusion key/value row counts differ: {h_tac.shape[:-1]} vs {values.shape[:-1]}"
         )
-    h_taci, weights = ly.multi_head(
-        h_ta, h_tac, values, params.fusion, mask=target_mask, return_weights=True
+    h_taci = ly.multi_head(
+        h_ta, h_tac, values, params.fusion, mask=target_mask, return_weights=return_weights
     )
+    if return_weights:
+        h_taci, weights = h_taci
     parts = [h_avg_c, tx.mean_pool(h_taci, target_mask)]
     if h_att_i is not None:
         parts.append(h_att_i)
@@ -343,49 +341,38 @@ def classify(fused: Tensor, w_o: Tensor, b_o: Tensor) -> ForwardOutput:
         raise ConfigError(
             f"classifier expects [(B x) {w_o.shape[0]}] input, got shape {fused.shape}"
         )
-    single = fused.data.ndim == 1
-    rows = tx.reshape(fused, (1, fused.shape[0])) if single else fused
-    logits = tx.add(tx.matmul(rows, w_o), b_o)
-    probs = tx.softmax(logits, axis=-1)
-    if single:
-        probs = tx.reshape(probs, (NUM_CLASSES,))
-        logits = tx.reshape(logits, (NUM_CLASSES,))
-    return ForwardOutput(probs=probs, logits=logits)
+    logits = tx.add(tx.matmul(fused, w_o), b_o)
+    return ForwardOutput(probs=tx.softmax(logits, axis=-1), logits=logits)
 
 
 def loss(predictions, labels, params, l2_lambda: float) -> Tensor:
-    """Mean cross-entropy of the true-class probabilities plus an L2 penalty
-    over every named parameter, one dot product over the flat parameter
-    buffer. ``predictions`` holds probability vectors
-    [3] or batches of them [B, 3], with one label per vector. Probabilities
-    are clamped at 1e-12 inside the log so a saturated softmax cannot
-    produce a NaN."""
+    """Mean cross-entropy of the true-class probabilities, one
+    ``tx.cross_entropy`` node, plus an L2 penalty over every named
+    parameter, one dot product over the flat parameter buffer.
+    ``predictions`` holds probability vectors [3] or batches of them
+    [B, 3], with one label per vector. Probabilities are clamped at 1e-12
+    inside the log so a saturated softmax cannot produce a NaN."""
     if l2_lambda < 0.0:
         raise ConfigError(f"l2_lambda must be >= 0, got {l2_lambda}")
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if not labels.size or any(p.shape[-1] != NUM_CLASSES for p in predictions) \
             or sum(p.data.size for p in predictions) != NUM_CLASSES * labels.size:
         raise InputError("need one label per prediction, at least one of each")
-    for label in labels.tolist():
-        if not 0 <= label < NUM_CLASSES:
-            raise InputError(f"label {label} outside {{0, 1, 2}}")
-    probs = predictions[0] if len(predictions) == 1 else tx.concat(predictions, axis=0)
-    picks = np.eye(NUM_CLASSES, dtype=probs.data.dtype)[labels].reshape(probs.shape)
-    log_p = tx.mul(tx.log(probs, floor=1e-12), Tensor(picks))
-    ce = tx.scale(tx.sum_all(log_p), -1.0 / labels.size)
+    values = labels.tolist()
+    if min(values) < 0 or max(values) >= NUM_CLASSES:
+        bad = next(label for label in values if not 0 <= label < NUM_CLASSES)
+        raise InputError(f"label {bad} outside {{0, 1, 2}}")
+    if len(predictions) == 1:
+        probs = predictions[0]
+    else:
+        probs = tx.concat([tx.reshape(p, (p.data.size // NUM_CLASSES, NUM_CLASSES))
+                           for p in predictions], axis=0)
+    ce = tx.cross_entropy(probs, labels)
     if l2_lambda == 0.0:
         return ce
     buffer = ParamBuffer.of(params)
     reg = tx.sum_squares(buffer.tensors, buffer.flat)
     return tx.add(ce, tx.scale(reg, l2_lambda))
-
-
-@contextmanager
-def _stage(name: str):
-    try:
-        yield
-    except (ShapeError, MaskError, TapeError, ConfigError, InputError) as e:
-        raise type(e)(f"{name}: {e}") from None
 
 
 def _unless_full(mask: np.ndarray):
@@ -422,51 +409,52 @@ def forward(sample, params: EFNetParams, config: ModelConfig, train: bool = Fals
     """
     sids, ids, ctx_mask, span, t_ids, t_mask, a_ids, a_mask, features = _inputs(sample)
     single = not isinstance(sample, Batch)
-
-    with _stage("encode_context"):
+    stage = "encode_context"
+    try:
         word = tx.embedding_lookup(params.embed, ids)
         pos = ly.position_embeddings(span, ids.shape[-1], params.pos)
         h_c, h_avg_c = encode_context(
             word, pos, ctx_mask, params.ctx_mhsa, config.dropout, train, rng
         )
 
-    with _stage("bigru_encode"):
+        stage = "bigru_encode"
         target = tx.embedding_lookup(params.embed, t_ids)
         aspect = tx.mean_pool(tx.embedding_lookup(params.embed, a_ids), a_mask)
         h_ta = ly.bigru_encode(target, aspect, params.gru_fwd, params.gru_bwd, mask=t_mask)
 
-    h_i = None
-    h_att = None
-    grid = None
-    if not config.text_only:
-        with _stage("encode_visual"):
+        h_i = h_att = grid = None
+        if not config.text_only:
+            stage = "encode_visual"
             for sid, ref in zip(sids, [features] if single else features):
                 if ref is None:
                     raise InputError(f"sample {sid} has no image features")
             r, h_i = encode_visual(features, params.capsule)
-        with _stage("image_attention"):
+            stage = "image_attention"
             h_att, grid = image_attention(h_ta, r, params.img_w_ta, params.img_w_r,
                                           mask=t_mask)
 
-    with _stage("interact"):
-        h_tac, h_tai, inter_w = interact(
-            h_ta, h_c, h_i, params, ctx_mask=ctx_mask, return_weights=True
-        )
+        stage = "interact"
+        inter = interact(h_ta, h_c, h_i, params, ctx_mask=ctx_mask, return_weights=want_trace)
+        h_tac, h_tai = inter[:2]
 
-    with _stage("fuse"):
-        fused, fusion_w = fuse(
+        stage = "fuse"
+        fused = fuse(
             h_ta, h_tac, h_tai, h_avg_c, h_att, params,
-            dropout_rate=config.dropout, train=train, rng=rng, return_weights=True,
+            dropout_rate=config.dropout, train=train, rng=rng, return_weights=want_trace,
             target_mask=t_mask,
         )
+        if want_trace:
+            fused, fusion_w = fused
 
-    with _stage("classify"):
+        stage = "classify"
         out = classify(fused, params.cls_w, params.cls_b)
+    except (ShapeError, MaskError, TapeError, ConfigError, InputError) as e:
+        raise type(e)(f"{stage}: {e}") from None
 
     if want_trace:
         side = int(np.sqrt(REGION_COUNT))
         out.trace = AttentionTrace(
-            interaction_heads=[w.data.copy() for w in inter_w],
+            interaction_heads=[w.data.copy() for w in inter[2]],
             fusion_heads=[w.data.copy() for w in fusion_w],
             image_grid=None if grid is None
             else grid.data.reshape(grid.shape[:-1] + (side, side)).copy(),

@@ -212,27 +212,33 @@ def _joint(backward: Callable, count: int) -> list:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes of ``a`` and ``b``.
 
-    ``a`` may carry leading batch axes. With a rank-2 ``b`` they fold into
-    the rows of one product; a ``b`` of the same rank as ``a`` is multiplied
-    per batch entry.
+    A rank-1 ``a`` is one row against a rank-2 ``b``, as numpy's ``@``
+    takes it, and the result is rank 1. ``a`` may also carry leading batch
+    axes: with a rank-2 ``b`` each batch entry is multiplied by it, and a
+    ``b`` of the same rank as ``a`` is multiplied per batch entry.
     """
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim not in (2, ad.ndim) or ad.shape[-1] != bd.shape[-2] \
+    if ad.ndim < 1 or bd.ndim not in (2, max(ad.ndim, 2)) or ad.shape[-1] != bd.shape[-2] \
             or (bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    if bd.ndim == 2 and ad.ndim > 2:
-        rows = ad.reshape(-1, ad.shape[-1])
-        out = Tensor((rows @ bd).reshape(ad.shape[:-1] + bd.shape[-1:]))
-        if (tape := _find_tape((a, b))) is None:
-            return out
-        n = bd.shape[-1]
-        return _record(tape, out, (a, b), (
-            lambda g: (g.reshape(-1, n) @ bd.T).reshape(ad.shape),
-            lambda g: rows.T @ g.reshape(-1, n),
-        ))
     out = Tensor(ad @ bd)
     if (tape := _find_tape((a, b))) is None:
         return out
+    if ad.ndim == 1:
+        return _record(tape, out, (a, b), (lambda g: bd @ g, lambda g: np.outer(ad, g)))
+    if bd.ndim == 2 and ad.ndim > 2:
+        # sum over batch entries of g_i^T a_i, transposed at the end: each
+        # [rows, k] block of ``a`` is read while it is in cache, instead of
+        # one product over the folded rows
+        def grad_b(g):
+            blocks = ad.reshape(-1, *ad.shape[-2:])
+            g = g.reshape(len(blocks), -1, g.shape[-1])
+            total = g[0].T @ blocks[0]
+            for block, g_block in zip(blocks[1:], g[1:]):
+                total += g_block.T @ block
+            return total.T
+
+        return _record(tape, out, (a, b), (lambda g: g @ bd.T, grad_b))
     return _record(tape, out, (a, b), (lambda g: g @ np.swapaxes(bd, -1, -2),
                                        lambda g: np.swapaxes(ad, -1, -2) @ g))
 
@@ -313,29 +319,6 @@ def transpose(a: Tensor) -> Tensor:
     if (tape := _find_tape((a,))) is None:
         return out
     return _record(tape, out, (a,), (lambda g: np.swapaxes(g, -1, -2),))
-
-
-def log(a: Tensor, floor: float | None = None) -> Tensor:
-    """Natural log; with ``floor`` the input is clamped below at ``floor``.
-
-    In the clamped region the gradient is zero, consistent with the
-    clamped forward value.
-    """
-    x = a.data
-    if floor is not None:
-        clamped = np.maximum(x, x.dtype.type(floor))
-    else:
-        clamped = x
-    out = Tensor(np.log(clamped))
-    if (tape := _find_tape((a,))) is None:
-        return out
-    active = None if floor is None else x >= floor
-
-    def fn(g):
-        base = g / clamped
-        return base if active is None else base * active
-
-    return _record(tape, out, (a,), (fn,))
 
 
 def dropout(a: Tensor, rate: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -430,6 +413,42 @@ def sum_all(a: Tensor) -> Tensor:
     return _record(tape, out, (a,), (lambda g: np.full(shape, g, dtype=dtype),))
 
 
+def cross_entropy(probs: Tensor, labels) -> Tensor:
+    """Mean of -log p over the picked probabilities, as a scalar.
+
+    ``probs`` holds one row of class probabilities per label: [C] for one
+    label or [N, C] for N. Row i picks its entry ``labels[i]``, clamped
+    below at 1e-12 so a saturated softmax cannot give a NaN; a clamped pick
+    gets zero gradient, consistent with its clamped value. The other
+    entries get zero gradient too.
+    """
+    floor = 1e-12
+    idx = np.asarray(labels, dtype=np.int64).reshape(-1)
+    n = idx.size
+    p = probs.data
+    if not (p.ndim == 1 and n == 1 or p.ndim == 2 and p.shape[0] == n > 0):
+        raise ShapeError(f"cross_entropy: need [C] or [N, C] rows for {n} labels, "
+                         f"got shape {probs.shape}")
+    rows = p.reshape(n, -1)
+    values = idx.tolist()
+    if min(values) < 0 or max(values) >= rows.shape[1]:
+        raise ShapeError(f"cross_entropy: a label is outside 0..{rows.shape[1] - 1}")
+    at = np.arange(n)
+    picked = rows[at, idx]
+    clamped = np.maximum(picked, p.dtype.type(floor))
+    c = p.dtype.type(-1.0 / n)
+    out = Tensor(np.log(clamped).sum() * c)
+    if (tape := _find_tape((probs,))) is None:
+        return out
+
+    def fn(g):
+        d = np.zeros_like(rows)
+        d[at, idx] = np.where(picked >= floor, g * c / clamped, 0.0)
+        return d.reshape(p.shape)
+
+    return _record(tape, out, (probs,), (fn,))
+
+
 def sum_squares(parts: Sequence[Tensor], flat: np.ndarray) -> Tensor:
     """Sum of squared elements over a list of tensors, as one scalar node.
 
@@ -454,11 +473,15 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     if table.data.ndim != 2:
         raise ShapeError(f"embedding_lookup: table must be rank 2, got {table.shape}")
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+    try:
+        # indexing rejects ids past the end; only negative ids need a check
+        if idx.size and idx.min() < 0:
+            raise IndexError
+        out = Tensor(table.data[idx])
+    except IndexError:
         raise ShapeError(
             f"embedding_lookup: id out of range for table with {table.shape[0]} rows"
-        )
-    out = Tensor(table.data[idx])
+        ) from None
     if (tape := _find_tape((table,))) is None:
         return out
     shape = table.shape
@@ -482,13 +505,13 @@ def squash_rows(a: Tensor) -> Tensor:
         raise ShapeError(f"squash_rows: expected rank >= 2, got shape {a.shape}")
     s = a.data
     u = (s * s).sum(axis=-1, keepdims=True)
-    nonzero = u > 0
-    safe_u = np.where(nonzero, u, 1.0)
-    coef = np.where(nonzero, np.sqrt(safe_u) / (1.0 + safe_u), 0.0).astype(s.dtype)
+    coef = np.sqrt(u) / (1.0 + u)  # 0 for a zero row
     out = Tensor(coef * s)
     if (tape := _find_tape((a,))) is None:
         return out
 
+    nonzero = u > 0
+    safe_u = np.where(nonzero, u, 1.0)
     # d(coef)/d(u) for the chain through u = |s|^2
     dcoef = np.where(
         nonzero, (1.0 - safe_u) / (2.0 * np.sqrt(safe_u) * (1.0 + safe_u) ** 2), 0.0
@@ -542,18 +565,24 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.nd
         raise ShapeError(f"batch sizes differ: {q.shape}, {k.shape}, {v.shape}")
     if v.shape[-2] != n_kv:
         raise ShapeError(f"key count {n_kv} != value count {v.shape[-2]}")
-    q2 = q.data.reshape(-1, q.shape[-1])
-    k2 = k.data.reshape(-1, k.shape[-1])
-    v2 = v.data.reshape(-1, v.shape[-1])
+    q2, k2, v2 = q.data, k.data, v.data
+    if rank == 3:
+        # the batch folds into the rows of each projection
+        q2, k2, v2 = q2.reshape(-1, q2.shape[-1]), k2.reshape(-1, k2.shape[-1]), \
+            v2.reshape(-1, v2.shape[-1])
     try:
-        # [b * n, d] rows against [H, d, d_head] give [H, b * n, d_head]
-        qh = np.matmul(q2, w_q).reshape(heads, b, n_q, d_head)
-        kh = np.matmul(k2, w_k).reshape(heads, b, n_kv, d_head)
-        vh = np.matmul(v2, w_v).reshape(heads, b, n_kv, d_head)
+        # [rows, d] against [H, d, d_head] give [H, rows, d_head]
+        qh, kh, vh = np.matmul(q2, w_q), np.matmul(k2, w_k), np.matmul(v2, w_v)
     except ValueError as e:
         raise ShapeError(f"multi_head_attention: {e}") from None
+    if rank == 3:
+        # [H, b, n, d_head]; each head output goes back beside the others
+        qh, kh, vh = (a.reshape(heads, b, -1, d_head) for a in (qh, kh, vh))
+        heads_last, heads_first = (1, 2, 0, 3), (2, 0, 1, 3)
+    else:
+        heads_last = heads_first = (1, 0, 2)
     c = 1.0 / math.sqrt(d_head)
-    scores = (qh @ kh.swapaxes(2, 3)) * c
+    scores = (qh @ kh.swapaxes(-1, -2)) * c
     if mask is not None:
         m = np.asarray(mask)
         want = ((n_kv,), (n_q, n_kv)) if rank == 2 else ((b, n_kv), (b, n_q, n_kv))
@@ -563,21 +592,22 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.nd
             )
         if not m.any(axis=-1).all():
             raise MaskError("multi_head_attention: a query has every key masked")
-        scores = np.where(m.reshape((b, -1, n_kv)), scores, -np.inf)
-    e = np.exp(scores - scores.max(axis=3, keepdims=True))
-    attn = e / e.sum(axis=3, keepdims=True)
-    out = Tensor((attn @ vh).transpose(1, 2, 0, 3).reshape(q.shape[:-1] + (heads * d_head,)))
-    weights = attn.transpose(1, 0, 2, 3) if rank == 3 else attn[:, 0]
+        scores = np.where(m if rank == 2 else m.reshape((b, -1, n_kv)), scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor((attn @ vh).transpose(heads_last).reshape(q.shape[:-1] + (heads * d_head,)))
+    weights = attn.transpose(1, 0, 2, 3) if rank == 3 else attn
     inputs = (q, k, v, *leaves)
     if (tape := _find_tape(inputs)) is None:
         return out, weights
     shapes = (q.shape, k.shape, v.shape)
 
     def backward(g):
-        g_heads = g.reshape(b, n_q, heads, d_head).transpose(2, 0, 1, 3)
-        d_attn = g_heads @ vh.swapaxes(2, 3)
-        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=3, keepdims=True)) * c
-        d_heads = (d_scores @ kh, d_scores.swapaxes(2, 3) @ qh, attn.swapaxes(2, 3) @ g_heads)
+        g_heads = g.reshape(shapes[0][:-1] + (heads, d_head)).transpose(heads_first)
+        d_attn = g_heads @ vh.swapaxes(-1, -2)
+        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) * c
+        d_heads = (d_scores @ kh, d_scores.swapaxes(-1, -2) @ qh,
+                   attn.swapaxes(-1, -2) @ g_heads)
         d_inputs, d_leaves = [], []
         for x, w, d, shape in zip((q2, k2, v2), blocks, d_heads, shapes):
             d = d.reshape(heads, -1, d_head)
@@ -684,106 +714,163 @@ def gru_sequence(x: Tensor, h0: Tensor | None, weights: Sequence[Tensor],
     the end leave both directions exact. Returns the state after each row,
     [(B,) m, d_h], in row order.
     """
-    wz, uz, bz, wr, ur, br, wh, uh, bh = weights
+    return _gru("gru_sequence", x, h0, [weights], (reverse,), context, mask)
+
+
+def bigru_sequence(x: Tensor, forward: Sequence[Tensor], backward: Sequence[Tensor],
+                   context: Tensor | None = None, mask=None) -> Tensor:
+    """Both directions of a bidirectional GRU as one op: ``gru_sequence``
+    from zero states with the ``forward`` weights, and reversed with the
+    ``backward`` weights. The directions step together, one [2, b, d_h]
+    state against [2, d_h, ...] weights, so a step costs one pass of array
+    calls instead of two. Returns both states of each row side by side,
+    [(B,) m, 2 d_h], the forward state first.
+    """
+    return _gru("bigru_sequence", x, None, [forward, backward], (False, True), context, mask)
+
+
+def _reverse_steps(a: np.ndarray, reverse) -> None:
+    """Flip the step axis (0) of each reversed direction (axis 1) of ``a``
+    in place; row order becomes step order and back again."""
+    for j, rev in enumerate(reverse):
+        if rev:
+            a[:, j] = a[::-1, j]
+
+
+def _gru(name, x, h0, weights, reverse, context, mask) -> Tensor:
+    """GRU directions j = 0..D-1 over the rows of ``x``, stepped together.
+
+    Inside, arrays are step-major, [m, D, b, ...]: step s of a reversed
+    direction reads row m-1-s. Returns the states in row order, the
+    directions side by side on the last axis.
+    """
+    dirs = len(weights)
     rank = x.data.ndim
     if rank not in (2, 3) or x.shape[-2] < 1:
         raise ShapeError(
-            f"gru_sequence: input must be [m x d] or [B x m x d] with m >= 1, got {x.shape}"
+            f"{name}: input must be [m x d] or [B x m x d] with m >= 1, got {x.shape}"
         )
     xd = x.data if rank == 3 else x.data[None]
     b, m, d_x = xd.shape
     lead = x.shape[:-2]
-    d_h = uz.shape[0]
+    d_h = weights[0][1].shape[0]
     if context is not None and (context.data.ndim != rank - 1 or context.shape[:-1] != lead):
         raise ShapeError(
-            f"gru_sequence: context must be one vector per input sequence, got {context.shape}"
+            f"{name}: context must be one vector per input sequence, got {context.shape}"
         )
     d_ctx = 0 if context is None else context.shape[-1]
     if h0 is not None and h0.shape != lead + (d_h,):
         raise ShapeError(
-            f"gru_sequence: initial state must have shape {lead + (d_h,)}, got {h0.shape}"
+            f"{name}: initial state must have shape {lead + (d_h,)}, got {h0.shape}"
         )
     keep = None
     if mask is not None:
         mk = np.asarray(mask)
         if mk.dtype != np.bool_ or mk.shape != x.shape[:-1]:
-            raise ShapeError(f"gru_sequence: mask must be boolean of shape {x.shape[:-1]}")
-        keep = mk.reshape(b, m).T[:, :, None].astype(xd.dtype)
+            raise ShapeError(f"{name}: mask must be boolean of shape {x.shape[:-1]}")
+        keep = np.empty((m, dirs, b, 1), dtype=xd.dtype)
+        keep[...] = mk.reshape(b, m).T[:, None, :, None]
+        _reverse_steps(keep, reverse)
+    width = 3 * d_h
     try:
-        w_in = np.concatenate([wz.data, wr.data, wh.data], axis=1)
-        u_zr = np.concatenate([uz.data, ur.data], axis=1)
-        bias = np.concatenate([bz.data, br.data, bh.data])
+        # per direction, the gates side by side: [z | r | candidate]
+        w_in = np.concatenate([ws[i].data for ws in weights for i in (0, 3, 6)], axis=1)
+        u_all = np.concatenate([ws[i].data for ws in weights for i in (1, 4, 7)], axis=1)
+        bias = np.concatenate([ws[i].data for ws in weights for i in (2, 5, 8)])
     except ValueError as e:
-        raise ShapeError(f"gru_sequence: gate weights disagree: {e}") from None
-    if w_in.shape != (d_x + d_ctx, 3 * d_h) or u_zr.shape != (d_h, 2 * d_h) or \
-            uh.shape != (d_h, d_h) or bias.shape != (3 * d_h,):
+        raise ShapeError(f"{name}: gate weights disagree: {e}") from None
+    if w_in.shape != (d_x + d_ctx, dirs * width) or u_all.shape != (d_h, dirs * width) \
+            or bias.shape != (dirs * width,):
         raise ShapeError(
-            f"gru_sequence: weights do not fit input width {d_x + d_ctx} and state width {d_h}"
+            f"{name}: weights do not fit input width {d_x + d_ctx} and state width {d_h}"
         )
-    w_x, w_ctx = w_in[:d_x], w_in[d_x:]
-    # time-major inside: step t reads [b, ...] slices at index t
+    # [D, d, 3 d_h] views
+    w_in = w_in.reshape(-1, dirs, width).transpose(1, 0, 2)
+    u_all = u_all.reshape(d_h, dirs, width).transpose(1, 0, 2)
+    w_x, w_ctx = w_in[:, :d_x], w_in[:, d_x:]
+    u_zr, u_c = u_all[:, :, : 2 * d_h], u_all[:, :, 2 * d_h :]
+    # rows of every step, time-major, projected at once: [D, m * b, 3 d_h]
     x2 = xd.transpose(1, 0, 2).reshape(m * b, d_x)
-    proj = (x2 @ w_x + bias).reshape(m, b, 3 * d_h)
+    proj = np.matmul(x2, w_x) + bias.reshape(dirs, 1, width)
+    steps_proj = proj.reshape(dirs, m, b, width).transpose(1, 0, 2, 3)
     ctx = None if context is None else context.data.reshape(b, d_ctx)
     if ctx is not None:
-        proj += ctx @ w_ctx
-    p_zr, p_c = proj[:, :, : 2 * d_h], proj[:, :, 2 * d_h :]
-    u_c = uh.data
-    h = np.zeros((b, d_h), dtype=xd.dtype) if h0 is None else h0.data.reshape(b, d_h)
-    states = np.empty((m, b, d_h), dtype=proj.dtype)
-    prev = np.empty_like(states)
-    gates = np.empty((m, b, 2 * d_h), dtype=proj.dtype)
-    cands = np.empty_like(states)
-    steps = range(m - 1, -1, -1) if reverse else range(m)
-    for t in steps:
-        prev[t] = h
-        zr = _sigmoid(p_zr[t] + h @ u_zr)
-        cand = np.tanh(p_c[t] + (zr[:, d_h:] * h) @ u_c)
-        z = zr[:, :d_h] if keep is None else zr[:, :d_h] * keep[t]
+        steps_proj += np.matmul(ctx, w_ctx)
+    _reverse_steps(steps_proj, reverse)
+    p_zr, p_c = steps_proj[..., : 2 * d_h], steps_proj[..., 2 * d_h :]
+    if h0 is None:
+        h = np.zeros((dirs, b, d_h), dtype=xd.dtype)
+    else:
+        h = h0.data.reshape(1, b, d_h)
+    inputs = [x] + [t for t in (h0, context) if t is not None] + [w for ws in weights for w in ws]
+    tape = _find_tape(inputs)
+    states = np.empty((m, dirs, b, d_h), dtype=proj.dtype)
+    if tape is not None:
+        # what the backward pass reads: each step's incoming state and gates
+        prev = np.empty_like(states)
+        gates = np.empty((m, dirs, b, 2 * d_h), dtype=proj.dtype)
+        cands = np.empty_like(states)
+    for s in range(m):
+        zr = _sigmoid(p_zr[s] + h @ u_zr)
+        cand = np.tanh(p_c[s] + (zr[..., d_h:] * h) @ u_c)
+        if tape is not None:
+            prev[s], gates[s], cands[s] = h, zr, cand
+        z = zr[..., :d_h] if keep is None else zr[..., :d_h] * keep[s]
         h = h + z * (cand - h)
-        gates[t], cands[t], states[t] = zr, cand, h
-    out = Tensor(states.transpose(1, 0, 2).reshape(x.shape[:-1] + (d_h,)))
-    inputs = [x] + [t for t in (h0, context) if t is not None] + list(weights)
-    if (tape := _find_tape(inputs)) is None:
+        states[s] = h
+    _reverse_steps(states, reverse)
+    out = Tensor(states.transpose(2, 0, 1, 3).reshape(x.shape[:-1] + (dirs * d_h,)))
+    if tape is None:
         return out
     x_shape = x.shape
     h0_shape = None if h0 is None else h0.shape
     ctx_shape = None if context is None else context.shape
 
     def backward(g):
-        g = g.reshape(b, m, d_h).transpose(1, 0, 2)
-        d_proj = np.empty_like(proj)
-        d_h_next = np.zeros((b, d_h), dtype=g.dtype)
-        for t in reversed(steps):
-            dh = g[t] + d_h_next
-            zr, cand, hp = gates[t], cands[t], prev[t]
-            z, r = zr[:, :d_h], zr[:, d_h:]
+        g = g.reshape(b, m, dirs, d_h).transpose(1, 2, 0, 3).copy()
+        _reverse_steps(g, reverse)
+        d_proj = np.empty_like(steps_proj)
+        d_h_next = np.zeros((dirs, b, d_h), dtype=g.dtype)
+        u_zr_t, u_c_t = u_zr.swapaxes(1, 2), u_c.swapaxes(1, 2)
+        for s in range(m - 1, -1, -1):
+            dh = g[s] + d_h_next
+            zr, cand, hp = gates[s], cands[s], prev[s]
+            z, r = zr[..., :d_h], zr[..., d_h:]
             d_z = dh * (cand - hp)
             if keep is not None:
-                z, d_z = z * keep[t], d_z * keep[t]
+                z, d_z = z * keep[s], d_z * keep[s]
             d_c = dh * z * (1.0 - cand * cand)
-            d_rh = d_c @ u_c.T
-            d_zr = np.concatenate([d_z, d_rh * hp], axis=1) * zr * (1.0 - zr)
-            d_h_next = dh * (1.0 - z) + d_rh * r + d_zr @ u_zr.T
-            d_proj[t, :, : 2 * d_h] = d_zr
-            d_proj[t, :, 2 * d_h :] = d_c
-        d_flat = d_proj.reshape(m * b, 3 * d_h)
-        d_bias = d_flat.sum(axis=0)
-        d_w = x2.T @ d_flat
+            d_rh = d_c @ u_c_t
+            d_zr = np.concatenate([d_z, d_rh * hp], axis=-1) * zr * (1.0 - zr)
+            d_h_next = dh * (1.0 - z) + d_rh * r + d_zr @ u_zr_t
+            d_proj[s, ..., : 2 * d_h] = d_zr
+            d_proj[s, ..., 2 * d_h :] = d_c
+
+        def per_dir(a):
+            # [m, D, b, w] -> [D, m * b, w]
+            return a.transpose(1, 0, 2, 3).reshape(dirs, m * b, a.shape[-1])
+
+        d_steps = per_dir(d_proj)
+        d_bias = d_steps.sum(axis=1)
+        d_u_zr = per_dir(prev).swapaxes(1, 2) @ d_steps[..., : 2 * d_h]
+        d_u_c = per_dir(gates[..., d_h:] * prev).swapaxes(1, 2) @ d_steps[..., 2 * d_h :]
+        _reverse_steps(d_proj, reverse)
+        d_rows = per_dir(d_proj)
+        d_w = np.matmul(x2.T, d_rows)
         if ctx is not None:
             d_ctx_proj = d_proj.sum(axis=0)
-            d_w = np.concatenate([d_w, ctx.T @ d_ctx_proj])
-        d_u_zr = prev.reshape(m * b, d_h).T @ d_flat[:, : 2 * d_h]
-        d_u_c = (gates[:, :, d_h:] * prev).reshape(m * b, d_h).T @ d_flat[:, 2 * d_h :]
-        d_xs = (d_flat @ w_x.T).reshape(m, b, d_x).transpose(1, 0, 2)
-        grads = [d_xs.reshape(x_shape)]
+            d_w = np.concatenate([d_w, np.matmul(ctx.T, d_ctx_proj)], axis=1)
+        d_xs = np.matmul(d_rows, w_x.swapaxes(1, 2)).sum(axis=0)
+        grads = [d_xs.reshape(m, b, d_x).transpose(1, 0, 2).reshape(x_shape)]
         if h0_shape is not None:
             grads.append(d_h_next.reshape(h0_shape))
         if ctx is not None:
-            grads.append((d_ctx_proj @ w_ctx.T).reshape(ctx_shape))
-        recurrent = _col_blocks(d_u_zr, 2) + [d_u_c]
-        for i, d_w_gate in enumerate(_col_blocks(d_w, 3)):
-            grads += [d_w_gate, recurrent[i], d_bias[i * d_h:(i + 1) * d_h]]
+            grads.append(np.matmul(d_ctx_proj, w_ctx.swapaxes(1, 2)).sum(axis=0)
+                         .reshape(ctx_shape))
+        for j in range(dirs):
+            recurrent = _col_blocks(d_u_zr[j], 2) + [d_u_c[j]]
+            for i, d_w_gate in enumerate(_col_blocks(d_w[j], 3)):
+                grads += [d_w_gate, recurrent[i], d_bias[j, i * d_h:(i + 1) * d_h]]
         return grads
 
     return _record(tape, out, inputs, _joint(backward, len(inputs)))

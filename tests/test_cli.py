@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from efnet.cli import RunConfig, main
-from efnet.data import encode_sample, load_dataset, load_embeddings
+from efnet.data import collate, encode_sample, load_dataset, load_embeddings
 from efnet.layers import ConfigError
-from efnet.model import EFNetParams, ModelConfig, forward
+from efnet.model import EFNetParams, ModelConfig, forward, load_checkpoint
 from efnet.tensor import Tensor
 from efnet.train import METRICS_HEADER, SWEEP_HEADER, train
 
@@ -202,14 +202,26 @@ class TestTrainEval:
         assert outs[0] == outs[1]
 
     def test_missing_split_file(self, workdir, capsys):
+        self.check_missing_file(workdir, capsys, "test", "test = corpus/dataset.jsonl")
+
+    def test_missing_embeddings_file(self, workdir, capsys):
+        self.check_missing_file(workdir, capsys, "embeddings",
+                                "embeddings = corpus/embeddings.txt")
+
+    def check_missing_file(self, workdir, capsys, key, old):
         cfg = workdir / "gone.cfg"
         cfg.write_text(CONFIG_TEMPLATE.format(text_only="false").replace(
-            "test = corpus/dataset.jsonl", "test = corpus/absent.jsonl"))
+            old, f"{key} = corpus/absent.file"))
+        capsys.readouterr()
         code = main(["eval", "--config", str(cfg),
                      "--checkpoint", str(workdir / "run" / "model.efck"),
                      "--split", "test", "--out", str(workdir / "x.json")])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        absent = workdir / "corpus" / "absent.file"
+        assert err.startswith(f"error: {cfg}: {key} = {absent}: No such file or directory")
+        assert "Traceback" not in err
+        assert not (workdir / "x.json").exists()
 
     def test_truncated_feature_file_is_exit_2(self, tmp_path, capsys):
         # grids are read when their batch runs, so a damaged file stops the
@@ -289,10 +301,19 @@ class TestSweep:
         assert len(printed) == 2
 
     def test_bad_head_count_is_exit_2(self, workdir, capsys):
+        self.check_bad_heads(workdir, capsys, "1,5", "--heads = 5 does not divide")
+
+    def test_zero_head_count_is_exit_2(self, workdir, capsys):
+        self.check_bad_heads(workdir, capsys, "0,2", "--heads must be >= 1, got 0")
+
+    def check_bad_heads(self, workdir, capsys, heads, rule):
+        capsys.readouterr()
         code = main(["sweep-heads", "--config", str(workdir / "run.cfg"),
-                     "--heads", "1,5", "--out", str(workdir / "s.csv")])
+                     "--heads", heads, "--out", str(workdir / "s.csv")])
         assert code == 2
-        assert "divide" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {rule}") and "head_count" not in err
+        assert not (workdir / "s.csv").exists()
 
     def test_unparseable_heads(self, workdir, capsys):
         code = main(["sweep-heads", "--config", str(workdir / "run.cfg"),
@@ -327,6 +348,27 @@ class TestDumpAttention:
         grid = np.array(dump["image_grid"])
         assert grid.shape == (7, 7)
         assert abs(grid.sum() - 1.0) < 1e-6
+
+    def test_dump_matches_batched_trace(self, workdir):
+        # the dump runs one sample through the rank-2 attention path; a batch
+        # of one runs the batched path, and both must give the same weights
+        out = workdir / "dump_b.json"
+        sample_id = self.sample_id(workdir)
+        assert main(["dump-attention", "--config", str(workdir / "run.cfg"),
+                     "--checkpoint", str(workdir / "run" / "model.efck"),
+                     "--sample-id", sample_id, "--out", str(out)]) == 0
+        dump = read_json(out)
+        cfg = RunConfig.load(workdir / "run.cfg")
+        table = load_embeddings(cfg.embeddings)
+        params = EFNetParams.create(cfg.model, np.random.default_rng(0), table.matrix)
+        load_checkpoint(workdir / "run" / "model.efck", params)
+        sample = next(s for s in load_dataset(cfg.train) if s.id == sample_id)
+        batch = collate([encode_sample(sample, table, cfg.model.max_len, True)])
+        trace = forward(batch, params, cfg.model, want_trace=True).trace
+        for key in ("interaction_heads", "fusion_heads"):
+            want = [w[0] for w in getattr(trace, key)]
+            np.testing.assert_allclose(np.array(dump[key]), want, atol=1e-6)
+        np.testing.assert_allclose(dump["image_grid"], trace.image_grid[0], atol=1e-6)
 
     def test_unknown_sample_id(self, workdir, capsys):
         code = main(["dump-attention", "--config", str(workdir / "run.cfg"),

@@ -457,6 +457,27 @@ class TestForward:
         out = md.forward(tiny_sample(cfg, rng), params, cfg)
         assert out.probs.shape == (3,)
 
+    @pytest.mark.parametrize("want_trace", [False, True])
+    def test_attention_weights_requested_only_for_a_trace(self, monkeypatch, want_trace):
+        rng = np.random.default_rng(22)
+        cfg = tiny_config()
+        params = tiny_params(cfg, rng)
+        sample = tiny_sample(cfg, rng)
+        asked = []
+        real = ly.multi_head
+
+        def spy(*args, return_weights=False, **kwargs):
+            asked.append(return_weights)
+            return real(*args, return_weights=return_weights, **kwargs)
+
+        monkeypatch.setattr(ly, "multi_head", spy)
+        out = md.forward(sample, params, cfg, want_trace=want_trace)
+        # context self-attention, context and image interaction, fusion
+        assert len(asked) == 4
+        # the trace reads the interaction and fusion weights, nothing else
+        assert sum(asked) == (2 if want_trace else 0)
+        assert (out.trace is not None) == want_trace
+
     def test_missing_features_is_stage_named_input_error(self):
         rng = np.random.default_rng(20)
         cfg = tiny_config()
@@ -656,17 +677,21 @@ class TestBatchedForward:
         for _, p in params.named_parameters():
             p.tape = None
             p.node = None
-        step = 1e-5
+        # the 4-point stencil: its O(h^4) truncation error lets h be large
+        # enough that rounding noise stays far below the bound, even on
+        # coordinates whose gradient is ~1e-7
+        step = 1e-3
         for name, p in params.named_parameters():
             flat = p.data.reshape(-1)
             for i in rng.choice(flat.size, size=min(flat.size, 3), replace=False):
                 orig = flat[i]
-                flat[i] = orig + step
-                hi = eval_loss()
-                flat[i] = orig - step
-                lo = eval_loss()
+                values = []
+                for k in (2, 1, -1, -2):
+                    flat[i] = orig + k * step
+                    values.append(eval_loss())
                 flat[i] = orig
-                num = (hi - lo) / (2 * step)
+                f2, f1, b1, b2 = values
+                num = (-f2 + 8 * f1 - 8 * b1 + b2) / (12 * step)
                 ana = analytic[name][i]
                 err = abs(ana - num) / max(abs(ana), abs(num), 1e-8)
                 assert err < 1e-4, f"{name}[{i}]: rel err {err:.2e}"

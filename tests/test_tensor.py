@@ -30,8 +30,21 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\)"):
             tx.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        # a rank-1 left operand is one row: its length must match
+        with pytest.raises(ShapeError, match=r"\(4,\) x \(3, 2\)"):
+            tx.matmul(Tensor(np.zeros(4)), Tensor(np.zeros((3, 2))))
         with pytest.raises(ShapeError):
-            tx.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
+            tx.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((2, 3, 2))))
+        with pytest.raises(ShapeError):
+            tx.matmul(Tensor(np.zeros(())), Tensor(np.zeros((3, 2))))
+
+    def test_rank1_left_operand(self):
+        rng = np.random.default_rng(13)
+        a, b = rand(rng, 4), rand(rng, 4, 3)
+        got = tx.matmul(Tensor(a), Tensor(b)).data
+        assert got.shape == (3,)
+        np.testing.assert_allclose(got, a @ b, atol=1e-12)
+        fd_check(tx.matmul, a, b)
 
     def test_gradients(self):
         rng = np.random.default_rng(11)
@@ -151,18 +164,6 @@ class TestElementwise:
         grads = tape.backward(y)
         np.testing.assert_allclose(grads[x], 6.0)
 
-    def test_log_floor_clamps(self):
-        y = tx.log(Tensor(np.array([1.0, 0.0])), floor=1e-12).data
-        np.testing.assert_allclose(y[0], 0.0, atol=1e-7)
-        np.testing.assert_allclose(y[1], math.log(1e-12), rtol=1e-6)
-
-    def test_log_floor_gradient_zero_in_clamp(self):
-        tape = Tape()
-        x = tape.watch(Tensor(np.array([2.0, -1.0], dtype=np.float64), requires_grad=True))
-        y = tx.sum_all(tx.log(x, floor=1e-12))
-        g = tape.backward(y)[x]
-        np.testing.assert_allclose(g, [0.5, 0.0])
-
     def test_sum_squares_matches_manual(self):
         rng = np.random.default_rng(61)
         parts = [rand(rng, 3, 2), rand(rng, 4)]
@@ -177,7 +178,6 @@ class TestElementwise:
         fd_check(tx.add, rand(rng, 2, 4, 3), rand(rng, 3))
         fd_check(tx.mul, x, rand(rng, 4, 3))
         fd_check(lambda t: tx.scale(t, -2.5), x)
-        fd_check(lambda t: tx.log(t, floor=1e-12), np.abs(x) + 0.5)
         fd_check(tx.sum_all, x)
         fd_check(lambda a, b: tx.sum_squares([a, b], flat_of([a.data, b.data])),
                  x, rand(rng, 2, 5))
@@ -506,6 +506,104 @@ class TestGRUSequence:
             fd_check(op, x, h0, ctx, *self.weights(rng, 5, 4))
         with pytest.raises(ShapeError):
             tx.gru_sequence(Tensor(x), None, ws, context=Tensor(ctx[0]))
+
+
+    def test_untaped_states_equal_taped(self):
+        # the untaped run keeps no step buffers; its states must not change
+        rng = np.random.default_rng(80)
+        mask = np.arange(3) < np.array([3, 2])[:, None]
+        x, ctx = rand(rng, 2, 3, 2), rand(rng, 2, 3)
+        ws = self.weights(rng, 5, 4)
+        for reverse in (False, True):
+            plain = tx.gru_sequence(Tensor(x), None, [Tensor(w) for w in ws],
+                                    context=Tensor(ctx), reverse=reverse, mask=mask)
+            tape = Tape()
+            leaves = [tape.watch(Tensor(w, requires_grad=True)) for w in ws]
+            taped = tx.gru_sequence(Tensor(x), None, leaves, context=Tensor(ctx),
+                                    reverse=reverse, mask=mask)
+            assert taped.tape is tape and plain.tape is None
+            np.testing.assert_array_equal(plain.data, taped.data)
+
+
+class TestBiGRUSequence:
+    weights = TestGRUSequence.weights
+
+    def test_matches_two_directions(self):
+        rng = np.random.default_rng(81)
+        for batched in (False, True):
+            shape = (3, 4, 2) if batched else (4, 2)
+            x, ctx = rand(rng, *shape), rand(rng, *shape[:-2], 3)
+            mask = (np.arange(4) < np.array([4, 1, 3])[:, None]) if batched else None
+            fwd = [Tensor(w) for w in self.weights(rng, 5, 4)]
+            bwd = [Tensor(w) for w in self.weights(rng, 5, 4)]
+            got = tx.bigru_sequence(Tensor(x), fwd, bwd, context=Tensor(ctx), mask=mask).data
+            want = np.concatenate([
+                tx.gru_sequence(Tensor(x), None, ws, context=Tensor(ctx), reverse=rev,
+                                mask=mask).data
+                for ws, rev in ((fwd, False), (bwd, True))], axis=-1)
+            np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_gradients(self):
+        rng = np.random.default_rng(82)
+        mask = np.arange(3) < np.array([3, 1])[:, None]
+
+        def op(x, ctx, *ws):
+            return tx.bigru_sequence(x, ws[:9], ws[9:], context=ctx)
+
+        def op_masked(x, ctx, *ws):
+            return tx.bigru_sequence(x, ws[:9], ws[9:], context=ctx, mask=mask)
+
+        for m in (1, 3):
+            fd_check(op, rand(rng, m, 2), rand(rng, 2), *self.weights(rng, 4, 3),
+                     *self.weights(rng, 4, 3))
+        fd_check(op_masked, rand(rng, 2, 3, 2), rand(rng, 2, 2), *self.weights(rng, 4, 3),
+                 *self.weights(rng, 4, 3))
+
+    def test_shape_errors(self):
+        rng = np.random.default_rng(83)
+        fwd = [Tensor(w) for w in self.weights(rng, 3, 2)]
+        bwd = [Tensor(w) for w in self.weights(rng, 3, 4)]
+        with pytest.raises(ShapeError, match="bigru_sequence"):
+            tx.bigru_sequence(Tensor(np.zeros((2, 3))), fwd, bwd)
+        with pytest.raises(ShapeError, match="bigru_sequence"):
+            tx.bigru_sequence(Tensor(np.zeros((0, 3))), fwd, fwd)
+
+
+class TestCrossEntropy:
+    def test_value_is_mean_negative_log_of_picks(self):
+        probs = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
+        got = tx.cross_entropy(Tensor(probs), [1, 2])
+        assert got.shape == ()
+        np.testing.assert_allclose(got.data, -(math.log(0.5) + math.log(0.3)) / 2,
+                                   rtol=1e-12)
+        one = tx.cross_entropy(Tensor(probs[0]), [2])
+        np.testing.assert_allclose(one.data, -math.log(0.3), rtol=1e-12)
+
+    def test_clamped_pick_gets_zero_gradient(self):
+        tape = Tape()
+        probs = tape.watch(Tensor(np.array([[0.0, 0.5, 0.5], [0.25, 0.5, 0.25]]),
+                                  requires_grad=True))
+        loss = tx.cross_entropy(probs, [0, 0])
+        np.testing.assert_allclose(loss.data, -(math.log(1e-12) + math.log(0.25)) / 2,
+                                   rtol=1e-12)
+        g = tape.backward(loss)[probs]
+        np.testing.assert_allclose(g, [[0.0, 0.0, 0.0], [-0.5 / 0.25, 0.0, 0.0]])
+
+    def test_gradients(self):
+        rng = np.random.default_rng(84)
+        probs = rng.uniform(0.1, 1.0, (4, 3))
+        fd_check(lambda p: tx.cross_entropy(p, [0, 2, 1, 2]), probs)
+        fd_check(lambda p: tx.cross_entropy(p, [1]), probs[0])
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            tx.cross_entropy(Tensor(np.full((2, 3), 0.3)), [0])
+        with pytest.raises(ShapeError):
+            tx.cross_entropy(Tensor(np.full(3, 0.3)), [0, 1])
+        with pytest.raises(ShapeError):
+            tx.cross_entropy(Tensor(np.full((1, 3), 0.3)), [3])
+        with pytest.raises(ShapeError):
+            tx.cross_entropy(Tensor(np.full((1, 3), 0.3)), [-1])
 
 
 class TestFdGradient:
