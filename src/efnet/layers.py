@@ -292,16 +292,15 @@ def bigru_encode(target_embeds: Tensor, aspect_embed: Tensor, fwd: GRUParams, bw
 
 def capsule_layer(regions: Tensor, params: CapsuleParams) -> Tensor:
     """Project each region row and squash it to a norm in [0, 1).
-    ``regions`` is [49, d_in], or [B, 49, d_in] for a batch: one product
-    for every region of every row."""
+    ``regions`` is [49, d_in], or [B, 49, d_in] for a batch. The projection
+    is the capsule half of ``tx.capsule_region_attention``, the op the
+    model's image stage runs."""
     d_in = params.w.shape[0]
     if regions.data.ndim not in (2, 3) or regions.shape[-2:] != (REGION_COUNT, d_in):
         raise ShapeError(
             f"capsule input must be [(B x) {REGION_COUNT} x {d_in}], got {regions.shape}"
         )
-    s = tx.matmul(regions, params.w)
-    if params.b is not None:
-        s = tx.add(s, params.b)
+    s, _, _ = tx.capsule_region_attention(regions, params.w, params.b)
     return tx.squash_rows(s)
 
 

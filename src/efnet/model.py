@@ -240,41 +240,76 @@ def encode_context(word_embeds: Tensor, pos_embeds: Tensor, mask, params: MHAPar
     return h_c, tx.mean_pool(h_c, mask)
 
 
-def _grid_regions(ref, dtype, out=None) -> np.ndarray:
-    """The 49 region rows (row-major) of one 7x7 feature grid, given as a
-    file path or an array. With ``out`` ([49, C]) they are written there,
-    and a float32 file is read straight into it."""
+def _grid_source(sid, ref, dtype):
+    """One 7x7 feature grid as a row source of the image op: its 49 region
+    rows (row-major) as an array, or for a file path a function that reads
+    them, into the array it is given when the dtype allows. Read errors
+    name the sample."""
     if isinstance(ref, (str, Path)):
-        if out is not None and out.dtype == np.float32:
-            load_image_features(ref, out=out)
-            return out
-        ref = load_image_features(ref)
+        def read(out):
+            try:
+                if dtype == np.float32:
+                    return load_image_features(ref, out=out).data.reshape(REGION_COUNT, -1)
+                return load_image_features(ref).data.reshape(REGION_COUNT, -1).astype(dtype)
+            except (InputError, FormatError) as e:
+                raise type(e)(f"sample {sid}: {e}") from None
+
+        return read
+    if ref is None:
+        raise InputError(f"sample {sid} has no image features")
     values = ref.data if isinstance(ref, Tensor) else np.asarray(ref)
-    if values.ndim != 3:
-        raise ShapeError(f"visual features must be rank 3, got shape {values.shape}")
-    regions = values.reshape(values.shape[0] * values.shape[1], values.shape[2])
-    if out is None:
-        return np.ascontiguousarray(regions, dtype=dtype)
-    if regions.shape != out.shape:
-        raise ShapeError(f"visual features {values.shape} do not give {out.shape} regions")
-    out[...] = regions
-    return out
+    if values.ndim != 3 or values.shape[0] * values.shape[1] != REGION_COUNT:
+        raise ShapeError(f"sample {sid}: visual features must be a 7x7 grid of rank 3, "
+                         f"got shape {values.shape}")
+    return np.ascontiguousarray(values.reshape(REGION_COUNT, -1), dtype=dtype)
 
 
-def encode_visual(features, params: CapsuleParams):
-    """Flatten each 7x7 feature grid to 49 region rows (row-major) and run
-    them through the capsule projection. ``features`` is one grid, as a
-    file path or a loaded array, giving [49, C] regions; or a list of them,
-    one per batch row, giving [B, 49, C]. Paths are read here."""
-    dtype = params.w.data.dtype
-    if isinstance(features, list):
-        regions = np.empty((len(features), REGION_COUNT, params.w.shape[0]), dtype=dtype)
-        for ref, out in zip(features, regions):
-            _grid_regions(ref, dtype, out)
-    else:
-        regions = _grid_regions(features, dtype)
-    r = Tensor(regions)
-    return r, ly.capsule_layer(r, params)
+def _region_query(h_ta: Tensor, w_ta: Tensor, w_r: Tensor, mask) -> Tensor:
+    """The image attention's query: the pooled target encoding times w_ta."""
+    if w_ta.shape[1] != w_r.shape[1]:
+        raise ConfigError(
+            f"image attention widths differ: {w_ta.shape[1]} vs {w_r.shape[1]}"
+        )
+    return tx.matmul(tx.mean_pool(h_ta, mask), w_ta)
+
+
+def encode_visual(features, h_ta: Tensor, params: EFNetParams, mask=None, ids=None):
+    """The image route as one stage, one pass over each feature grid.
+
+    Each 7x7 grid flattens to 49 region rows (row-major), which run through
+    the capsule projection, and the query (the pooled target encoding
+    ``h_ta`` times ``img_attn.w_ta``) attends over them, both in one
+    ``tx.capsule_region_attention``. ``features`` is one grid, as a file
+    path or a loaded array, with ``h_ta`` [m, d]; or a list of them, one
+    per batch row, with [B, m, d]. Paths are read here, one grid at a time;
+    ``ids`` names the samples in errors (row numbers by default), and
+    ``mask`` ([(B,) m]) marks the target rows that are pooled.
+
+    Returns the squashed capsules [(B,) 49, K], the attended vector
+    [(B,) att] and the region weights as a plain [(B,) 49] array. Non-finite
+    capsule pre-activations make this stage re-read the grids and raise an
+    ``InputError`` naming the first sample whose grid is not finite.
+    """
+    batch = isinstance(features, list)
+    refs = features if batch else [features]
+    ids = ids if ids is not None else range(len(refs))
+    dtype = params.capsule.w.data.dtype
+    sources = [_grid_source(sid, ref, dtype) for sid, ref in zip(ids, refs)]
+    if not batch:
+        regions = Tensor(sources[0](None) if callable(sources[0]) else sources[0])
+    query = _region_query(h_ta, params.img_w_ta, params.img_w_r, mask)
+    s, h_att, weights = tx.capsule_region_attention(
+        sources if batch else regions, params.capsule.w, params.capsule.b, query,
+        params.img_w_r,
+    )
+    if not np.isfinite(s.data).all():
+        # NaN propagates and inf * 0 is NaN, so any non-finite region value
+        # shows here; only then are the grids, which were not kept, scanned
+        for sid, ref, src in zip(ids, refs, sources):
+            if not np.isfinite(src(None) if callable(src) else src).all():
+                where = f"feature file {ref}" if callable(src) else "feature grid"
+                raise InputError(f"sample {sid}: {where} holds non-finite values")
+    return tx.squash_rows(s), h_att, weights
 
 
 def image_attention(h_ta: Tensor, r: Tensor, w_ta: Tensor, w_r: Tensor, mask=None):
@@ -282,13 +317,10 @@ def image_attention(h_ta: Tensor, r: Tensor, w_ta: Tensor, w_r: Tensor, mask=Non
     keys and values are the same projection, which the fused op never
     forms. Returns the attended vector and the region weights, a detached
     value. ``h_ta`` is [m, d] with ``r`` [49, C], or [B, m, d] with
-    [B, 49, C]; ``mask`` ([(B,) m]) marks the target rows that are pooled."""
-    if w_ta.shape[1] != w_r.shape[1]:
-        raise ConfigError(
-            f"image attention widths differ: {w_ta.shape[1]} vs {w_r.shape[1]}"
-        )
-    query = tx.matmul(tx.mean_pool(h_ta, mask), w_ta)
-    out, weights = tx.region_attention(query, r, w_r)
+    [B, 49, C]; ``mask`` ([(B,) m]) marks the target rows that are pooled.
+    This is ``encode_visual``'s op without the capsule half."""
+    _, out, weights = tx.capsule_region_attention(
+        r, query=_region_query(h_ta, w_ta, w_r, mask), w_r=w_r)
     return out, Tensor(weights)
 
 
@@ -408,7 +440,6 @@ def forward(sample, params: EFNetParams, config: ModelConfig, train: bool = Fals
     with the stage name prefixed.
     """
     sids, ids, ctx_mask, span, t_ids, t_mask, a_ids, a_mask, features = _inputs(sample)
-    single = not isinstance(sample, Batch)
     stage = "encode_context"
     try:
         word = tx.embedding_lookup(params.embed, ids)
@@ -425,13 +456,7 @@ def forward(sample, params: EFNetParams, config: ModelConfig, train: bool = Fals
         h_i = h_att = grid = None
         if not config.text_only:
             stage = "encode_visual"
-            for sid, ref in zip(sids, [features] if single else features):
-                if ref is None:
-                    raise InputError(f"sample {sid} has no image features")
-            r, h_i = encode_visual(features, params.capsule)
-            stage = "image_attention"
-            h_att, grid = image_attention(h_ta, r, params.img_w_ta, params.img_w_r,
-                                          mask=t_mask)
+            h_i, h_att, grid = encode_visual(features, h_ta, params, mask=t_mask, ids=sids)
 
         stage = "interact"
         inter = interact(h_ta, h_c, h_i, params, ctx_mask=ctx_mask, return_weights=want_trace)
@@ -457,7 +482,7 @@ def forward(sample, params: EFNetParams, config: ModelConfig, train: bool = Fals
             interaction_heads=[w.data.copy() for w in inter[2]],
             fusion_heads=[w.data.copy() for w in fusion_w],
             image_grid=None if grid is None
-            else grid.data.reshape(grid.shape[:-1] + (side, side)).copy(),
+            else grid.reshape(grid.shape[:-1] + (side, side)).copy(),
         )
     return out
 
@@ -471,7 +496,9 @@ def save_checkpoint(path, params: EFNetParams) -> None:
 
     The records go to a temporary file beside ``path``, which is flushed,
     synced and then renamed over ``path``, so a crash or kill mid-write
-    leaves the previous checkpoint whole. On error the temporary is removed.
+    leaves the previous checkpoint whole. The directory is synced after the
+    rename, which makes the rename itself durable. On error the temporary
+    is removed.
     """
     tmp = Path(f"{os.fspath(path)}.tmp")
     try:
@@ -488,6 +515,11 @@ def save_checkpoint(path, params: EFNetParams) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        folder = os.open(tmp.parent, os.O_RDONLY)
+        try:
+            os.fsync(folder)
+        finally:
+            os.close(folder)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -213,32 +213,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes of ``a`` and ``b``.
 
     A rank-1 ``a`` is one row against a rank-2 ``b``, as numpy's ``@``
-    takes it, and the result is rank 1. ``a`` may also carry leading batch
-    axes: with a rank-2 ``b`` each batch entry is multiplied by it, and a
-    ``b`` of the same rank as ``a`` is multiplied per batch entry.
+    takes it, and the result is rank 1. Leading batch axes must be the
+    same on both: each batch entry of ``a`` is multiplied by its own entry
+    of ``b``.
     """
     ad, bd = a.data, b.data
-    if ad.ndim < 1 or bd.ndim not in (2, max(ad.ndim, 2)) or ad.shape[-1] != bd.shape[-2] \
-            or (bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]):
+    if ad.ndim < 1 or bd.ndim != max(ad.ndim, 2) or ad.shape[-1] != bd.shape[-2] \
+            or ad.shape[:-2] != bd.shape[:-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     out = Tensor(ad @ bd)
     if (tape := _find_tape((a, b))) is None:
         return out
     if ad.ndim == 1:
         return _record(tape, out, (a, b), (lambda g: bd @ g, lambda g: np.outer(ad, g)))
-    if bd.ndim == 2 and ad.ndim > 2:
-        # sum over batch entries of g_i^T a_i, transposed at the end: each
-        # [rows, k] block of ``a`` is read while it is in cache, instead of
-        # one product over the folded rows
-        def grad_b(g):
-            blocks = ad.reshape(-1, *ad.shape[-2:])
-            g = g.reshape(len(blocks), -1, g.shape[-1])
-            total = g[0].T @ blocks[0]
-            for block, g_block in zip(blocks[1:], g[1:]):
-                total += g_block.T @ block
-            return total.T
-
-        return _record(tape, out, (a, b), (lambda g: g @ bd.T, grad_b))
     return _record(tape, out, (a, b), (lambda g: g @ np.swapaxes(bd, -1, -2),
                                        lambda g: np.swapaxes(ad, -1, -2) @ g))
 
@@ -256,17 +243,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _record(tape, out, (a, b), (lambda g: g, lambda g: g))
     n = b.shape[0]
     return _record(tape, out, (a, b), (lambda g: g, lambda g: g.reshape(-1, n).sum(axis=0)))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product of same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} * {b.shape}")
-    out = Tensor(a.data * b.data)
-    if (tape := _find_tape((a, b))) is None:
-        return out
-    ad, bd = a.data, b.data
-    return _record(tape, out, (a, b), (lambda g: g * bd, lambda g: g * ad))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -402,15 +378,6 @@ def mean_pool(a: Tensor, mask=None) -> Tensor:
     if (tape := _find_tape((a,))) is None:
         return out
     return _record(tape, out, (a,), (lambda g: weights[..., :, None] * g[..., None, :],))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    """Sum of every element, as a scalar tensor."""
-    out = Tensor(a.data.sum())
-    if (tape := _find_tape((a,))) is None:
-        return out
-    shape, dtype = a.shape, a.data.dtype
-    return _record(tape, out, (a,), (lambda g: np.full(shape, g, dtype=dtype),))
 
 
 def cross_entropy(probs: Tensor, labels) -> Tensor:
@@ -618,64 +585,164 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.nd
     return _record(tape, out, inputs, _joint(backward, len(inputs))), weights
 
 
-def region_attention(query: Tensor, r: Tensor, w_r: Tensor):
-    """One query vector attending over projected regions, as one op.
+def capsule_region_attention(regions, w_cap: Tensor | None = None,
+                             b_cap: Tensor | None = None, query: Tensor | None = None,
+                             w_r: Tensor | None = None):
+    """Capsule pre-activations and one query's attention over the same region
+    grids, as one op that reads each grid once.
 
-    Computes softmax(q (r w_r)^T / sqrt(a)) (r w_r) without forming the
-    [n, a] keys r w_r. The key projection is folded into the query, so the
-    scores are r (q w_r^T), and applied once after pooling, so the output is
-    (weights r) w_r (the weight absorption of DeepSeek-V2, arXiv:2405.04434).
-    ``r`` is read by two matrix-vector passes forward and two backward,
-    O(n C) per row instead of O(n C a). ``query`` is [a] with ``r`` [n, C],
-    or [B, a] with [B, n, C]; ``w_r`` is [C, a]. Returns the attended
-    vector, [(B,) a], and the region weights as a plain [(B,) n] array.
-    The gradient of ``r`` is formed only when ``r`` is on a tape.
+    For a grid r [n, C] the capsule pre-activations are r w_cap + b_cap,
+    [n, K]. The query q [a] attends over the projected regions as
+    softmax(q (r w_r)^T / sqrt(a)) (r w_r), without forming the [n, a] keys:
+    the key projection folds into the query, q~ = w_r q [C], and is applied
+    once after pooling, so the output is (weights r) w_r (the weight
+    absorption of DeepSeek-V2, arXiv:2405.04434). The capsule product and
+    the scores are one product, [w_cap^T; q~] r^T [K + 1, n], followed by the
+    softmax and the pooled regions, all while the grid is in cache.
+
+    ``regions`` is a tensor, [n, C] with ``query`` [a] or [B, n, C] with
+    [B, a], or a list of B grids: each an [n, C] array, used as it is, or a
+    function ``read(out)`` that returns the grid as an [n, C] array and may
+    use ``out`` (None, or an array an earlier function returned) as its
+    storage. Without a tape one such array serves every row, so no
+    [B, n, C] array is formed; under a tape each row keeps its own, for the
+    backward pass. Either half may be left out: ``w_cap`` (and ``b_cap``) or
+    ``query`` with ``w_r``. Returns the pre-activations [(B,) n, K], the
+    attended vector [(B,) a] and the region weights as a plain [(B,) n]
+    array, with None for a half left out. The two outputs are two tape
+    nodes; the second hands its gradient to the first, which runs the joint
+    backward. The gradient of the regions is formed only when a regions
+    tensor is on a tape.
     """
-    rank = r.data.ndim
-    if rank not in (2, 3) or query.data.ndim != rank - 1 or w_r.data.ndim != 2:
+    batched = not isinstance(regions, Tensor) or regions.data.ndim == 3
+    if isinstance(regions, Tensor):
+        if regions.data.ndim not in (2, 3):
+            raise ShapeError(f"capsule_region_attention: regions must be [n, C] or "
+                             f"[B, n, C], got {regions.shape}")
+        sources = list(regions.data) if batched else [regions.data]
+    else:
+        sources = list(regions)
+    b = len(sources)
+    cap, att = w_cap is not None, query is not None
+    first = w_cap if cap else w_r
+    if first is None or att != (w_r is not None) or b_cap is not None and not cap or not b:
+        raise ShapeError("capsule_region_attention: need grids and w_cap, query with "
+                         "w_r, or both")
+    width, dtype = first.shape[0], first.data.dtype
+    k = w_cap.shape[1] if cap else 0
+    if cap and (w_cap.data.ndim != 2 or b_cap is not None and b_cap.shape != (k,)) \
+            or att and (w_r.data.ndim != 2 or w_r.shape[0] != width
+                        or query.shape != ((b,) if batched else ()) + (w_r.shape[1],)):
         raise ShapeError(
-            f"region_attention: need query [a] with regions [n, C], or [B, a] with "
-            f"[B, n, C], and a rank-2 projection; got {query.shape}, {r.shape}, {w_r.shape}"
+            f"capsule_region_attention: weights {None if w_cap is None else w_cap.shape}, "
+            f"{None if b_cap is None else b_cap.shape}, {None if w_r is None else w_r.shape} "
+            f"and query {None if query is None else query.shape} do not fit {b} grid(s)"
         )
-    rd = r.data if rank == 3 else r.data[None]
-    qd = query.data.reshape(-1, query.shape[-1])
-    wd = w_r.data
-    b, n, width = rd.shape
-    if qd.shape[0] != b or wd.shape != (width, qd.shape[1]):
-        raise ShapeError(
-            f"region_attention: query {query.shape} and regions {r.shape} do not fit "
-            f"projection {w_r.shape}"
-        )
-    c = 1.0 / math.sqrt(wd.shape[1])
-    qk = qd @ wd.T
-    scores = (rd @ qk[:, :, None])[:, :, 0] * c
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    attn = e / e.sum(axis=1, keepdims=True)
-    pooled = (attn[:, None, :] @ rd)[:, 0]
-    out = Tensor((pooled @ wd).reshape(query.shape))
-    weights = attn if rank == 3 else attn[0]
-    inputs = (query, r, w_r)
-    if (tape := _find_tape(inputs)) is None:
-        return out, weights
-    want_r = r.requires_grad or r.tape is not None
-    q_shape, r_shape = query.shape, r.shape
+    inputs = [t for t in (regions, w_cap, b_cap, query, w_r) if isinstance(t, Tensor)]
+    tape = _find_tape(inputs)
+    # [w_cap^T; q~] for the row at hand
+    lhs = np.empty((k + att, width), dtype=dtype)
+    if k:
+        lhs[:k] = w_cap.data.T
+    if att:
+        qd, wd = query.data.reshape(b, -1), w_r.data
+        c = 1.0 / math.sqrt(wd.shape[1])
+        qk = qd @ wd.T
+    bias = b_cap.data if b_cap is not None else dtype.type(0)
+    kept, buf = [], None
+    for i, src in enumerate(sources):
+        if callable(src):
+            r = buf = src(buf if tape is None else None)
+        else:
+            r = src
+        if i == 0:
+            n = r.shape[0] if r.ndim == 2 else -1
+            s = np.empty((b, n, k), dtype=dtype)
+            attn = np.empty((b, n), dtype=dtype)
+            pooled = np.empty((b, width), dtype=dtype)
+        if r.shape != (n, width):
+            raise ShapeError(f"capsule_region_attention: grid {i} is {r.shape}, "
+                             f"expected [{n if n > 0 else 'n'}, {width}]")
+        if att:
+            lhs[k] = qk[i]
+        prod = lhs @ r.T
+        np.add(prod[:k].T, bias, out=s[i])
+        if att:
+            e = prod[k] * c
+            e -= e.max()
+            np.exp(e, out=e)
+            np.divide(e, e.sum(), out=attn[i])
+            pooled[i] = attn[i] @ r
+        if tape is not None:
+            kept.append(r)
+    lead = (b,) if batched else ()
+    s_out = Tensor(s.reshape(lead + s.shape[1:])) if cap else None
+    out = Tensor((pooled @ wd).reshape(query.shape)) if att else None
+    weights = attn.reshape(lead + (n,)) if att else None
+    if tape is None:
+        return s_out, out, weights
+    # backward rules hold arrays and shapes, never tensors, so nothing on
+    # the tape points back at it
+    r_shape = regions.shape if isinstance(regions, Tensor) else None
+    want_r = r_shape is not None and (regions.requires_grad or regions.tape is not None)
+    q_shape = query.shape if att else None
+    has_bias = b_cap is not None
+    stash = []
 
     def backward(g):
-        g = g.reshape(b, -1)
-        d_pooled = g @ wd.T
-        d_attn = (rd @ d_pooled[:, :, None])[:, :, 0]
-        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=1, keepdims=True)) * c
-        d_qk = (d_scores[:, None, :] @ rd)[:, 0]
-        d_r = None
-        if want_r:
-            # both paths through r as one rank-2 update per batch row
-            d_r = (np.stack([d_scores, attn], axis=2)
-                   @ np.stack([qk, d_pooled], axis=1)).reshape(r_shape)
-        # both products into w_r as one matrix product with 2b inner terms
-        d_w = np.concatenate([pooled, d_qk]).T @ np.concatenate([g, qd])
-        return (d_qk @ wd).reshape(q_shape), d_r, d_w
+        g_s = g.reshape(b, n, k) if cap else None
+        g_out = (stash.pop() if stash else None) if cap else g
+        m = k + (g_out is not None)
+        if g_out is not None:
+            g2 = g_out.reshape(b, -1)
+            d_pooled = g2 @ wd.T
+            d_qk = np.empty((b, width), dtype=dtype)
+        d_wcap_t = np.zeros((k, width), dtype=dtype)
+        d_r = np.empty((b, n, width), dtype=dtype) if want_r else None
+        # [g_s^T; d_scores] for the row at hand
+        lhs_g = np.empty((m, n), dtype=dtype)
+        for i, r in enumerate(kept):
+            if k:
+                lhs_g[:k] = g_s[i].T
+            if g_out is not None:
+                d_attn = r @ d_pooled[i]
+                lhs_g[k] = attn[i] * (d_attn - d_attn @ attn[i]) * c
+            prod = lhs_g @ r
+            d_wcap_t += prod[:k]
+            if g_out is not None:
+                d_qk[i] = prod[k]
+            if want_r:
+                # every path into the grid: [g_s, d_scores, attn] against
+                # [w_cap^T; q~; d_pooled]
+                if att:
+                    lhs[k] = qk[i]
+                d_r[i] = lhs_g.T @ lhs[:m]
+                if g_out is not None:
+                    d_r[i] += np.outer(attn[i], d_pooled[i])
+        grads = [] if r_shape is None else [None if d_r is None else d_r.reshape(r_shape)]
+        if cap:
+            grads.append(d_wcap_t.T)
+            if has_bias:
+                grads.append(g_s.sum(axis=(0, 1)))
+        if att:
+            if g_out is None:
+                grads += [None, None]
+            else:
+                # both products into w_r as one matrix product with 2b inner terms
+                grads += [(d_qk @ wd).reshape(q_shape),
+                          np.concatenate([pooled, d_qk]).T @ np.concatenate([g2, qd])]
+        return grads
 
-    return _record(tape, out, inputs, _joint(backward, 3)), weights
+    head = _record(tape, s_out if cap else out, inputs, _joint(backward, len(inputs)))
+    if not (cap and att):
+        return s_out, out, weights
+    zero, s_shape = np.zeros((), dtype=dtype), head.shape
+
+    def hand_off(g):
+        stash.append(g)
+        return np.broadcast_to(zero, s_shape)
+
+    return s_out, _record(tape, out, (s_out,), (hand_off,)), weights
 
 
 def _col_blocks(a: np.ndarray, count: int) -> list:

@@ -8,7 +8,14 @@ numpy implementation the batched attention is checked against, and
 numpy, the yardstick for the engine's speed in the gradient gate.
 """
 
-import numpy as np
+import os
+
+# Tier-1 runs numpy on one BLAS thread, as the benchmark does; set before
+# numpy loads, and an explicit setting in the environment wins
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 from efnet import tensor as tx
 from efnet.data import FEATURE_SHAPE, EncodedSample
@@ -72,6 +79,18 @@ def rand(rng, *shape):
     return rng.standard_normal(shape)
 
 
+def weighted_sum(t, w):
+    """Σ t·w as a scalar tensor, one matmul of the flattened ``t`` against
+    ``w`` as a column."""
+    n = t.data.size
+    return tx.reshape(tx.matmul(tx.reshape(t, (n,)), Tensor(np.reshape(w, (n, 1)))), ())
+
+
+def total(t):
+    """Σ t as a scalar tensor."""
+    return weighted_sum(t, np.ones(t.shape, dtype=t.data.dtype))
+
+
 def fd_check(op, *arrays, seed=0, tol=GRAD_TOL):
     """Tape gradients of a weighted readout of ``op`` vs central differences."""
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
@@ -85,7 +104,7 @@ def fd_check(op, *arrays, seed=0, tol=GRAD_TOL):
         loss = out
     else:
         w = rng.standard_normal(out.shape)
-        loss = tx.sum_all(tx.mul(out, Tensor(w)))
+        loss = weighted_sum(out, w)
     grads = tape.backward(loss)
 
     def f(*arrs):

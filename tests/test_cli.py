@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from efnet.cli import RunConfig, main
-from efnet.data import collate, encode_sample, load_dataset, load_embeddings
+from efnet.data import (
+    collate,
+    encode_sample,
+    load_dataset,
+    load_embeddings,
+    load_image_features,
+    write_image_features,
+)
 from efnet.layers import ConfigError
 from efnet.model import EFNetParams, ModelConfig, forward, load_checkpoint
 from efnet.tensor import Tensor
@@ -236,6 +243,24 @@ class TestTrainEval:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert "s0005.efvf" in capsys.readouterr().err
         assert (tmp_path / "run" / "metrics.csv").read_text() == METRICS_HEADER + "\n"
+
+    def test_non_finite_feature_grid_is_exit_2(self, tmp_path, capsys):
+        # the image stage checks its capsule pre-activations and names the
+        # sample and the file whose grid holds a NaN
+        assert main(["synth", "--seed", "1", "--n", "10", "--out", str(tmp_path / "corpus"),
+                     "--vocab", "20", "--embed-dim", "8"]) == 0
+        bad = tmp_path / "corpus" / "features" / "s0005.efvf"
+        values = load_image_features(bad).data.copy()
+        values[2, 3, 17] = np.nan
+        write_image_features(bad, values)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(text_only="false"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"error: encode_visual: sample s0005: feature file \S*s0005\.efvf "
+                         r"holds non-finite values", err), err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("file, old, new, names, command, code", BAD_INPUTS)
     def test_bad_run_input_is_exit_2(self, workdir, tmp_path, capsys,

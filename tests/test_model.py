@@ -1,11 +1,15 @@
 import gc
 import math
+import os
+import stat
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import (
+    fd_check,
     forward_loss_reference,
     rand,
     ragged_samples,
@@ -175,44 +179,146 @@ class TestEncodeContext:
         np.testing.assert_array_equal(h1.data[mask], h2.data[mask])
 
 
+def plain(x):
+    return x.data if isinstance(x, Tensor) else x
+
+
 class TestEncodeVisual:
+    """The image stage: capsules, query and region attention in one pass
+    over each grid."""
+
+    def stage(self, seed, dtype=np.float64, batch=1):
+        rng = np.random.default_rng(seed)
+        cfg = tiny_config(precision="double" if dtype == np.float64 else "single")
+        params = tiny_params(cfg, rng)
+        h_ta = Tensor(rand(rng, batch, 3, cfg.target_width).astype(dtype))
+        return rng, params, h_ta
+
     def test_zero_features_squash_to_zero(self):
-        rng = np.random.default_rng(5)
-        caps = ly.CapsuleParams.create(rng, 2048, 4, dtype=np.float64)
-        r, h_i = md.encode_visual([np.zeros(FEATURE_SHAPE)], caps)
-        assert r.shape == (1, 49, 2048)
-        assert h_i.shape == (1, 49, 4)
+        _, params, h_ta = self.stage(5)
+        h_i, h_att, weights = md.encode_visual([np.zeros(FEATURE_SHAPE)], h_ta, params)
+        assert h_i.shape == (1, 49, 4) and h_att.shape == (1, 8) and weights.shape == (1, 49)
         np.testing.assert_array_equal(h_i.data, 0.0)
+        # zero regions score alike, so the attention is uniform
+        np.testing.assert_allclose(weights, 1.0 / 49.0, rtol=1e-12)
 
     def test_row_major_region_order(self):
-        # cell (r, c) must land at flat region index 7r + c
+        # cell (r, c) must land at flat region index 7r + c: with one feature
+        # channel set to the cell's index, the capsule of region i is the
+        # squashed i-th multiple of that channel's weight row
         feats = np.zeros(FEATURE_SHAPE, dtype=np.float64)
         for r in range(7):
             for c in range(7):
-                feats[r, c, :] = 7 * r + c
-        rng = np.random.default_rng(6)
-        caps = ly.CapsuleParams.create(rng, 2048, 4, dtype=np.float64)
-        regions, _ = md.encode_visual([feats], caps)
+                feats[r, c, 0] = 7 * r + c
+        _, params, h_ta = self.stage(6)
+        params.capsule.b.data[...] = 0.0
+        h_i, _, _ = md.encode_visual([feats], h_ta, params)
+        row = params.capsule.w.data[0]
         for flat in range(49):
-            np.testing.assert_array_equal(regions.data[0, flat], float(flat))
+            s = flat * row
+            norm2 = s @ s
+            np.testing.assert_allclose(h_i.data[0, flat], s * np.sqrt(norm2) / (1.0 + norm2),
+                                       rtol=1e-12, atol=1e-300)
 
     def test_accepts_path(self, tmp_path):
         rng = np.random.default_rng(7)
         values = rng.uniform(0, 1, FEATURE_SHAPE).astype(np.float32)
         path = tmp_path / "x.efvf"
         dio.write_image_features(path, values)
-        # double precision casts what it reads; single reads into the batch
+        # double precision casts what it reads; single reads into a row buffer
         for dtype in (np.float64, np.float32):
-            caps = ly.CapsuleParams.create(rng, 2048, 4, dtype=dtype)
-            from_path, _ = md.encode_visual([str(path)], caps)
-            from_array, _ = md.encode_visual([values], caps)
-            np.testing.assert_array_equal(from_path.data, from_array.data)
+            _, params, h_ta = self.stage(7, dtype, batch=2)
+            from_path = md.encode_visual([str(path), values], h_ta, params)
+            from_array = md.encode_visual([values, values], h_ta, params)
+            for got, want in zip(from_path, from_array):
+                np.testing.assert_array_equal(plain(got), plain(want))
+            # a single grid runs without the batch axis
+            one = md.encode_visual(str(path), Tensor(h_ta.data[0]), params)
+            tol = 1e-12 if dtype == np.float64 else 1e-6
+            for got, want in zip(one, from_array):
+                np.testing.assert_allclose(plain(got), plain(want)[0], rtol=0, atol=tol)
 
     def test_bad_rank(self):
-        rng = np.random.default_rng(8)
-        caps = ly.CapsuleParams.create(rng, 2048, 4)
-        with pytest.raises(ShapeError):
-            md.encode_visual([np.zeros((49, 2048))], caps)
+        _, params, h_ta = self.stage(8)
+        with pytest.raises(ShapeError, match="sample 0: visual features must be a 7x7 grid"):
+            md.encode_visual([np.zeros((49, 2048))], h_ta, params)
+
+    def test_missing_file_names_the_sample(self, tmp_path):
+        _, params, h_ta = self.stage(9, batch=2)
+        with pytest.raises(InputError, match=r"sample b: cannot read feature file .*absent\.efvf"):
+            md.encode_visual([np.zeros(FEATURE_SHAPE), str(tmp_path / "absent.efvf")],
+                             h_ta, params, ids=["a", "b"])
+
+    def test_non_finite_grid_named_by_sample_and_file(self, tmp_path):
+        rng, params, h_ta = self.stage(10, np.float32, batch=3)
+        paths = []
+        for i in range(3):
+            values = rng.uniform(0, 1, FEATURE_SHAPE).astype(np.float32)
+            if i == 1:
+                values[3, 4, 100] = np.nan
+            paths.append(str(tmp_path / f"g{i}.efvf"))
+            dio.write_image_features(paths[-1], values)
+        with pytest.raises(InputError, match=r"sample s1: feature file .*g1\.efvf holds non-finite"):
+            md.encode_visual(paths, h_ta, params, ids=["s0", "s1", "s2"])
+        inf_grid = np.ones(FEATURE_SHAPE)
+        inf_grid[0, 0, 0] = np.inf
+        _, params, h_ta = self.stage(11)
+        with pytest.raises(InputError, match="sample x: feature grid holds non-finite"):
+            md.encode_visual(inf_grid, Tensor(h_ta.data[0]), params, ids=["x"])
+
+    def test_matches_the_layers_it_fuses(self):
+        # the stage equals the pinned capsule layer and image attention
+        rng, params, h_ta = self.stage(12, batch=3)
+        grids = [rng.uniform(0, 1, FEATURE_SHAPE) for _ in range(3)]
+        mask = np.array([[True, True, True], [True, False, False], [True, True, False]])
+        h_i, h_att, weights = md.encode_visual(grids, h_ta, params, mask=mask)
+        r = Tensor(np.stack([g.reshape(49, -1) for g in grids]))
+        want_att, want_w = md.image_attention(h_ta, r, params.img_w_ta, params.img_w_r, mask)
+        np.testing.assert_allclose(h_i.data, ly.capsule_layer(r, params.capsule).data,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h_att.data, want_att.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(weights, want_w.data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("batch", [0, 3])
+    def test_gradients(self, batch):
+        # every input of the stage in float64: the target encoding, w_ta,
+        # the capsule weight and bias and w_r; batched with a ragged mask.
+        # Grids of 6 channels keep the central differences quick.
+        rng = np.random.default_rng(13)
+        lead = (batch,) if batch else ()
+        grids = [rng.uniform(0, 1, (7, 7, 6)) for _ in range(max(batch, 1))]
+        features = grids if batch else grids[0]
+        mask = np.array([[True, True, True], [True, False, False], [True, True, False]]) \
+            if batch else None
+
+        def op(h, w_ta, w_cap, b_cap, w_r):
+            p = SimpleNamespace(capsule=ly.CapsuleParams(w=w_cap, b=b_cap), img_w_ta=w_ta,
+                                img_w_r=w_r)
+            h_i, h_att, _ = md.encode_visual(features, h, p, mask=mask)
+            return tx.concat([tx.reshape(h_i, lead + (49 * 4,)), h_att], axis=-1)
+
+        fd_check(op, rand(rng, *lead, 3, 16) * 0.5, rand(rng, 16, 8) * 0.5,
+                 rand(rng, 6, 4) * 0.5, rand(rng, 4) * 0.1, rand(rng, 6, 8) * 0.5)
+
+    def test_untaped_batch_keeps_one_grid_in_memory(self, tmp_path):
+        # without a tape the grids stream through one row buffer; the
+        # [8, 49, 2048] float32 batch would take 3.2 MB
+        rng = np.random.default_rng(14)
+        cfg = tiny_config(precision="single")
+        params = tiny_params(cfg, rng)
+        samples = ragged_samples(cfg, rng, count=8)
+        for i, sample in enumerate(samples):
+            sample.features = str(tmp_path / f"g{i}.efvf")
+            dio.write_image_features(sample.features, rng.uniform(0, 1, FEATURE_SHAPE))
+        batch = dio.collate(samples)
+        md.forward(batch, params, cfg)
+        tracemalloc.start()
+        try:
+            md.forward(batch, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 49 * 2048 * 4, f"peak {peak / 1e6:.2f} MB"
 
 
 class TestImageAttention:
@@ -708,6 +814,27 @@ class TestBatchedForward:
         assert trace.image_grid.shape == (b, 7, 7)
         np.testing.assert_allclose(trace.image_grid.sum(axis=(1, 2)), 1.0, atol=1e-6)
 
+    def test_taped_probs_equal_untaped_bitwise(self, tmp_path):
+        # the image op keeps each grid under a tape and reuses one buffer
+        # without one; the arithmetic is the same either way
+        cfg = tiny_config(precision="single")
+        params, samples, batch = self.batch(cfg, 47)
+        for sample in samples:
+            path = str(tmp_path / f"{sample.id}.efvf")
+            dio.write_image_features(path, sample.features)
+            sample.features = path
+        batch = dio.collate(samples)
+        for inputs in (batch, samples[0]):
+            untaped = md.forward(inputs, params, cfg).probs.data
+            tape = Tape()
+            for _, p in params.named_parameters():
+                tape.watch(p)
+            taped = md.forward(inputs, params, cfg).probs
+            for _, p in params.named_parameters():
+                p.tape = p.node = None
+            assert taped.tape is tape
+            np.testing.assert_array_equal(taped.data, untaped)
+
     def test_missing_features_name_the_sample(self):
         cfg = tiny_config()
         params, samples, batch = self.batch(cfg, 46)
@@ -862,6 +989,27 @@ class TestCheckpoint:
                 md.load_checkpoint(bad, params)
             for n, p in params.named_parameters():
                 np.testing.assert_array_equal(p.data, saved[n], err_msg=n)
+
+    def test_directory_synced_after_rename(self, tmp_path, monkeypatch):
+        # a rename survives power loss only once its directory is synced
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            events.append(("fsync", stat.S_ISDIR(info.st_mode), info.st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace",))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        self.roundtrip_params(tmp_path)
+        folder = os.stat(tmp_path).st_ino
+        assert [e[:2] for e in events] == [("fsync", False), ("replace",), ("fsync", True)]
+        assert events[-1][2] == folder
 
     def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path):
         cfg, params, path = self.roundtrip_params(tmp_path)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import fd_check, gru_reference, mha_loop_reference, rand, softmax_rows
+from conftest import fd_check, gru_reference, mha_loop_reference, rand, softmax_rows, total
 
 from efnet import tensor as tx
 from efnet.gradcheck import fd_gradient
@@ -37,6 +37,9 @@ class TestMatmul:
             tx.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((2, 3, 2))))
         with pytest.raises(ShapeError):
             tx.matmul(Tensor(np.zeros(())), Tensor(np.zeros((3, 2))))
+        # batch axes must match on both sides
+        with pytest.raises(ShapeError, match=r"\(3, 4, 2\) x \(2, 5\)"):
+            tx.matmul(Tensor(np.zeros((3, 4, 2))), Tensor(np.zeros((2, 5))))
 
     def test_rank1_left_operand(self):
         rng = np.random.default_rng(13)
@@ -51,17 +54,14 @@ class TestMatmul:
         for _ in range(5):
             n, k, m = rng.integers(1, 6, size=3)
             fd_check(tx.matmul, rand(rng, n, k), rand(rng, k, m))
-        # a batch axis on the left folds into the rows; on both, it pairs up
-        fd_check(tx.matmul, rand(rng, 3, 4, 2), rand(rng, 2, 5))
+        # a batch axis on both sides pairs the entries up
         fd_check(tx.matmul, rand(rng, 3, 4, 2), rand(rng, 3, 2, 5))
 
     def test_batched_matches_per_entry(self):
         rng = np.random.default_rng(12)
-        a, b, bb = rand(rng, 3, 4, 2), rand(rng, 2, 5), rand(rng, 3, 2, 5)
-        got = tx.matmul(Tensor(a), Tensor(b)).data
+        a, bb = rand(rng, 3, 4, 2), rand(rng, 3, 2, 5)
         got_pairs = tx.matmul(Tensor(a), Tensor(bb)).data
         for i in range(3):
-            np.testing.assert_allclose(got[i], a[i] @ b, atol=1e-12)
             np.testing.assert_allclose(got_pairs[i], a[i] @ bb[i], atol=1e-12)
         with pytest.raises(ShapeError):
             tx.matmul(Tensor(a), Tensor(rand(rng, 2, 2, 5)))
@@ -156,13 +156,13 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             tx.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
-    def test_mul_reuse_accumulates(self):
-        # d(x*x)/dx = 2x, so the two parent slots must sum
+    def test_reuse_accumulates(self):
+        # d(x+x)/dx = 2, so the two parent slots must sum
         tape = Tape()
         x = tape.watch(Tensor(np.array(3.0, dtype=np.float64), requires_grad=True))
-        y = tx.mul(x, x)
+        y = tx.add(x, x)
         grads = tape.backward(y)
-        np.testing.assert_allclose(grads[x], 6.0)
+        np.testing.assert_allclose(grads[x], 2.0)
 
     def test_sum_squares_matches_manual(self):
         rng = np.random.default_rng(61)
@@ -176,9 +176,7 @@ class TestElementwise:
         fd_check(tx.add, x, rand(rng, 4, 3))
         fd_check(tx.add, x, rand(rng, 3))
         fd_check(tx.add, rand(rng, 2, 4, 3), rand(rng, 3))
-        fd_check(tx.mul, x, rand(rng, 4, 3))
         fd_check(lambda t: tx.scale(t, -2.5), x)
-        fd_check(tx.sum_all, x)
         fd_check(lambda a, b: tx.sum_squares([a, b], flat_of([a.data, b.data])),
                  x, rand(rng, 2, 5))
 
@@ -233,7 +231,7 @@ class TestEmbeddingLookup:
         tape = Tape()
         table = tape.watch(Tensor(np.zeros((3, 2), dtype=np.float64), requires_grad=True))
         out = tx.embedding_lookup(table, [1, 1, 2])
-        g = tape.backward(tx.sum_all(out))[table]
+        g = tape.backward(total(out))[table]
         np.testing.assert_allclose(g, [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
 
     def test_gradients(self):
@@ -260,7 +258,7 @@ class TestDropout:
         tape = Tape()
         x = tape.watch(Tensor(np.ones(64, dtype=np.float64), requires_grad=True))
         y = tx.dropout(x, 0.4, train=True, rng=np.random.default_rng(7))
-        g = tape.backward(tx.sum_all(y))[x]
+        g = tape.backward(total(y))[x]
         np.testing.assert_allclose(g, np.where(y.data != 0.0, 1.0 / 0.6, 0.0))
 
     def test_bad_rate(self):
@@ -296,7 +294,7 @@ class TestSquashRows:
         np.testing.assert_allclose(v[0], [0.0, 0.0])
         tape = Tape()
         t = tape.watch(Tensor(s.astype(np.float64), requires_grad=True))
-        g = tape.backward(tx.sum_all(tx.squash_rows(t)))[t]
+        g = tape.backward(total(tx.squash_rows(t)))[t]
         np.testing.assert_allclose(g[0], [0.0, 0.0])
         assert np.isfinite(g).all()
 
@@ -391,6 +389,16 @@ class TestMultiHeadAttention:
                                     mask=mask[0])
 
 
+def plain(x):
+    return x.data if isinstance(x, Tensor) else x
+
+
+def region_attention(query, r, w_r):
+    """The attention half of the fused image op."""
+    _, out, weights = tx.capsule_region_attention(r, query=query, w_r=w_r)
+    return out, weights
+
+
 class TestRegionAttention:
     def explicit(self, q, r, w_r):
         # the keys r w_r formed explicitly, as the reassociated op never does
@@ -405,7 +413,7 @@ class TestRegionAttention:
         rng = np.random.default_rng(81)
         for lead in ((), (3,)):
             q, r, w_r = self.operands(rng, lead)
-            out, weights = tx.region_attention(Tensor(q), Tensor(r), Tensor(w_r))
+            out, weights = region_attention(Tensor(q), Tensor(r), Tensor(w_r))
             want_out, want_weights = self.explicit(q, r, w_r)
             assert out.shape == lead + (5,) and weights.shape == lead + (49,)
             np.testing.assert_allclose(out.data, want_out, rtol=0, atol=1e-12)
@@ -415,8 +423,8 @@ class TestRegionAttention:
         rng = np.random.default_rng(82)
         for lead in ((), (3,)):
             q, r, w_r = self.operands(rng, lead)
-            fd_check(lambda q, r, w_r: tx.region_attention(q, r, w_r)[0], q, r, w_r)
-            fd_check(lambda q, w_r: tx.region_attention(q, Tensor(r), w_r)[0], q, w_r)
+            fd_check(lambda q, r, w_r: region_attention(q, r, w_r)[0], q, r, w_r)
+            fd_check(lambda q, w_r: region_attention(q, Tensor(r), w_r)[0], q, w_r)
 
     def test_constant_regions_stay_off_the_tape(self):
         rng = np.random.default_rng(83)
@@ -424,8 +432,8 @@ class TestRegionAttention:
         tape = Tape()
         query = tape.watch(Tensor(q, requires_grad=True))
         regions = Tensor(r)
-        out, _ = tx.region_attention(query, regions, Tensor(w_r, requires_grad=True))
-        grads = tape.backward(tx.sum_all(out))
+        out, _ = region_attention(query, regions, Tensor(w_r, requires_grad=True))
+        grads = tape.backward(total(out))
         assert regions.tape is None and regions not in grads
         assert grads[query].shape == q.shape
 
@@ -434,8 +442,135 @@ class TestRegionAttention:
         q, r, w_r = self.operands(rng, (2,))
         for args in ((q[0], r, w_r), (q, r[0], w_r), (q[:1], r, w_r), (q, r, w_r[:6]),
                      (q, r, w_r[:, :4])):
-            with pytest.raises(ShapeError):
-                tx.region_attention(*(Tensor(a) for a in args))
+            with pytest.raises(ShapeError, match="capsule_region_attention"):
+                region_attention(*(Tensor(a) for a in args))
+
+
+class TestCapsuleRegionAttention:
+    """Capsule pre-activations and region attention from one pass per grid."""
+
+    def operands(self, rng, lead):
+        # regions, w_cap, b_cap, query, w_r
+        return (rand(rng, *lead, 49, 7) * 0.5, rand(rng, 7, 4) * 0.5, rand(rng, 4) * 0.1,
+                rand(rng, *lead, 5), rand(rng, 7, 5) * 0.5)
+
+    def joint(self, lead):
+        def op(r, w, b, q, w_r):
+            s, out, _ = tx.capsule_region_attention(r, w, b, q, w_r)
+            return tx.concat([tx.reshape(s, lead + (49 * 4,)), out], axis=-1)
+
+        return op
+
+    def test_matches_separate_products(self):
+        rng = np.random.default_rng(85)
+        for lead in ((), (3,)):
+            r, w, b, q, w_r = self.operands(rng, lead)
+            s, out, weights = tx.capsule_region_attention(*(Tensor(a) for a in (r, w, b, q, w_r)))
+            np.testing.assert_allclose(s.data, r @ w + b, rtol=0, atol=1e-12)
+            want_out, want_weights = TestRegionAttention().explicit(q, r, w_r)
+            np.testing.assert_allclose(out.data, want_out, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(weights, want_weights, rtol=0, atol=1e-12)
+
+    def test_gradients(self):
+        # every input in float64, the regions as a tape leaf and as a constant
+        rng = np.random.default_rng(86)
+        for lead in ((), (3,)):
+            r, w, b, q, w_r = self.operands(rng, lead)
+            op = self.joint(lead)
+            fd_check(op, r, w, b, q, w_r)
+            fd_check(lambda w, b, q, w_r: op(Tensor(r), w, b, q, w_r), w, b, q, w_r)
+            # without a bias, and with the capsule half alone
+            fd_check(lambda r, w: tx.capsule_region_attention(r, w)[0], r, w)
+
+    def test_one_output_used(self):
+        # the second output hands its gradient to the first; each output
+        # alone still reaches every input it depends on
+        rng = np.random.default_rng(87)
+        r, w, b, q, w_r = self.operands(rng, (2,))
+        fd_check(lambda r, w, b: tx.capsule_region_attention(
+            r, w, b, Tensor(q), Tensor(w_r, requires_grad=True))[0], r, w, b)
+        fd_check(lambda r, q, w_r: tx.capsule_region_attention(
+            r, Tensor(w, requires_grad=True), Tensor(b), q, w_r)[1], r, q, w_r)
+
+    def test_taped_equals_untaped_bitwise(self):
+        rng = np.random.default_rng(88)
+        for dtype in (np.float64, np.float32):
+            arrays = [a.astype(dtype) for a in self.operands(rng, (3,))]
+            untaped = tx.capsule_region_attention(*(Tensor(a) for a in arrays))
+            tape = Tape()
+            taped = tx.capsule_region_attention(
+                *(tape.watch(Tensor(a, requires_grad=True)) for a in arrays))
+            assert taped[0].tape is tape and taped[1].tape is tape
+            for got, want in zip(taped, untaped):
+                got, want = plain(got), plain(want)
+                assert got.dtype == dtype
+                np.testing.assert_array_equal(got, want)
+
+    def test_batch_rows_equal_single_calls(self):
+        rng = np.random.default_rng(89)
+        r, w, b, q, w_r = self.operands(rng, (4,))
+        batch = tx.capsule_region_attention(*(Tensor(a) for a in (r, w, b, q, w_r)))
+        for i in range(4):
+            one = tx.capsule_region_attention(*(Tensor(a) for a in (r[i], w, b, q[i], w_r)))
+            np.testing.assert_allclose(batch[0].data[i], one[0].data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batch[1].data[i], one[1].data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batch[2][i], one[2], rtol=0, atol=1e-12)
+
+    def test_row_sources(self):
+        # grids given as arrays or as reading functions give the result of a
+        # regions tensor; untaped, every function after the first is handed
+        # the array the previous one returned, and under a tape None
+        rng = np.random.default_rng(90)
+        r, w, b, q, w_r = self.operands(rng, (3,))
+        want = tx.capsule_region_attention(*(Tensor(a) for a in (r, w, b, q, w_r)))
+        for taped in (False, True):
+            handed = []
+
+            def reader(i):
+                def read(out):
+                    handed.append(out)
+                    if out is None:
+                        out = np.empty((49, 7))
+                    out[...] = r[i]
+                    return out
+
+                return read
+
+            tape = Tape()
+            weights = [Tensor(a, requires_grad=taped) for a in (w, b, q, w_r)]
+            if taped:
+                weights = [tape.watch(t) for t in weights]
+            got = tx.capsule_region_attention([reader(0), r[1], reader(2)], *weights)
+            for g, x in zip(got, want):
+                np.testing.assert_array_equal(plain(g), plain(x))
+            assert handed[0] is None
+            assert (handed[1] is None) if taped else (handed[1] is not None)
+            if taped:
+                grads = tape.backward(total(got[1]))
+                want_tape = Tape()
+                watched = [want_tape.watch(Tensor(a, requires_grad=True)) for a in (w, b, q, w_r)]
+                out = tx.capsule_region_attention(Tensor(r), *watched)[1]
+                want_grads = want_tape.backward(total(out))
+                for t, u in zip(weights, watched):
+                    np.testing.assert_allclose(grads[t], want_grads[u], rtol=0, atol=1e-12)
+
+    def test_shape_errors(self):
+        rng = np.random.default_rng(91)
+        r, w, b, q, w_r = self.operands(rng, (2,))
+        bad = [
+            (r[0, 0], w, b, q, w_r),          # regions of rank 1
+            (r, w[:6], b, q, w_r),            # capsule weight too narrow
+            (r, w, b[:3], q, w_r),            # bias of the wrong width
+            (r, w, b, q[0], w_r),             # unbatched query for a batch
+            (r, None, b, q, w_r),             # a bias without a weight
+            (r, w, b, q, None),               # a query without w_r
+            (r, None, None, None, None),      # nothing to compute
+        ]
+        for args in bad:
+            with pytest.raises(ShapeError, match="capsule_region_attention"):
+                tx.capsule_region_attention(*(None if a is None else Tensor(a) for a in args))
+        with pytest.raises(ShapeError, match="grid 1"):
+            tx.capsule_region_attention([r[0], r[1, :48]], Tensor(w))
 
 
 class TestGRUSequence:
@@ -656,9 +791,9 @@ class TestTape:
         tape = Tape()
         a = tape.watch(Tensor(np.ones((2, 2), dtype=np.float64), requires_grad=True))
         frozen = Tensor(np.full((2, 2), 3.0, dtype=np.float64))
-        loss = tx.sum_all(tx.mul(a, frozen))
+        loss = total(tx.matmul(a, frozen))
         grads = tape.backward(loss)
-        np.testing.assert_allclose(grads[a], frozen.data)
+        np.testing.assert_allclose(grads[a], np.ones((2, 2)) @ frozen.data.T)
         assert frozen not in grads
         assert grads.get(frozen) is None
 
@@ -666,7 +801,7 @@ class TestTape:
         # y = sum(x) + sum(x) must give gradient 2 everywhere
         tape = Tape()
         x = tape.watch(Tensor(np.ones(4, dtype=np.float64), requires_grad=True))
-        s = tx.sum_all(x)
+        s = total(x)
         g = tape.backward(tx.add(s, s))[x]
         np.testing.assert_allclose(g, 2.0)
 
@@ -675,6 +810,6 @@ class TestTape:
 
         def net(a, b, c):
             h = tx.softmax(tx.matmul(a, b))
-            return tx.mean_pool(tx.mul(h, c))
+            return tx.mean_pool(tx.matmul(h, c))
 
-        fd_check(net, rand(rng, 4, 3), rand(rng, 3, 5), rand(rng, 4, 5))
+        fd_check(net, rand(rng, 4, 3), rand(rng, 3, 5), rand(rng, 5, 4))
