@@ -52,8 +52,8 @@ class ParamBuffer:
     Code outside the buffer may still rebind a tensor's ``data``. ``sync``
     finds such a tensor by identity, copies its values into its row and
     points ``data`` back there, so ``flat`` and ``blocks`` are current only
-    after a ``sync``. Rebinding to another shape or dtype is an
-    ``InternalError``.
+    after a ``sync``, which returns the buffer. Rebinding to another shape
+    or dtype is an ``InternalError``.
     """
 
     flat: np.ndarray
@@ -73,20 +73,7 @@ class ParamBuffer:
             shape = (len(group),) + group[0][1].data.shape
             blocks.append(flat[lo:lo + math.prod(shape)].reshape(shape))
             lo += blocks[-1].size
-        buffer = cls(flat, blocks, names, tensors, [row for b in blocks for row in b])
-        buffer.sync()
-        return buffer
-
-    @classmethod
-    def of(cls, params) -> "ParamBuffer":
-        """The synced buffer of a parameter set: its ``buffer``, or for a
-        set without one, such as a test double of plain tensors, one packed
-        from ``named_parameters()`` (one tensor per block) on first use."""
-        buffer = getattr(params, "buffer", None)
-        if buffer is None:
-            buffer = params.buffer = cls.pack([[item] for item in params.named_parameters()])
-        buffer.sync()
-        return buffer
+        return cls(flat, blocks, names, tensors, [row for b in blocks for row in b]).sync()
 
     def part(self, start: int, stop: int) -> "ParamBuffer":
         """Blocks ``start`` to ``stop - 1`` as a buffer of their own that
@@ -98,7 +85,7 @@ class ParamBuffer:
         return ParamBuffer(self.flat[lo:hi], self.blocks[start:stop], self.names[first:last],
                            self.tensors[first:last], self.views[first:last])
 
-    def sync(self) -> None:
+    def sync(self) -> "ParamBuffer":
         for name, t, view in zip(self.names, self.tensors, self.views):
             if t.data is not view:
                 if t.data.shape != view.shape or t.data.dtype != view.dtype:
@@ -108,6 +95,7 @@ class ParamBuffer:
                     )
                 view[...] = t.data
                 t.data = view
+        return self
 
 
 @dataclass
@@ -116,7 +104,7 @@ class MHAParams:
 
     Construction packs the heads of each role into one [H, d, d_head]
     block: each head's ``data`` becomes a row of its role's block, and the
-    attention op reads the blocks (``packed``)."""
+    attention op reads the blocks of the synced ``buffer``."""
 
     wq: list
     wk: list
@@ -137,11 +125,6 @@ class MHAParams:
             [(f"{name}[{h}]", w) for h, w in enumerate(role)]
             for name, role in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv))
         ])
-
-    def packed(self) -> ParamBuffer:
-        """The synced buffer whose blocks are wq, wk and wv, in that order."""
-        self.buffer.sync()
-        return self.buffer
 
     @property
     def head_count(self) -> int:
@@ -242,7 +225,7 @@ def multi_head(q: Tensor, k: Tensor, v: Tensor, params: MHAParams, mask=None, re
     projection afterwards. All heads run as one fused op; the per-head
     weights it returns ([(B,) n_q, n_kv] each) are detached values, not
     tape nodes."""
-    buffer = params.packed()
+    buffer = params.buffer.sync()
     out, weights = tx.multi_head_attention(
         q, k, v, buffer.blocks, buffer.tensors, mask=mask
     )

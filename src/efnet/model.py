@@ -298,10 +298,12 @@ def encode_visual(features, h_ta: Tensor, params: EFNetParams, mask=None, ids=No
     if not batch:
         regions = Tensor(sources[0](None) if callable(sources[0]) else sources[0])
     query = _region_query(h_ta, params.img_w_ta, params.img_w_r, mask)
-    s, h_att, weights = tx.capsule_region_attention(
-        sources if batch else regions, params.capsule.w, params.capsule.b, query,
-        params.img_w_r,
-    )
+    # a non-finite grid makes NaNs in the softmax, which the check below names
+    with np.errstate(invalid="ignore"):
+        s, h_att, weights = tx.capsule_region_attention(
+            sources if batch else regions, params.capsule.w, params.capsule.b, query,
+            params.img_w_r,
+        )
     if not np.isfinite(s.data).all():
         # NaN propagates and inf * 0 is NaN, so any non-finite region value
         # shows here; only then are the grids, which were not kept, scanned
@@ -381,28 +383,24 @@ def loss(predictions, labels, params, l2_lambda: float) -> Tensor:
     """Mean cross-entropy of the true-class probabilities, one
     ``tx.cross_entropy`` node, plus an L2 penalty over every named
     parameter, one dot product over the flat parameter buffer.
-    ``predictions`` holds probability vectors [3] or batches of them
-    [B, 3], with one label per vector. Probabilities are clamped at 1e-12
-    inside the log so a saturated softmax cannot produce a NaN."""
+    ``predictions`` is a list of one tensor: a probability vector [3] or a
+    batch of them [B, 3], with one label per vector. Probabilities are
+    clamped at 1e-12 inside the log so a saturated softmax cannot produce a
+    NaN."""
     if l2_lambda < 0.0:
         raise ConfigError(f"l2_lambda must be >= 0, got {l2_lambda}")
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if not labels.size or any(p.shape[-1] != NUM_CLASSES for p in predictions) \
-            or sum(p.data.size for p in predictions) != NUM_CLASSES * labels.size:
-        raise InputError("need one label per prediction, at least one of each")
+    if len(predictions) != 1 or not labels.size or predictions[0].shape[-1] != NUM_CLASSES \
+            or predictions[0].data.size != NUM_CLASSES * labels.size:
+        raise InputError("need one prediction tensor with one label per vector")
     values = labels.tolist()
     if min(values) < 0 or max(values) >= NUM_CLASSES:
         bad = next(label for label in values if not 0 <= label < NUM_CLASSES)
         raise InputError(f"label {bad} outside {{0, 1, 2}}")
-    if len(predictions) == 1:
-        probs = predictions[0]
-    else:
-        probs = tx.concat([tx.reshape(p, (p.data.size // NUM_CLASSES, NUM_CLASSES))
-                           for p in predictions], axis=0)
-    ce = tx.cross_entropy(probs, labels)
+    ce = tx.cross_entropy(predictions[0], labels)
     if l2_lambda == 0.0:
         return ce
-    buffer = ParamBuffer.of(params)
+    buffer = params.buffer.sync()
     reg = tx.sum_squares(buffer.tensors, buffer.flat)
     return tx.add(ce, tx.scale(reg, l2_lambda))
 
@@ -584,7 +582,7 @@ def load_checkpoint(path, params: EFNetParams) -> None:
             + (f"; unexpected {sorted(extra)}" if extra else "")
             + (f"; missing {sorted(missing)}" if missing else "")
         )
-    ParamBuffer.of(params)  # every p.data is its buffer view again
+    params.buffer.sync()  # every p.data is its buffer view again
     for name, p in named:
         if records[name].shape != p.data.shape:
             raise CheckpointMismatch(

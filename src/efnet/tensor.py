@@ -71,13 +71,17 @@ class Tensor:
 
 
 class _Node:
-    """One recorded operation: parent handles plus per-parent gradient rules."""
+    """One recorded operation: the node ids of its inputs that are on the
+    tape, their positions among its inputs, and one backward rule. The rule
+    maps the output gradient to a gradient, or None, for each input."""
 
-    __slots__ = ("parents", "grad_fns", "shape")
+    __slots__ = ("parents", "positions", "backward", "shape")
 
-    def __init__(self, parents: tuple[int, ...], grad_fns, shape):
+    def __init__(self, parents: tuple[int, ...], positions: tuple[int, ...],
+                 backward: Callable | None, shape):
         self.parents = parents
-        self.grad_fns = grad_fns
+        self.positions = positions
+        self.backward = backward
         self.shape = shape
 
 
@@ -99,7 +103,7 @@ class Tape:
         if t.tape is not None:
             raise TapeError("tensor is already recorded on a different tape")
         t.tape = self
-        t.node = self._append(_Node((), (), t.data.shape))
+        t.node = self._append(_Node((), (), None, t.data.shape))
         return t
 
     def _append(self, node: _Node) -> int:
@@ -118,8 +122,11 @@ class Tape:
             if grad is None:
                 continue
             node = self._nodes[idx]
-            for parent, fn in zip(node.parents, node.grad_fns):
-                g = fn(grad)
+            if not node.parents:
+                continue
+            grads = node.backward(grad)
+            for parent, pos in zip(node.parents, node.positions):
+                g = grads[pos]
                 if g is None:
                     continue
                 pshape = self._nodes[parent].shape
@@ -164,45 +171,25 @@ def _find_tape(inputs: Sequence[Tensor]) -> Tape | None:
     return tape
 
 
-def _record(tape: Tape, out: Tensor, inputs: Sequence[Tensor],
-            grad_fns: Sequence[Callable | None]) -> Tensor:
+def _record(tape: Tape, out: Tensor, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
     """Record an op on ``tape`` (from ``_find_tape``); lazily watch grad leaves.
 
+    ``backward(g)`` returns a gradient, or None, for each of ``inputs``; the
+    tape calls it once per pass and reads the entries of inputs on the tape.
     Ops call this only when some input lives on a tape, so untaped passes
     build no backward closures at all.
     """
-    for t in inputs:
+    parents, positions = [], []
+    for i, t in enumerate(inputs):
         if t.requires_grad and t.node is None:
             tape.watch(t)
-    parents = []
-    fns = []
-    for t, fn in zip(inputs, grad_fns):
-        if t.node is not None and fn is not None:
+        if t.node is not None:
             parents.append(t.node)
-            fns.append(fn)
+            positions.append(i)
     out.requires_grad = True
     out.tape = tape
-    out.node = tape._append(_Node(tuple(parents), tuple(fns), out.data.shape))
+    out.node = tape._append(_Node(tuple(parents), tuple(positions), backward, out.data.shape))
     return out
-
-
-def _joint(backward: Callable, count: int) -> list:
-    """Per-parent gradient rules sharing one joint backward computation.
-
-    ``backward(g)`` returns one gradient per parent. The tape calls a node's
-    rules back to back with the same ``g``, so it runs once per node.
-    """
-    memo = [None, None]
-
-    def part(i):
-        def fn(g):
-            if memo[0] is not g:
-                memo[0], memo[1] = g, backward(g)
-            return memo[1][i]
-
-        return fn
-
-    return [part(i) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +212,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if (tape := _find_tape((a, b))) is None:
         return out
     if ad.ndim == 1:
-        return _record(tape, out, (a, b), (lambda g: bd @ g, lambda g: np.outer(ad, g)))
-    return _record(tape, out, (a, b), (lambda g: g @ np.swapaxes(bd, -1, -2),
-                                       lambda g: np.swapaxes(ad, -1, -2) @ g))
+        return _record(tape, out, (a, b), lambda g: (bd @ g, np.outer(ad, g)))
+    return _record(tape, out, (a, b), lambda g: (g @ np.swapaxes(bd, -1, -2),
+                                                 np.swapaxes(ad, -1, -2) @ g))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -240,9 +227,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if (tape := _find_tape((a, b))) is None:
         return out
     if not bias:
-        return _record(tape, out, (a, b), (lambda g: g, lambda g: g))
+        return _record(tape, out, (a, b), lambda g: (g, g))
     n = b.shape[0]
-    return _record(tape, out, (a, b), (lambda g: g, lambda g: g.reshape(-1, n).sum(axis=0)))
+    return _record(tape, out, (a, b), lambda g: (g, g.reshape(-1, n).sum(axis=0)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -251,7 +238,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * c)
     if (tape := _find_tape((a,))) is None:
         return out
-    return _record(tape, out, (a,), (lambda g: g * c,))
+    return _record(tape, out, (a,), lambda g: (g * c,))
 
 
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -264,16 +251,12 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
         raise ShapeError(f"concat: cannot join [{shapes}] along axis {axis}: {e}") from None
     if (tape := _find_tape(parts)) is None:
         return out
-    ndim = out.data.ndim
-    ax = axis % ndim
-    fns = []
-    lo = 0
+    ax = axis % out.data.ndim
+    index, lo = [], 0
     for p in parts:
-        index = [slice(None)] * ndim
-        index[ax] = slice(lo, lo + p.shape[ax])
-        fns.append(lambda g, index=tuple(index): g[index])
+        index.append((slice(None),) * ax + (slice(lo, lo + p.shape[ax]),))
         lo += p.shape[ax]
-    return _record(tape, out, parts, fns)
+    return _record(tape, out, parts, lambda g: [g[i] for i in index])
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -284,7 +267,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     if (tape := _find_tape((a,))) is None:
         return out
     in_shape = a.shape
-    return _record(tape, out, (a,), (lambda g: g.reshape(in_shape),))
+    return _record(tape, out, (a,), lambda g: (g.reshape(in_shape),))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -294,7 +277,7 @@ def transpose(a: Tensor) -> Tensor:
     out = Tensor(np.swapaxes(a.data, -1, -2).copy())
     if (tape := _find_tape((a,))) is None:
         return out
-    return _record(tape, out, (a,), (lambda g: np.swapaxes(g, -1, -2),))
+    return _record(tape, out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def dropout(a: Tensor, rate: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -310,7 +293,7 @@ def dropout(a: Tensor, rate: float, train: bool, rng: np.random.Generator | None
     out = Tensor(a.data * factor)
     if (tape := _find_tape((a,))) is None:
         return out
-    return _record(tape, out, (a,), (lambda g: g * factor,))
+    return _record(tape, out, (a,), lambda g: (g * factor,))
 
 
 def _prepare_mask(mask, shape, axis):
@@ -350,10 +333,7 @@ def softmax(a: Tensor, axis: int = -1, mask=None) -> Tensor:
     if (tape := _find_tape((a,))) is None:
         return out
 
-    def fn(g):
-        return y * (g - (g * y).sum(axis=ax, keepdims=True))
-
-    return _record(tape, out, (a,), (fn,))
+    return _record(tape, out, (a,), lambda g: (y * (g - (g * y).sum(axis=ax, keepdims=True)),))
 
 
 def mean_pool(a: Tensor, mask=None) -> Tensor:
@@ -377,7 +357,7 @@ def mean_pool(a: Tensor, mask=None) -> Tensor:
     out = Tensor(np.matmul(weights[..., None, :], x)[..., 0, :])
     if (tape := _find_tape((a,))) is None:
         return out
-    return _record(tape, out, (a,), (lambda g: weights[..., :, None] * g[..., None, :],))
+    return _record(tape, out, (a,), lambda g: (weights[..., :, None] * g[..., None, :],))
 
 
 def cross_entropy(probs: Tensor, labels) -> Tensor:
@@ -408,12 +388,12 @@ def cross_entropy(probs: Tensor, labels) -> Tensor:
     if (tape := _find_tape((probs,))) is None:
         return out
 
-    def fn(g):
+    def backward(g):
         d = np.zeros_like(rows)
         d[at, idx] = np.where(picked >= floor, g * c / clamped, 0.0)
-        return d.reshape(p.shape)
+        return (d.reshape(p.shape),)
 
-    return _record(tape, out, (probs,), (fn,))
+    return _record(tape, out, (probs,), backward)
 
 
 def sum_squares(parts: Sequence[Tensor], flat: np.ndarray) -> Tensor:
@@ -430,8 +410,8 @@ def sum_squares(parts: Sequence[Tensor], flat: np.ndarray) -> Tensor:
     out = Tensor(np.asarray(np.vdot(flat, flat), dtype=parts[0].data.dtype))
     if (tape := _find_tape(parts)) is None:
         return out
-    return _record(tape, out, parts,
-                   [lambda g, d=p.data: g * 2.0 * d for p in parts])
+    data = [p.data for p in parts]
+    return _record(tape, out, parts, lambda g: [g * 2.0 * d for d in data])
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -454,12 +434,12 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     shape = table.shape
     flat = idx.reshape(-1)
 
-    def fn(g):
+    def backward(g):
         full = np.zeros(shape, dtype=g.dtype)
         np.add.at(full, flat, g.reshape(-1, shape[1]))
-        return full
+        return (full,)
 
-    return _record(tape, out, (table,), (fn,))
+    return _record(tape, out, (table,), backward)
 
 
 def squash_rows(a: Tensor) -> Tensor:
@@ -484,11 +464,11 @@ def squash_rows(a: Tensor) -> Tensor:
         nonzero, (1.0 - safe_u) / (2.0 * np.sqrt(safe_u) * (1.0 + safe_u) ** 2), 0.0
     ).astype(s.dtype)
 
-    def fn(g):
+    def backward(g):
         inner = (g * s).sum(axis=-1, keepdims=True)
-        return coef * g + 2.0 * dcoef * inner * s
+        return (coef * g + 2.0 * dcoef * inner * s,)
 
-    return _record(tape, out, (a,), (fn,))
+    return _record(tape, out, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +562,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.nd
             d_leaves.extend(np.matmul(x.T, d))
         return d_inputs + d_leaves
 
-    return _record(tape, out, inputs, _joint(backward, len(inputs))), weights
+    return _record(tape, out, inputs, backward), weights
 
 
 def capsule_region_attention(regions, w_cap: Tensor | None = None,
@@ -733,16 +713,16 @@ def capsule_region_attention(regions, w_cap: Tensor | None = None,
                           np.concatenate([pooled, d_qk]).T @ np.concatenate([g2, qd])]
         return grads
 
-    head = _record(tape, s_out if cap else out, inputs, _joint(backward, len(inputs)))
+    head = _record(tape, s_out if cap else out, inputs, backward)
     if not (cap and att):
         return s_out, out, weights
     zero, s_shape = np.zeros((), dtype=dtype), head.shape
 
     def hand_off(g):
         stash.append(g)
-        return np.broadcast_to(zero, s_shape)
+        return (np.broadcast_to(zero, s_shape),)
 
-    return s_out, _record(tape, out, (s_out,), (hand_off,)), weights
+    return s_out, _record(tape, out, (s_out,), hand_off), weights
 
 
 def _col_blocks(a: np.ndarray, count: int) -> list:
@@ -940,4 +920,4 @@ def _gru(name, x, h0, weights, reverse, context, mask) -> Tensor:
                 grads += [d_w_gate, recurrent[i], d_bias[j, i * d_h:(i + 1) * d_h]]
         return grads
 
-    return _record(tape, out, inputs, _joint(backward, len(inputs)))
+    return _record(tape, out, inputs, backward)

@@ -69,7 +69,7 @@ def adam_step(params: EFNetParams, grads, state: OptimizerState) -> None:
     have advanced). The padding embedding row is re-zeroed afterwards so
     index 0 never drifts away from zero.
     """
-    buffer = ParamBuffer.of(params)
+    buffer = params.buffer.sync()
     dtype = buffer.flat.dtype
     flat_grads = []
     for name, p in zip(buffer.names, buffer.tensors):

@@ -1,10 +1,17 @@
 import dataclasses
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import efnet
 from efnet.cli import RunConfig, main
 from efnet.data import (
     collate,
@@ -244,14 +251,17 @@ class TestTrainEval:
         assert "s0005.efvf" in capsys.readouterr().err
         assert (tmp_path / "run" / "metrics.csv").read_text() == METRICS_HEADER + "\n"
 
-    def test_non_finite_feature_grid_is_exit_2(self, tmp_path, capsys):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+    def test_non_finite_feature_grid_is_exit_2(self, tmp_path, capsys, bad_value):
         # the image stage checks its capsule pre-activations and names the
-        # sample and the file whose grid holds a NaN
+        # sample and the file whose grid holds a NaN or an infinity; numpy
+        # warns of nothing on the way there
         assert main(["synth", "--seed", "1", "--n", "10", "--out", str(tmp_path / "corpus"),
                      "--vocab", "20", "--embed-dim", "8"]) == 0
         bad = tmp_path / "corpus" / "features" / "s0005.efvf"
         values = load_image_features(bad).data.copy()
-        values[2, 3, 17] = np.nan
+        values[2, 3, 17] = bad_value
         write_image_features(bad, values)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG_TEMPLATE.format(text_only="false"))
@@ -308,6 +318,135 @@ class TestTrainEval:
         cfg.write_text("mystery = 1\n")
         assert main(["train", "--config", str(cfg), "--out", str(workdir / "z")]) == 2
         assert "mystery" in capsys.readouterr().err
+
+
+# `efnet train` in a child process that stops at one point and prints
+# "hold" there, so the parent's SIGKILL lands at that point every run.
+# argv[1] names the point: "write:N" is the N-th write of the second
+# checkpoint save (the first after an epoch), flushed so the temporary file
+# is half written; "batches:N" the N-th `make_batches` call; "step:N" the
+# N-th `adam_step` call.
+KILLABLE_TRAIN = """
+import builtins, sys, time
+from efnet import cli, model, train
+
+what, at = sys.argv.pop(1).split(":")
+counts = {"write": 0, "batches": 0, "step": 0, "save": 0}
+
+
+def tick(name, flush=None):
+    counts[name] += 1
+    if name == what and counts[name] == int(at):
+        if flush is not None:
+            flush()
+        print("hold")
+        time.sleep(60)
+
+
+class SaveFile:
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def write(self, data):
+        tick("write", self.fh.flush)
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+def save_open(path, mode="r", *args, **kwargs):
+    fh = builtins.open(path, mode, *args, **kwargs)
+    if mode != "wb":
+        return fh
+    counts["save"] += 1
+    return SaveFile(fh) if counts["save"] == 2 else fh
+
+
+def counted(name, fn):
+    def call(*args, **kwargs):
+        tick(name)
+        return fn(*args, **kwargs)
+    return call
+
+
+model.open = save_open
+train.make_batches = counted("batches", train.make_batches)
+train.adam_step = counted("step", train.adam_step)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestKill:
+    """SIGKILL `efnet train` during a save, between epochs and mid-epoch:
+    the best checkpoint still loads, metrics.csv holds whole rows of the
+    finished epochs, and a rerun over the leftovers ends as an unbroken
+    run does."""
+
+    STEPS = 5  # per epoch: 10 samples in batches of 2
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("kill")
+        assert main(["synth", "--seed", "1", "--n", "10", "--out", str(root / "corpus"),
+                     "--vocab", "20", "--embed-dim", "8"]) == 0
+        (root / "run.cfg").write_text(CONFIG_TEMPLATE.format(text_only="false")
+                                      .replace("batch_size = 8", "batch_size = 2"))
+        assert main(["train", "--config", str(root / "run.cfg"), "--out", str(root / "ref")]) == 0
+        return root
+
+    def kill_at(self, root, out, point, delay):
+        env = dict(os.environ, PYTHONPATH=str(Path(efnet.__file__).parents[1]))
+        child = subprocess.Popen(
+            [sys.executable, "-u", "-c", KILLABLE_TRAIN, point, "train",
+             "--config", str(root / "run.cfg"), "--out", str(out)],
+            cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+        try:
+            lines = []
+            for line in child.stdout:
+                lines.append(line)
+                if line == "hold\n":
+                    break
+            assert lines[-1:] == ["hold\n"], lines
+            time.sleep(delay)
+            child.send_signal(signal.SIGKILL)
+            assert child.wait(timeout=30) == -signal.SIGKILL
+        finally:
+            child.kill()
+            child.stdout.close()
+            child.wait()
+
+    @pytest.mark.parametrize("case", ["save", "between_epochs", "mid_epoch"])
+    def test_kill_leaves_a_loadable_checkpoint_and_whole_rows(self, runs, tmp_path, case):
+        rng = np.random.default_rng(["save", "between_epochs", "mid_epoch"].index(case))
+        point = {"save": f"write:{rng.integers(2, 40)}",
+                 # the third call: epoch 1's batches, its validation, epoch 2's
+                 "between_epochs": "batches:3",
+                 "mid_epoch": f"step:{self.STEPS + rng.integers(1, self.STEPS)}"}[case]
+        out = tmp_path / "run"
+        self.kill_at(runs, out, point, delay=rng.uniform(0.0, 0.01))
+        ref = runs / "ref"
+        tmp = out / "model.efck.tmp"
+        assert tmp.exists() == (case == "save")
+        if case == "save":
+            assert tmp.stat().st_size < (ref / "model.efck").stat().st_size
+        # epoch 1 finished before every kill point, epoch 2 did not
+        text = (out / "metrics.csv").read_text()
+        assert text.splitlines() == (ref / "metrics.csv").read_text().splitlines()[:2]
+        assert text.endswith("\n")
+        assert main(["eval", "--config", str(runs / "run.cfg"), "--checkpoint",
+                     str(out / "model.efck"), "--split", "test",
+                     "--out", str(tmp_path / "report.json")]) == 0
+        assert main(["train", "--config", str(runs / "run.cfg"), "--out", str(out)]) == 0
+        assert not tmp.exists()
+        for name in ("metrics.csv", "model.efck"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 class TestSweep:

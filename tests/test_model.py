@@ -25,7 +25,7 @@ from efnet import layers as ly
 from efnet import model as md
 from efnet import tensor as tx
 from efnet.data import FEATURE_SHAPE, FormatError, InputError
-from efnet.layers import ConfigError, MHAParams
+from efnet.layers import ConfigError, MHAParams, ParamBuffer
 from efnet.model import CheckpointMismatch, EFNetParams, InternalError, ModelConfig
 from efnet.tensor import ShapeError, Tape, Tensor
 
@@ -114,7 +114,7 @@ class TestParamBuffer:
         mhas = [params.ctx_mhsa, params.inter_ctx, params.fusion]
         mhas += [] if text_only else [params.inter_img]
         for mha in mhas:
-            blocks = mha.packed().blocks
+            blocks = mha.buffer.sync().blocks
             assert all(np.shares_memory(b, flat) for b in blocks)
             for block, role in zip(blocks, (mha.wq, mha.wk, mha.wv)):
                 assert block.shape == (len(role),) + role[0].shape
@@ -490,6 +490,13 @@ class TestClassify:
 
 
 class FakeParams(SimpleNamespace):
+    """Plain tensors as a parameter set, packed one tensor per block."""
+
+    def __init__(self, items):
+        super().__init__(items=items)
+        if items:
+            self.buffer = ParamBuffer.pack([[item] for item in items])
+
     def named_parameters(self):
         return self.items
 
@@ -521,7 +528,7 @@ class TestLoss:
         np.testing.assert_allclose(got.data, -math.log(1e-12), rtol=1e-6)
 
     def test_batch_mean(self):
-        preds = [Tensor(np.array([0.5, 0.25, 0.25])), self.one_hot(1)]
+        preds = [Tensor(np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0]]))]
         got = md.loss(preds, [0, 1], FakeParams(items=[]), 0.0)
         np.testing.assert_allclose(got.data, 0.5 * -math.log(0.5), rtol=1e-6)
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from conftest import fd_check, gru_reference, mha_loop_reference, rand, softmax_rows, total
 
+from efnet import layers as ly
 from efnet import tensor as tx
 from efnet.gradcheck import fd_gradient
-from efnet.layers import GRUParams
+from efnet.layers import GRUParams, MHAParams
 from efnet.tensor import MaskError, ShapeError, Tape, TapeError, Tensor
 
 
@@ -804,6 +805,56 @@ class TestTape:
         s = total(x)
         g = tape.backward(tx.add(s, s))[x]
         np.testing.assert_allclose(g, 2.0)
+
+    @staticmethod
+    def spy_rule(tape, out):
+        """Wrap the backward rule of the node that recorded ``out``; returns
+        the list that gets what the rule returns at each call."""
+        node = tape._nodes[out.node]
+        rule, returned = node.backward, []
+
+        def spy(g):
+            returned.append(rule(g))
+            return returned[-1]
+
+        node.backward = spy
+        return returned
+
+    def test_fused_rule_runs_once_per_backward(self):
+        # the attention op has 9 inputs on the tape (x three times and 6
+        # leaves), the Bi-GRU 20; each rule runs once per pass all the same
+        rng = np.random.default_rng(61)
+        tape = Tape()
+        x = tape.watch(Tensor(rand(rng, 2, 3, 8), requires_grad=True))
+        mha = MHAParams.create(rng, 2, 8, 8, 8, dtype=np.float64)
+        attended = ly.mhsa(x, mha)
+        gru = [GRUParams.create(rng, 16, 4, dtype=np.float64) for _ in range(2)]
+        states = ly.bigru_encode(attended, tx.mean_pool(attended), *gru)
+        assert [len(tape._nodes[t.node].parents) for t in (attended, states)] == [9, 20]
+        calls = [self.spy_rule(tape, t) for t in (attended, states)]
+        loss = total(states)
+        for passes in (1, 2):
+            grads = tape.backward(loss)
+            assert [len(c) for c in calls] == [passes, passes]
+        assert all(w in grads for w in mha.wq + mha.wk + mha.wv)
+
+    def test_rule_none_leaves_input_without_gradient(self):
+        # with only the capsule output used, the region op's rule gives None
+        # for the constant regions and for the query and w_r, which are on
+        # the tape as its parents but get no gradient
+        rng = np.random.default_rng(62)
+        tape = Tape()
+        regions = Tensor(rand(rng, 5, 6))
+        w_cap, b_cap, query, w_r = (tape.watch(Tensor(a, requires_grad=True))
+                                    for a in (rand(rng, 6, 4), rand(rng, 4), rand(rng, 3),
+                                              rand(rng, 6, 3)))
+        s, _, _ = tx.capsule_region_attention(regions, w_cap, b_cap, query, w_r)
+        assert len(tape._nodes[s.node].parents) == 4
+        returned = self.spy_rule(tape, s)
+        grads = tape.backward(total(s))
+        assert [g is None for g in returned[0]] == [True, False, False, True, True]
+        assert w_cap in grads and b_cap in grads
+        assert regions not in grads and query not in grads and w_r not in grads
 
     def test_chained_ops_full_check(self):
         rng = np.random.default_rng(59)

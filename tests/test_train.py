@@ -16,7 +16,7 @@ from efnet.data import (
     make_batches,
     synth_generate,
 )
-from efnet.layers import ConfigError
+from efnet.layers import ConfigError, ParamBuffer
 from efnet.model import InternalError
 from efnet.tensor import Tape, Tensor
 from efnet.train import (
@@ -32,6 +32,12 @@ from efnet.train import (
 
 
 class FakeParams(SimpleNamespace):
+    """Plain tensors as a parameter set, packed one tensor per block."""
+
+    def __init__(self, items, **fields):
+        super().__init__(items=items, buffer=ParamBuffer.pack([[item] for item in items]),
+                         **fields)
+
     def named_parameters(self):
         return self.items
 
@@ -208,8 +214,9 @@ class TestFlatAdam:
             np.testing.assert_array_equal(p.data, before[name], err_msg=name)
 
     def test_mixed_dtypes_rejected(self):
-        w = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+        w = Tensor(np.zeros(2), requires_grad=True)
         params = fake_model(w=w)
+        w.data = np.zeros(2, dtype=np.float32)
         grads = FakeGrads({id(params.embed): np.zeros((3, 2)), id(w): np.zeros(2, np.float32)})
         with pytest.raises(InternalError, match="parameter w is float32"):
             adam_step(params, grads, OptimizerState())
