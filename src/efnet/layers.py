@@ -130,10 +130,6 @@ class MHAParams:
     def head_count(self) -> int:
         return len(self.wq)
 
-    @property
-    def d_head(self) -> int:
-        return self.wq[0].shape[1]
-
     @classmethod
     def create(cls, rng, head_count: int, d_q: int, d_kv: int, d_model: int, dtype=DEFAULT_DTYPE):
         if head_count < 1:
@@ -204,9 +200,9 @@ class PositionTable:
         return cls(rows=Tensor(table, requires_grad=True), clip=clip)
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None, return_weights: bool = False):
-    """softmax(q k^T / sqrt(d_k)) v with optional key mask (True = attend).
-    Operands are [n, d], or [B, n, d] for a batch."""
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, return_weights: bool = False):
+    """softmax(q k^T / sqrt(d_k)) v. Operands are [n, d], or [B, n, d] for a
+    batch."""
     rank = q.data.ndim
     if rank not in (2, 3) or k.data.ndim != rank or v.data.ndim != rank:
         raise ShapeError("attention operands must be rank 2, or rank 3 with a batch axis")
@@ -215,7 +211,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None, return_weig
     if k.shape[:-1] != v.shape[:-1]:
         raise ShapeError(f"key count {k.shape[-2]} != value count {v.shape[-2]}")
     scores = tx.scale(tx.matmul(q, tx.transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
-    weights = tx.softmax(scores, axis=-1, mask=mask)
+    weights = tx.softmax(scores)
     out = tx.matmul(weights, v)
     return (out, weights) if return_weights else out
 
@@ -275,16 +271,15 @@ def bigru_encode(target_embeds: Tensor, aspect_embed: Tensor, fwd: GRUParams, bw
 
 def capsule_layer(regions: Tensor, params: CapsuleParams) -> Tensor:
     """Project each region row and squash it to a norm in [0, 1).
-    ``regions`` is [49, d_in], or [B, 49, d_in] for a batch. The projection
-    is the capsule half of ``tx.capsule_region_attention``, the op the
-    model's image stage runs."""
+    ``regions`` is [49, d_in], or [B, 49, d_in] for a batch. This is the
+    capsule half of ``tx.capsule_region_attention``, the op the model's
+    image stage runs."""
     d_in = params.w.shape[0]
     if regions.data.ndim not in (2, 3) or regions.shape[-2:] != (REGION_COUNT, d_in):
         raise ShapeError(
             f"capsule input must be [(B x) {REGION_COUNT} x {d_in}], got {regions.shape}"
         )
-    s, _, _ = tx.capsule_region_attention(regions, params.w, params.b)
-    return tx.squash_rows(s)
+    return tx.capsule_region_attention(regions, params.w, params.b)[0]
 
 
 def position_embeddings(span, n: int, table: PositionTable) -> Tensor:

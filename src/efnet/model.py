@@ -234,7 +234,7 @@ def _gru_items(prefix: str, params: GRUParams):
 def encode_context(word_embeds: Tensor, pos_embeds: Tensor, mask, params: MHAParams,
                    dropout_rate: float = 0.0, train: bool = False, rng=None):
     """Self-attend over [word, position] features; also return the masked mean."""
-    x = tx.concat([word_embeds, pos_embeds], axis=-1)
+    x = tx.concat([word_embeds, pos_embeds])
     x = tx.dropout(x, dropout_rate, train, rng)
     h_c = ly.mhsa(x, params, mask=mask)
     return h_c, tx.mean_pool(h_c, mask)
@@ -287,8 +287,8 @@ def encode_visual(features, h_ta: Tensor, params: EFNetParams, mask=None, ids=No
 
     Returns the squashed capsules [(B,) 49, K], the attended vector
     [(B,) att] and the region weights as a plain [(B,) 49] array. Non-finite
-    capsule pre-activations make this stage re-read the grids and raise an
-    ``InputError`` naming the first sample whose grid is not finite.
+    capsules make this stage re-read the grids and raise an ``InputError``
+    naming the first sample whose grid is not finite.
     """
     batch = isinstance(features, list)
     refs = features if batch else [features]
@@ -298,20 +298,20 @@ def encode_visual(features, h_ta: Tensor, params: EFNetParams, mask=None, ids=No
     if not batch:
         regions = Tensor(sources[0](None) if callable(sources[0]) else sources[0])
     query = _region_query(h_ta, params.img_w_ta, params.img_w_r, mask)
-    # a non-finite grid makes NaNs in the softmax, which the check below names
+    # a non-finite grid makes NaNs in the softmax and the squash, named below
     with np.errstate(invalid="ignore"):
-        s, h_att, weights = tx.capsule_region_attention(
+        v, h_att, weights = tx.capsule_region_attention(
             sources if batch else regions, params.capsule.w, params.capsule.b, query,
             params.img_w_r,
         )
-    if not np.isfinite(s.data).all():
-        # NaN propagates and inf * 0 is NaN, so any non-finite region value
-        # shows here; only then are the grids, which were not kept, scanned
+    if not np.isfinite(v.data).all():
+        # any non-finite region value ends as a NaN here (inf * 0, inf / inf);
+        # only then are the grids, which were not kept, scanned
         for sid, ref, src in zip(ids, refs, sources):
             if not np.isfinite(src(None) if callable(src) else src).all():
                 where = f"feature file {ref}" if callable(src) else "feature grid"
                 raise InputError(f"sample {sid}: {where} holds non-finite values")
-    return tx.squash_rows(s), h_att, weights
+    return v, h_att, weights
 
 
 def image_attention(h_ta: Tensor, r: Tensor, w_ta: Tensor, w_r: Tensor, mask=None):
@@ -363,7 +363,7 @@ def fuse(h_ta: Tensor, h_tac: Tensor, h_tai, h_avg_c: Tensor, h_att_i,
     parts = [h_avg_c, tx.mean_pool(h_taci, target_mask)]
     if h_att_i is not None:
         parts.append(h_att_i)
-    fused = tx.concat(parts, axis=-1)
+    fused = tx.concat(parts)
     fused = tx.dropout(fused, dropout_rate, train, rng)
     return (fused, weights) if return_weights else fused
 
@@ -376,7 +376,7 @@ def classify(fused: Tensor, w_o: Tensor, b_o: Tensor) -> ForwardOutput:
             f"classifier expects [(B x) {w_o.shape[0]}] input, got shape {fused.shape}"
         )
     logits = tx.add(tx.matmul(fused, w_o), b_o)
-    return ForwardOutput(probs=tx.softmax(logits, axis=-1), logits=logits)
+    return ForwardOutput(probs=tx.softmax(logits), logits=logits)
 
 
 def loss(predictions, labels, params, l2_lambda: float) -> Tensor:
@@ -471,7 +471,7 @@ def forward(sample, params: EFNetParams, config: ModelConfig, train: bool = Fals
 
         stage = "classify"
         out = classify(fused, params.cls_w, params.cls_b)
-    except (ShapeError, MaskError, TapeError, ConfigError, InputError) as e:
+    except (ShapeError, MaskError, TapeError, ConfigError, InputError, FloatingPointError) as e:
         raise type(e)(f"{stage}: {e}") from None
 
     if want_trace:

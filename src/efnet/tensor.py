@@ -10,6 +10,7 @@ own tape.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -43,17 +44,12 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "tape", "node")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if dtype is None and type(data) is np.ndarray:
-            dt = data.dtype
-            self.data = data if (dt == _F32 or dt == _F64) else data.astype(DEFAULT_DTYPE)
-        elif dtype is not None:
-            self.data = np.asarray(data, dtype=dtype)
-        elif isinstance(data, np.generic):
-            arr = np.asarray(data)
-            self.data = arr if arr.dtype in (_F32, _F64) else arr.astype(DEFAULT_DTYPE)
-        else:
-            self.data = np.asarray(data, dtype=DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False):
+        if type(data) is not np.ndarray:
+            # a numpy scalar keeps its dtype; anything else takes the default
+            data = np.asarray(data, None if isinstance(data, np.generic) else DEFAULT_DTYPE)
+        dt = data.dtype
+        self.data = data if dt == _F32 or dt == _F64 else data.astype(DEFAULT_DTYPE)
         self.requires_grad = requires_grad
         self.tape: Tape | None = None
         self.node: int | None = None
@@ -61,10 +57,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -241,22 +233,19 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record(tape, out, (a,), lambda g: (g * c,))
 
 
-def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate along ``axis`` (last axis by default; axis 0 stacks rows)."""
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Concatenate along the last axis."""
     parts = list(parts)
     try:
-        out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+        out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
     except ValueError as e:
         shapes = ", ".join(str(p.shape) for p in parts)
-        raise ShapeError(f"concat: cannot join [{shapes}] along axis {axis}: {e}") from None
+        raise ShapeError(f"concat: cannot join [{shapes}] along the last axis: {e}") from None
     if (tape := _find_tape(parts)) is None:
         return out
-    ax = axis % out.data.ndim
-    index, lo = [], 0
-    for p in parts:
-        index.append((slice(None),) * ax + (slice(lo, lo + p.shape[ax]),))
-        lo += p.shape[ax]
-    return _record(tape, out, parts, lambda g: [g[i] for i in index])
+    bounds = [0, *itertools.accumulate(p.shape[-1] for p in parts)]
+    spans = list(zip(bounds, bounds[1:]))
+    return _record(tape, out, parts, lambda g: [g[..., lo:hi] for lo, hi in spans])
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -296,44 +285,18 @@ def dropout(a: Tensor, rate: float, train: bool, rng: np.random.Generator | None
     return _record(tape, out, (a,), lambda g: (g * factor,))
 
 
-def _prepare_mask(mask, shape, axis):
-    m = np.asarray(mask)
-    if m.dtype != np.bool_:
-        raise ShapeError("mask must be boolean")
-    if m.shape == shape:
-        return m
-    if m.ndim == 1 and m.shape[0] == shape[axis] and axis == len(shape) - 1:
-        return np.broadcast_to(m, shape)
-    raise ShapeError(f"mask shape {m.shape} does not fit tensor shape {shape}")
-
-
-def softmax(a: Tensor, axis: int = -1, mask=None) -> Tensor:
-    """Normalized exponentials along ``axis``, computed with max-subtraction.
-
-    ``mask`` marks entries to keep (True); masked positions come out exactly
-    zero and each unmasked group sums to one. A fully masked group is an
-    error rather than a NaN.
-    """
+def softmax(a: Tensor) -> Tensor:
+    """Normalized exponentials along the last axis, computed with
+    max-subtraction."""
     x = a.data
-    ax = axis if axis >= 0 else x.ndim + axis
-    if not 0 <= ax < x.ndim:
-        raise ShapeError(f"softmax: axis {axis} out of range for shape {x.shape}")
-    if mask is not None:
-        m = _prepare_mask(mask, x.shape, ax)
-        if not m.any(axis=ax).all():
-            raise MaskError("softmax: a group is fully masked")
-        neg = np.array(-np.inf, dtype=x.dtype)
-        shifted = np.where(m, x, neg) - np.where(m, x, neg).max(axis=ax, keepdims=True)
-        e = np.where(m, np.exp(np.where(m, shifted, 0.0)), 0.0).astype(x.dtype)
-    else:
-        shifted = x - x.max(axis=ax, keepdims=True)
-        e = np.exp(shifted)
-    y = e / e.sum(axis=ax, keepdims=True)
+    if x.ndim < 1:
+        raise ShapeError(f"softmax: expected rank >= 1, got shape {x.shape}")
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
     if (tape := _find_tape((a,))) is None:
         return out
-
-    return _record(tape, out, (a,), lambda g: (y * (g - (g * y).sum(axis=ax, keepdims=True)),))
+    return _record(tape, out, (a,), lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),))
 
 
 def mean_pool(a: Tensor, mask=None) -> Tensor:
@@ -442,35 +405,6 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _record(tape, out, (table,), backward)
 
 
-def squash_rows(a: Tensor) -> Tensor:
-    """Capsule squash per row (last axis): v = (|s|^2 / (1 + |s|^2)) * s / |s|.
-
-    Output row norms lie in [0, 1) and directions are preserved; a zero
-    input row maps to a zero output row (with zero gradient there).
-    """
-    if a.data.ndim < 2:
-        raise ShapeError(f"squash_rows: expected rank >= 2, got shape {a.shape}")
-    s = a.data
-    u = (s * s).sum(axis=-1, keepdims=True)
-    coef = np.sqrt(u) / (1.0 + u)  # 0 for a zero row
-    out = Tensor(coef * s)
-    if (tape := _find_tape((a,))) is None:
-        return out
-
-    nonzero = u > 0
-    safe_u = np.where(nonzero, u, 1.0)
-    # d(coef)/d(u) for the chain through u = |s|^2
-    dcoef = np.where(
-        nonzero, (1.0 - safe_u) / (2.0 * np.sqrt(safe_u) * (1.0 + safe_u) ** 2), 0.0
-    ).astype(s.dtype)
-
-    def backward(g):
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        return (coef * g + 2.0 * dcoef * inner * s,)
-
-    return _record(tape, out, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # fused layers: one tape node each, with hand-written backward rules
 
@@ -568,17 +502,20 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.nd
 def capsule_region_attention(regions, w_cap: Tensor | None = None,
                              b_cap: Tensor | None = None, query: Tensor | None = None,
                              w_r: Tensor | None = None):
-    """Capsule pre-activations and one query's attention over the same region
+    """Squashed capsules and one query's attention over the same region
     grids, as one op that reads each grid once.
 
-    For a grid r [n, C] the capsule pre-activations are r w_cap + b_cap,
-    [n, K]. The query q [a] attends over the projected regions as
-    softmax(q (r w_r)^T / sqrt(a)) (r w_r), without forming the [n, a] keys:
-    the key projection folds into the query, q~ = w_r q [C], and is applied
-    once after pooling, so the output is (weights r) w_r (the weight
-    absorption of DeepSeek-V2, arXiv:2405.04434). The capsule product and
-    the scores are one product, [w_cap^T; q~] r^T [K + 1, n], followed by the
-    softmax and the pooled regions, all while the grid is in cache.
+    For a grid r [n, C] the capsules are the rows of s = r w_cap + b_cap
+    [n, K], each squashed to v = |s|^2 / (1 + |s|^2) s / |s| (Sabour et al.
+    2017, arXiv:1710.09829): row norms lie in [0, 1), directions are kept,
+    and a zero row stays zero, with zero gradient there. The query q [a]
+    attends over the projected regions as softmax(q (r w_r)^T / sqrt(a))
+    (r w_r), without forming the [n, a] keys: the key projection folds into
+    the query, q~ = w_r q [C], and is applied once after pooling, so the
+    output is (weights r) w_r (the weight absorption of DeepSeek-V2,
+    arXiv:2405.04434). The capsule product and the scores are one product,
+    [w_cap^T; q~] r^T [K + 1, n], followed by the softmax and the pooled
+    regions, all while the grid is in cache.
 
     ``regions`` is a tensor, [n, C] with ``query`` [a] or [B, n, C] with
     [B, a], or a list of B grids: each an [n, C] array, used as it is, or a
@@ -587,7 +524,7 @@ def capsule_region_attention(regions, w_cap: Tensor | None = None,
     storage. Without a tape one such array serves every row, so no
     [B, n, C] array is formed; under a tape each row keeps its own, for the
     backward pass. Either half may be left out: ``w_cap`` (and ``b_cap``) or
-    ``query`` with ``w_r``. Returns the pre-activations [(B,) n, K], the
+    ``query`` with ``w_r``. Returns the squashed capsules [(B,) n, K], the
     attended vector [(B,) a] and the region weights as a plain [(B,) n]
     array, with None for a half left out. The two outputs are two tape
     nodes; the second hands its gradient to the first, which runs the joint
@@ -656,11 +593,15 @@ def capsule_region_attention(regions, w_cap: Tensor | None = None,
         if tape is not None:
             kept.append(r)
     lead = (b,) if batched else ()
-    s_out = Tensor(s.reshape(lead + s.shape[1:])) if cap else None
+    if cap:
+        s = s.reshape(lead + s.shape[1:])
+        u = (s * s).sum(axis=-1, keepdims=True)
+        coef = np.sqrt(u) / (1.0 + u)  # 0 for a zero row
+    v_out = Tensor(coef * s) if cap else None
     out = Tensor((pooled @ wd).reshape(query.shape)) if att else None
     weights = attn.reshape(lead + (n,)) if att else None
     if tape is None:
-        return s_out, out, weights
+        return v_out, out, weights
     # backward rules hold arrays and shapes, never tensors, so nothing on
     # the tape points back at it
     r_shape = regions.shape if isinstance(regions, Tensor) else None
@@ -668,9 +609,19 @@ def capsule_region_attention(regions, w_cap: Tensor | None = None,
     q_shape = query.shape if att else None
     has_bias = b_cap is not None
     stash = []
+    if cap:
+        nonzero = u > 0
+        safe_u = np.where(nonzero, u, 1.0)
+        # d(coef)/d(u) for the chain through u = |s|^2
+        dcoef = np.where(
+            nonzero, (1.0 - safe_u) / (2.0 * np.sqrt(safe_u) * (1.0 + safe_u) ** 2), 0.0
+        ).astype(dtype)
 
     def backward(g):
-        g_s = g.reshape(b, n, k) if cap else None
+        if cap:
+            # through the squash to the pre-activations
+            inner = (g * s).sum(axis=-1, keepdims=True)
+            g_s = (coef * g + 2.0 * dcoef * inner * s).reshape(b, n, k)
         g_out = (stash.pop() if stash else None) if cap else g
         m = k + (g_out is not None)
         if g_out is not None:
@@ -713,16 +664,16 @@ def capsule_region_attention(regions, w_cap: Tensor | None = None,
                           np.concatenate([pooled, d_qk]).T @ np.concatenate([g2, qd])]
         return grads
 
-    head = _record(tape, s_out if cap else out, inputs, backward)
+    head = _record(tape, v_out if cap else out, inputs, backward)
     if not (cap and att):
-        return s_out, out, weights
-    zero, s_shape = np.zeros((), dtype=dtype), head.shape
+        return v_out, out, weights
+    zero, v_shape = np.zeros((), dtype=dtype), head.shape
 
     def hand_off(g):
         stash.append(g)
-        return (np.broadcast_to(zero, s_shape),)
+        return (np.broadcast_to(zero, v_shape),)
 
-    return s_out, _record(tape, out, (s_out,), hand_off), weights
+    return v_out, _record(tape, out, (v_out,), hand_off), weights
 
 
 def _col_blocks(a: np.ndarray, count: int) -> list:

@@ -202,13 +202,15 @@ def train(params: EFNetParams, table, train_samples, val_samples,
     Appends one metrics row per epoch (train loss with the validation
     accuracy and macro-F1) to ``log_path`` as soon as the epoch ends, so a
     crash keeps the rows of finished epochs, and retains the checkpoint
-    with the best validation accuracy. Each batch is one forward over all
-    of its rows. Returns the best validation report, or None when
-    no epoch ran. ``on_epoch``, when given, receives each formatted row;
-    ``stop_accuracy`` ends the run early once validation accuracy reaches
-    the threshold. A negative ``epochs``, a ``batch_size`` below 1, or an
-    ``lr`` that is not finite and greater than 0, is an ``InputError``
-    before anything is written.
+    with the best validation accuracy. The first epoch's row starts a new
+    log and its save is the first, so a rerun keeps an earlier run's files
+    until it has its own (0 epochs write the untrained model and a header).
+    Each batch is one forward over all of its rows. Returns the best
+    validation report, or None when no epoch ran. ``on_epoch``, when given,
+    receives each formatted row; ``stop_accuracy`` ends the run early once
+    validation accuracy reaches the threshold. A negative ``epochs``, a
+    ``batch_size`` below 1, or an ``lr`` that is not finite and greater
+    than 0, is an ``InputError`` before anything is written.
     """
     if epochs < 0:
         raise InputError(f"train: epochs must be >= 0, got {epochs}")
@@ -219,11 +221,13 @@ def train(params: EFNetParams, table, train_samples, val_samples,
     rng = np.random.default_rng(config.seed)
     state = OptimizerState(lr=lr)
     named = params.named_parameters()
-    if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, params)
-    if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as fh:
-            fh.write(METRICS_HEADER + "\n")
+    if epochs == 0:
+        if checkpoint_path is not None:
+            save_checkpoint(checkpoint_path, params)
+        if log_path is not None:
+            with open(log_path, "w", encoding="utf-8") as fh:
+                fh.write(METRICS_HEADER + "\n")
+        return None
     best = None
     best_accuracy = -1.0
     for epoch in range(1, epochs + 1):
@@ -235,10 +239,13 @@ def train(params: EFNetParams, table, train_samples, val_samples,
             tape = Tape()
             for _, p in named:
                 tape.watch(p)
+            draws = rng.bit_generator.state
             out = forward(batch, params, config, train=True, rng=rng)
             value = batch_loss([out.probs], batch.labels, params, config.l2_lambda)
             if not np.isfinite(value.data):
-                raise TrainError(f"non-finite loss at epoch {epoch}, batch {at}")
+                rng.bit_generator.state = draws
+                raise TrainError(f"non-finite loss at epoch {epoch}, batch {at} (samples "
+                                 f"{', '.join(batch.ids)}): {_replay(batch, params, config, rng)}")
             grads = tape.backward(value)
             adam_step(params, grads, state)
             _release(params)
@@ -248,8 +255,8 @@ def train(params: EFNetParams, table, train_samples, val_samples,
         row = (f"{epoch},val,{total / seen:.6f},"
                f"{report.accuracy:.6f},{report.macro_f1:.6f}")
         if log_path is not None:
-            with open(log_path, "a", encoding="utf-8") as fh:
-                fh.write(row + "\n")
+            with open(log_path, "a" if epoch > 1 else "w", encoding="utf-8") as fh:
+                fh.write((METRICS_HEADER + "\n" if epoch == 1 else "") + row + "\n")
         if on_epoch is not None:
             on_epoch(row)
         if report.accuracy > best_accuracy:
@@ -260,6 +267,23 @@ def train(params: EFNetParams, table, train_samples, val_samples,
         if stop_accuracy is not None and report.accuracy >= stop_accuracy:
             break
     return best
+
+
+def _replay(batch, params, config, rng) -> str:
+    """Where a batch's non-finite loss began: its forward and loss rerun
+    with numpy's floating-point errors raised. A non-finite value made from
+    finite ones is an overflow, an invalid operation or a division by zero,
+    so the first error names the stage where one first appeared."""
+    _release(params)
+    where = ""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = forward(batch, params, config, train=True, rng=rng)
+            where = "loss: "
+            batch_loss([out.probs], batch.labels, params, config.l2_lambda)
+    except FloatingPointError as e:
+        return f"first non-finite value in {where}{e}"
+    return "no operation made one from finite values; an input or a parameter holds one"
 
 
 def head_sweep(table, train_samples, val_samples, base_config: ModelConfig,

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -249,7 +250,7 @@ class TestTrainEval:
         capsys.readouterr()
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert "s0005.efvf" in capsys.readouterr().err
-        assert (tmp_path / "run" / "metrics.csv").read_text() == METRICS_HEADER + "\n"
+        assert not (tmp_path / "run" / "metrics.csv").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
@@ -366,7 +367,7 @@ def save_open(path, mode="r", *args, **kwargs):
     if mode != "wb":
         return fh
     counts["save"] += 1
-    return SaveFile(fh) if counts["save"] == 2 else fh
+    return SaveFile(fh) if counts["save"] == 1 else fh
 
 
 def counted(name, fn):
@@ -387,7 +388,8 @@ class TestKill:
     """SIGKILL `efnet train` during a save, between epochs and mid-epoch:
     the best checkpoint still loads, metrics.csv holds whole rows of the
     finished epochs, and a rerun over the leftovers ends as an unbroken
-    run does."""
+    run does. A rerun killed before its first epoch ends leaves the
+    earlier run's files as they were."""
 
     STEPS = 5  # per epoch: 10 samples in batches of 2
 
@@ -430,8 +432,11 @@ class TestKill:
                  "between_epochs": "batches:3",
                  "mid_epoch": f"step:{self.STEPS + rng.integers(1, self.STEPS)}"}[case]
         out = tmp_path / "run"
-        self.kill_at(runs, out, point, delay=rng.uniform(0.0, 0.01))
         ref = runs / "ref"
+        if case == "save":
+            # the first save replaces an earlier run's checkpoint
+            shutil.copytree(ref, out)
+        self.kill_at(runs, out, point, delay=rng.uniform(0.0, 0.01))
         tmp = out / "model.efck.tmp"
         assert tmp.exists() == (case == "save")
         if case == "save":
@@ -447,6 +452,13 @@ class TestKill:
         assert not tmp.exists()
         for name in ("metrics.csv", "model.efck"):
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+    def test_rerun_killed_before_its_first_epoch_keeps_earlier_files(self, runs, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(runs / "ref", out)
+        self.kill_at(runs, out, "batches:1", delay=0.0)
+        for name in ("metrics.csv", "model.efck"):
+            assert (out / name).read_bytes() == (runs / "ref" / name).read_bytes(), name
 
 
 class TestSweep:

@@ -14,7 +14,7 @@ from efnet.layers import (
     MHAParams,
     PositionTable,
 )
-from efnet.tensor import MaskError, ShapeError, Tape, Tensor
+from efnet.tensor import ShapeError, Tape, Tensor
 
 
 def mha_create(rng, heads, d_q, d_kv, d_model):
@@ -51,18 +51,13 @@ class TestScaledDotAttention:
         rng = np.random.default_rng(1)
         for _ in range(20):
             nq, nk, d = rng.integers(1, 7, size=3)
-            mask = rng.random(nk) < 0.7
-            if not mask.any():
-                mask[0] = True
             _, w = ly.scaled_dot_attention(
                 Tensor(rand(rng, nq, d)),
                 Tensor(rand(rng, nk, d)),
                 Tensor(rand(rng, nk, d)),
-                mask=mask,
                 return_weights=True,
             )
             np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, atol=1e-6)
-            assert (w.data[:, ~mask] == 0.0).all()
 
     def test_errors(self):
         rng = np.random.default_rng(2)
@@ -73,17 +68,10 @@ class TestScaledDotAttention:
         v2 = Tensor(rand(rng, 3, 3))
         with pytest.raises(ShapeError, match="count"):
             ly.scaled_dot_attention(q, k2, v2)
-        with pytest.raises(MaskError):
-            ly.scaled_dot_attention(q, k2, Tensor(rand(rng, 4, 2)), mask=np.zeros(4, dtype=bool))
 
     def test_gradients(self):
         rng = np.random.default_rng(3)
         fd_check(ly.scaled_dot_attention, rand(rng, 3, 4), rand(rng, 5, 4), rand(rng, 5, 2))
-        mask = np.array([True, False, True, True, False])
-        fd_check(
-            lambda q, k, v: ly.scaled_dot_attention(q, k, v, mask=mask),
-            rand(rng, 3, 4), rand(rng, 5, 4), rand(rng, 5, 2),
-        )
 
 
 class TestMultiHead:

@@ -295,7 +295,7 @@ class TestEncodeVisual:
             p = SimpleNamespace(capsule=ly.CapsuleParams(w=w_cap, b=b_cap), img_w_ta=w_ta,
                                 img_w_r=w_r)
             h_i, h_att, _ = md.encode_visual(features, h, p, mask=mask)
-            return tx.concat([tx.reshape(h_i, lead + (49 * 4,)), h_att], axis=-1)
+            return tx.concat([tx.reshape(h_i, lead + (49 * 4,)), h_att])
 
         fd_check(op, rand(rng, *lead, 3, 16) * 0.5, rand(rng, 16, 8) * 0.5,
                  rand(rng, 6, 4) * 0.5, rand(rng, 4) * 0.1, rand(rng, 6, 8) * 0.5)

@@ -465,6 +465,49 @@ class TestTrain:
         with pytest.raises(TrainError, match=r"epoch 1, batch 0"):
             train(params, table, samples, samples, cfg, epochs=1, batch_size=4)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_names_stage_and_samples(self, tmp_path, monkeypatch):
+        # one parameter driven into overflow: the capsule squash in the
+        # image stage is the first to make a non-finite value
+        table, samples = synth_corpus(tmp_path)
+        cfg = corpus_config(dropout=0.2)
+        params = corpus_params(cfg, table)
+        w = params.capsule.w.data
+        w[...] = np.finfo(w.dtype).max ** 0.75
+        first = make_batches(samples, table, batch_size=4, max_len=cfg.max_len,
+                             text_only=False, rng=np.random.default_rng(cfg.seed))[0]
+        draws = []
+
+        def spy(*args, rng, **kwargs):
+            draws.append(rng.bit_generator.state)
+            return md.forward(*args, rng=rng, **kwargs)
+
+        monkeypatch.setattr(tr, "forward", spy)
+        with pytest.raises(TrainError) as caught:
+            train(params, table, samples, samples, cfg, epochs=1, batch_size=4)
+        assert str(caught.value).startswith(
+            f"non-finite loss at epoch 1, batch 0 (samples {', '.join(first.ids)}): "
+            "first non-finite value in encode_visual: overflow encountered in ")
+        # the replay draws the failing forward's dropout masks, off the tape
+        assert len(draws) == 2 and draws[0] == draws[1]
+        assert all(p.tape is None for _, p in params.named_parameters())
+
+    def test_failed_first_epoch_leaves_earlier_files(self, tmp_path):
+        # nothing is written before the first epoch ends, so a run that
+        # fails in it keeps what an earlier run left
+        table, samples = synth_corpus(tmp_path, rule="none")
+        cfg = corpus_config(text_only=True)
+        params = corpus_params(cfg, table)
+        log, ck = tmp_path / "metrics.csv", tmp_path / "model.efck"
+        log.write_text("earlier log\n")
+        ck.write_bytes(b"earlier checkpoint")
+        params.cls_b.data[:] = np.nan
+        with pytest.raises(TrainError, match=r"epoch 1, batch 0 .*an input or a parameter"):
+            train(params, table, samples, samples, cfg, epochs=1, batch_size=4,
+                  checkpoint_path=ck, log_path=log)
+        assert log.read_text() == "earlier log\n"
+        assert ck.read_bytes() == b"earlier checkpoint"
+
     def test_stop_accuracy_short_circuits(self, tmp_path):
         table, samples = synth_corpus(tmp_path, rule="none")
         cfg = corpus_config(text_only=True)
