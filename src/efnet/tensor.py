@@ -439,13 +439,15 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.nd
         )
     rank = q.data.ndim
     if rank not in (2, 3) or k.data.ndim != rank or v.data.ndim != rank:
-        raise ShapeError("attention operands must be rank 2, or rank 3 with a batch axis")
+        raise ShapeError("multi_head_attention: attention operands must be rank 2, "
+                         "or rank 3 with a batch axis")
     b = q.shape[0] if rank == 3 else 1
     n_q, n_kv = q.shape[-2], k.shape[-2]
     if k.shape[:-2] != q.shape[:-2] or v.shape[:-2] != q.shape[:-2]:
-        raise ShapeError(f"batch sizes differ: {q.shape}, {k.shape}, {v.shape}")
+        raise ShapeError("multi_head_attention: batch sizes differ: "
+                         f"{q.shape}, {k.shape}, {v.shape}")
     if v.shape[-2] != n_kv:
-        raise ShapeError(f"key count {n_kv} != value count {v.shape[-2]}")
+        raise ShapeError(f"multi_head_attention: key count {n_kv} != value count {v.shape[-2]}")
     q2, k2, v2 = q.data, k.data, v.data
     if rank == 3:
         # the batch folds into the rows of each projection
@@ -469,7 +471,8 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.nd
         want = ((n_kv,), (n_q, n_kv)) if rank == 2 else ((b, n_kv), (b, n_q, n_kv))
         if m.dtype != np.bool_ or m.shape not in want:
             raise ShapeError(
-                f"mask must be boolean of shape {' or '.join(map(str, want))}, got {m.shape}"
+                f"multi_head_attention: mask must be boolean of shape "
+                f"{' or '.join(map(str, want))}, got {m.shape}"
             )
         if not m.any(axis=-1).all():
             raise MaskError("multi_head_attention: a query has every key masked")

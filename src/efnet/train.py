@@ -98,21 +98,23 @@ def adam_step(params: EFNetParams, grads, state: OptimizerState) -> None:
     c1 = 1.0 - state.beta1 ** state.t
     c2 = 1.0 - state.beta2 ** state.t
     # in-place forms of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
-    # p - lr (m / c1) / (sqrt(v / c2) + eps), rounding for rounding
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    g *= g
-    g *= 1.0 - state.beta2
-    v *= state.beta2
-    v += g
-    step = m / c1
-    step *= state.lr
-    root = v / c2
-    np.sqrt(root, out=root)
-    # epsilon sits outside the square root
-    root += state.eps
-    step /= root
-    updated = np.subtract(buffer.flat, step, out=step)
+    # p - lr (m / c1) / (sqrt(v / c2) + eps), rounding for rounding; a
+    # non-finite update is named below, so numpy need not warn of it
+    with np.errstate(all="ignore"):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        g *= g
+        g *= 1.0 - state.beta2
+        v *= state.beta2
+        v += g
+        step = m / c1
+        step *= state.lr
+        root = v / c2
+        np.sqrt(root, out=root)
+        # epsilon sits outside the square root
+        root += state.eps
+        step /= root
+        updated = np.subtract(buffer.flat, step, out=step)
     if not np.isfinite(updated).all():
         raise TrainError(
             f"non-finite update for parameter {_first_non_finite(updated, buffer)}"
@@ -240,13 +242,17 @@ def train(params: EFNetParams, table, train_samples, val_samples,
             for _, p in named:
                 tape.watch(p)
             draws = rng.bit_generator.state
-            out = forward(batch, params, config, train=True, rng=rng)
-            value = batch_loss([out.probs], batch.labels, params, config.l2_lambda)
-            if not np.isfinite(value.data):
-                rng.bit_generator.state = draws
-                raise TrainError(f"non-finite loss at epoch {epoch}, batch {at} (samples "
-                                 f"{', '.join(batch.ids)}): {_replay(batch, params, config, rng)}")
-            grads = tape.backward(value)
+            # a non-finite loss is named here, with the replay's stage, and a
+            # non-finite gradient by adam_step, so numpy need not warn of them
+            with np.errstate(all="ignore"):
+                out = forward(batch, params, config, train=True, rng=rng)
+                value = batch_loss([out.probs], batch.labels, params, config.l2_lambda)
+                if not np.isfinite(value.data):
+                    rng.bit_generator.state = draws
+                    raise TrainError(
+                        f"non-finite loss at epoch {epoch}, batch {at} (samples "
+                        f"{', '.join(batch.ids)}): {_replay(batch, params, config, rng)}")
+                grads = tape.backward(value)
             adam_step(params, grads, state)
             _release(params)
             total += float(value.data) * len(batch)

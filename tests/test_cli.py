@@ -252,7 +252,6 @@ class TestTrainEval:
         assert "s0005.efvf" in capsys.readouterr().err
         assert not (tmp_path / "run" / "metrics.csv").exists()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
     def test_non_finite_feature_grid_is_exit_2(self, tmp_path, capsys, bad_value):
         # the image stage checks its capsule pre-activations and names the
@@ -272,6 +271,23 @@ class TestTrainEval:
         assert re.search(r"error: encode_visual: sample s0005: feature file \S*s0005\.efvf "
                          r"holds non-finite values", err), err
         assert "Traceback" not in err
+
+    def test_non_finite_loss_is_one_error_line(self, workdir, tmp_path):
+        # an update that overflows the parameters: the run stops with one
+        # line naming the batch and the stage, and numpy warns of nothing
+        corpus = (workdir / "corpus").resolve()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(text_only="false")
+                       .replace("corpus/", f"{corpus}/").replace("lr = 0.003", "lr = 1e30"))
+        env = dict(os.environ, PYTHONPATH=str(Path(efnet.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "efnet.cli", "train", "--config", str(cfg),
+             "--out", str(tmp_path / "run")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert re.fullmatch(r"error: non-finite loss at epoch 1, batch 1 \(samples [^)]+\): "
+                            r"first non-finite value in encode_context: [^\n]+\n",
+                            done.stderr), done.stderr
 
     @pytest.mark.parametrize("file, old, new, names, command, code", BAD_INPUTS)
     def test_bad_run_input_is_exit_2(self, workdir, tmp_path, capsys,

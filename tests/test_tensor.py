@@ -1,4 +1,17 @@
+"""Tests of ``efnet.tensor``.
+
+``ROWS`` has one row per public op, after PyTorch's OpInfo (Paszke et al.
+2019, arXiv:1912.01703), and the six tests after it hold every row to one
+contract. The classes below them check what only one op does: worked
+values, mask semantics, the cross-entropy clamp, dropout statistics, the
+image op's row sources, and the tape itself.
+"""
+
+import inspect
+import itertools
 import math
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -10,9 +23,222 @@ from efnet.gradcheck import fd_gradient
 from efnet.layers import GRUParams, MHAParams
 from efnet.tensor import MaskError, ShapeError, Tape, TapeError, Tensor
 
+B = 3  # rows of every batched sample
+
 
 def flat_of(arrays):
-    return np.concatenate([a.reshape(-1) for a in arrays])
+    return np.concatenate([a.reshape(-1) for a in arrays] or [np.zeros(0)])
+
+
+def ragged(lead, n):
+    """No mask for an unbatched sample; for a batch, rows that keep their
+    first n, 1 and n - 1 entries."""
+    return np.arange(n) < np.array([n, 1, n - 1])[:, None] if lead else None
+
+
+def blocks(ws, heads=2):
+    """``multi_head_attention``'s blocks and leaves for 3H per-head
+    tensors, the wq heads first."""
+    roles = ws[:heads], ws[heads:2 * heads], ws[2 * heads:]
+    return [np.stack([w.data for w in role]) for role in roles], list(ws)
+
+
+def gru_weights(rng, d_in, d_h):
+    shapes = {"w": (d_in, d_h), "u": (d_h, d_h), "b": (d_h,)}
+    return [rand(rng, *shapes[n]) for n in "wubwubwub"]
+
+
+class Row(NamedTuple):
+    """One public op of ``efnet.tensor`` as the generic tests see it.
+
+    ``op(*tensors, **extras)`` calls the op, with its rates and attention
+    blocks closed over. ``sample(rng, lead)`` gives its float64 inputs and
+    extras (masks, labels, ids, dropout draws): unbatched for ``lead`` (),
+    and for (B,) a batch in which every extra, and every input that differs
+    by row, has a leading B. ``wrong`` maps the unbatched inputs to a set
+    of the wrong shape, ``watch`` lists the inputs the tape watches (None:
+    all), and ``reduce`` gives a batch's value from its rows' values where
+    it is not their stack.
+    """
+
+    name: str
+    op: Callable
+    sample: Callable
+    wrong: Callable | None = None
+    watch: tuple | None = None
+    reduce: Callable | None = None
+
+    def watched(self, arrays):
+        return range(len(arrays)) if self.watch is None else self.watch
+
+
+ROWS = [
+    Row("matmul", tx.matmul,
+        lambda rng, lead: ([rand(rng, *lead, 2, 4), rand(rng, *lead, 4, 3)], {}),
+        wrong=lambda a, b: [a, b[1:]]),
+    Row("add", tx.add, lambda rng, lead: ([rand(rng, *lead, 4, 3), rand(rng, 3)], {}),
+        wrong=lambda a, b: [a, b[1:]]),
+    Row("scale", lambda a: tx.scale(a, -2.5), lambda rng, lead: ([rand(rng, *lead, 4, 3)], {})),
+    Row("concat", lambda a, b: tx.concat([a, b]),
+        lambda rng, lead: ([rand(rng, *lead, 2, 3), rand(rng, *lead, 2, 2)], {}),
+        wrong=lambda a, b: [a, b[1:]]),
+    Row("reshape", lambda a: tx.reshape(a, a.shape[:-2] + (3, 4)),
+        lambda rng, lead: ([rand(rng, *lead, 2, 6)], {}), wrong=lambda a: [a[1:]]),
+    Row("transpose", tx.transpose, lambda rng, lead: ([rand(rng, *lead, 3, 5)], {}),
+        wrong=lambda a: [a[0]]),
+    # the uniform draws ``u`` stand in for the generator: every call drops
+    # the same units
+    Row("dropout", lambda a, u: tx.dropout(a, 0.4, True, SimpleNamespace(random=lambda _: u)),
+        lambda rng, lead: ([rand(rng, *lead, 6, 5)], {"u": rng.random((*lead, 6, 5))})),
+    Row("softmax", tx.softmax, lambda rng, lead: ([rand(rng, *lead, 3, 5)], {}),
+        wrong=lambda a: [a[0, 0]]),
+    Row("mean_pool", lambda a, mask: tx.mean_pool(a, mask),
+        lambda rng, lead: ([rand(rng, *lead, 5, 3)], {"mask": ragged(lead, 5)}),
+        wrong=lambda a: [a[0]]),
+    Row("cross_entropy", lambda p, labels: tx.cross_entropy(p, labels),
+        lambda rng, lead: ([rng.uniform(0.1, 1.0, (*lead, 3))],
+                           {"labels": rng.integers(0, 3, lead or 1)}),
+        wrong=lambda p: [np.stack([p, p])], reduce=np.mean),
+    Row("sum_squares", lambda *parts: tx.sum_squares(parts, flat_of([p.data for p in parts])),
+        lambda rng, lead: ([rand(rng, *lead, 3, 2), rand(rng, *lead, 4)], {}),
+        wrong=lambda *parts: [], reduce=np.sum),
+    # six ids from five table rows: every id list repeats one
+    Row("embedding_lookup", lambda table, ids: tx.embedding_lookup(table, ids),
+        lambda rng, lead: ([rand(rng, 5, 4)], {"ids": rng.integers(0, 5, (*lead, 6))}),
+        wrong=lambda table: [table[0]]),
+    Row("multi_head_attention",
+        lambda q, k, v, *ws, mask: tx.multi_head_attention(q, k, v, *blocks(ws), mask=mask),
+        lambda rng, lead: ([rand(rng, *lead, 2, 4), rand(rng, *lead, 5, 3),
+                            rand(rng, *lead, 5, 3), rand(rng, 4, 2), rand(rng, 4, 2),
+                            *(rand(rng, 3, 2) for _ in range(4))], {"mask": ragged(lead, 5)}),
+        wrong=lambda q, k, v, *ws: [q, k, v[1:], *ws]),
+    # the regions are feature grids, constants in the model
+    Row("capsule_region_attention", tx.capsule_region_attention,
+        lambda rng, lead: ([rand(rng, *lead, 6, 7) * 0.5, rand(rng, 7, 4) * 0.5,
+                            rand(rng, 4) * 0.1, rand(rng, *lead, 5), rand(rng, 7, 5) * 0.5], {}),
+        wrong=lambda r, w, b, q, w_r: [r, w, b, q, w_r[1:]], watch=(1, 2, 3, 4)),
+    Row("gru_sequence",
+        lambda x, h0, *ws, mask: tx.gru_sequence(x, h0, ws, reverse=True, mask=mask),
+        lambda rng, lead: ([rand(rng, *lead, 3, 4), rand(rng, *lead, 3),
+                            *gru_weights(rng, 4, 3)], {"mask": ragged(lead, 3)}),
+        wrong=lambda x, h0, *ws: [x, h0[1:], *ws]),
+    Row("bigru_sequence",
+        lambda x, ctx, *ws, mask: tx.bigru_sequence(x, ws[:9], ws[9:], context=ctx, mask=mask),
+        lambda rng, lead: ([rand(rng, *lead, 3, 2), rand(rng, *lead, 2), *gru_weights(rng, 4, 3),
+                            *gru_weights(rng, 4, 3)], {"mask": ragged(lead, 3)}),
+        wrong=lambda x, ctx, *ws: [x[:, 1:], ctx, *ws]),
+]
+FORMS = ((), (B,))
+
+
+def over_rows(rows):
+    return pytest.mark.parametrize("row", rows, ids=[row.name for row in rows])
+
+
+def sample_of(row, lead, dtype=np.float64):
+    arrays, extras = row.sample(np.random.default_rng(0), lead)
+    return [a.astype(dtype) for a in arrays], extras
+
+
+def call(row, arrays, extras, leaves=()):
+    """``row``'s op on ``arrays`` as constants, with ``leaves`` in the
+    places of the inputs it watches."""
+    inputs = [Tensor(a) for a in arrays]
+    for i, leaf in zip(row.watched(arrays), leaves):
+        inputs[i] = leaf
+    return row.op(*inputs, **extras)
+
+
+def watch(row, arrays, tape):
+    return [tape.watch(Tensor(arrays[i], requires_grad=True)) for i in row.watched(arrays)]
+
+
+def outputs(out):
+    return out if isinstance(out, tuple) else (out,)
+
+
+def values(out):
+    """Every output of an op as an array: its tensors' data and its plain
+    arrays."""
+    return [o.data if isinstance(o, Tensor) else o for o in outputs(out)]
+
+
+def joined(out):
+    """The tensors among an op's outputs as one tensor: the only one, or
+    all of them flattened side by side."""
+    ts = [o for o in outputs(out) if isinstance(o, Tensor)]
+    return ts[0] if len(ts) == 1 else tx.concat([tx.reshape(t, (t.data.size,)) for t in ts])
+
+
+@over_rows(ROWS)
+def test_gradients_match_central_differences(row):
+    """Every watched input's tape gradient against central differences, in
+    float64 at GRAD_TOL."""
+    for lead in FORMS:
+        arrays, extras = sample_of(row, lead)
+        fd_check(lambda *leaves: joined(call(row, arrays, extras, leaves)),
+                 *(arrays[i] for i in row.watched(arrays)))
+
+
+@over_rows(ROWS)
+def test_taped_equals_untaped_bitwise(row):
+    """Recording on a tape changes no bit of any output, plain arrays
+    included, in float64 or float32."""
+    for dtype, lead in itertools.product((np.float64, np.float32), FORMS):
+        arrays, extras = sample_of(row, lead, dtype)
+        tape = Tape()
+        taped = call(row, arrays, extras, watch(row, arrays, tape))
+        assert all(o.tape is tape for o in outputs(taped) if isinstance(o, Tensor))
+        for got, want in zip(values(taped), values(call(row, arrays, extras)), strict=True):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
+@over_rows(ROWS)
+def test_float32_in_float32_out(row):
+    """Float32 inputs give float32 outputs and float32 gradients."""
+    for lead in FORMS:
+        arrays, extras = sample_of(row, lead, np.float32)
+        tape = Tape()
+        leaves = watch(row, arrays, tape)
+        out = call(row, arrays, extras, leaves)
+        grads = tape.backward(total(joined(out)))
+        dtypes = [a.dtype for a in values(out)] + [grads[t].dtype for t in leaves]
+        assert dtypes == [np.float32] * len(dtypes)
+
+
+@over_rows(ROWS)
+def test_batch_rows_equal_unbatched_calls(row):
+    """Row i of a batch is the unbatched call on row i, or for a reduced
+    op the batch value is the rows' values reduced."""
+    small, _ = sample_of(row, ())
+    big, extras = sample_of(row, (B,))
+    batch = values(call(row, big, extras))
+    per_row = []
+    for i in range(B):
+        inputs = [a[i] if a.shape == (B, *s.shape) else a for a, s in zip(big, small)]
+        per_row.append(values(call(row, inputs, {k: v[i] for k, v in extras.items()})))
+    for j, got in enumerate(batch):
+        rows = [r[j] for r in per_row]
+        want = np.stack(rows) if row.reduce is None else row.reduce(rows)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@over_rows([row for row in ROWS if row.wrong])
+def test_wrong_shape_names_the_op(row):
+    """A wrong shape raises a ShapeError whose message starts with the
+    op's name."""
+    arrays, extras = sample_of(row, ())
+    with pytest.raises(ShapeError) as caught:
+        row.op(*(Tensor(a) for a in row.wrong(*arrays)), **extras)
+    assert str(caught.value).startswith(f"{row.name}: ")
+
+
+def test_every_public_op_has_one_row():
+    """A public function of ``efnet.tensor`` is an op, and needs a row."""
+    public = [name for name, f in vars(tx).items() if inspect.isfunction(f)
+              and f.__module__ == tx.__name__ and not name.startswith("_")]
+    assert sorted(row.name for row in ROWS) == sorted(public)
 
 
 class TestMatmul:
@@ -41,6 +267,8 @@ class TestMatmul:
         # batch axes must match on both sides
         with pytest.raises(ShapeError, match=r"\(3, 4, 2\) x \(2, 5\)"):
             tx.matmul(Tensor(np.zeros((3, 4, 2))), Tensor(np.zeros((2, 5))))
+        with pytest.raises(ShapeError):
+            tx.matmul(Tensor(np.zeros((3, 4, 2))), Tensor(np.zeros((2, 2, 5))))
 
     def test_rank1_left_operand(self):
         rng = np.random.default_rng(13)
@@ -51,21 +279,11 @@ class TestMatmul:
         fd_check(tx.matmul, a, b)
 
     def test_gradients(self):
+        # sizes from 1 to 5 on each axis
         rng = np.random.default_rng(11)
         for _ in range(5):
             n, k, m = rng.integers(1, 6, size=3)
             fd_check(tx.matmul, rand(rng, n, k), rand(rng, k, m))
-        # a batch axis on both sides pairs the entries up
-        fd_check(tx.matmul, rand(rng, 3, 4, 2), rand(rng, 3, 2, 5))
-
-    def test_batched_matches_per_entry(self):
-        rng = np.random.default_rng(12)
-        a, bb = rand(rng, 3, 4, 2), rand(rng, 3, 2, 5)
-        got_pairs = tx.matmul(Tensor(a), Tensor(bb)).data
-        for i in range(3):
-            np.testing.assert_allclose(got_pairs[i], a[i] @ bb[i], atol=1e-12)
-        with pytest.raises(ShapeError):
-            tx.matmul(Tensor(a), Tensor(rand(rng, 2, 2, 5)))
 
 
 class TestSoftmax:
@@ -85,8 +303,9 @@ class TestSoftmax:
         np.testing.assert_allclose(y, [0.5, 0.5])
 
     def test_gradients(self):
+        # one row of scores, as the single-sample classifier has
         rng = np.random.default_rng(17)
-        fd_check(tx.softmax, rand(rng, 3, 5))
+        fd_check(tx.softmax, rand(rng, 5))
 
 
 class TestMeanPool:
@@ -104,12 +323,10 @@ class TestMeanPool:
             tx.mean_pool(Tensor(np.ones((2, 2))), np.array([False, False]))
 
     def test_gradients(self):
+        # a mask that skips inner rows, on one unbatched input
         rng = np.random.default_rng(23)
-        fd_check(tx.mean_pool, rand(rng, 5, 3))
         mask = np.array([True, False, True, True, False])
         fd_check(lambda t: tx.mean_pool(t, mask), rand(rng, 5, 3))
-        ragged = np.array([[True, True, False], [True, False, False]])
-        fd_check(lambda t: tx.mean_pool(t, ragged), rand(rng, 2, 3, 4))
 
     def test_batched_rows_pool_their_own_rows(self):
         x = np.arange(12, dtype=np.float64).reshape(2, 3, 2)
@@ -145,14 +362,9 @@ class TestElementwise:
         np.testing.assert_allclose(got, sum((p * p).sum() for p in parts))
 
     def test_gradients(self):
+        # two operands of one shape, not a bias
         rng = np.random.default_rng(29)
-        x = rand(rng, 4, 3)
-        fd_check(tx.add, x, rand(rng, 4, 3))
-        fd_check(tx.add, x, rand(rng, 3))
-        fd_check(tx.add, rand(rng, 2, 4, 3), rand(rng, 3))
-        fd_check(lambda t: tx.scale(t, -2.5), x)
-        fd_check(lambda a, b: tx.sum_squares([a, b], flat_of([a.data, b.data])),
-                 x, rand(rng, 2, 5))
+        fd_check(tx.add, rand(rng, 4, 3), rand(rng, 4, 3))
 
 
 class TestShapeOps:
@@ -283,11 +495,6 @@ class TestSquashRows:
 
 
 class TestMultiHeadAttention:
-    def split(self, ws, heads):
-        """The op's (blocks, leaves) for 3H per-head tensors, wq heads first."""
-        roles = ws[:heads], ws[heads:2 * heads], ws[2 * heads:]
-        return [np.stack([w.data for w in role]) for role in roles], list(ws)
-
     def test_matches_per_head_loop(self):
         rng = np.random.default_rng(71)
         q, k, v = rand(rng, 2, 5), rand(rng, 4, 3), rand(rng, 4, 3)
@@ -295,7 +502,7 @@ class TestMultiHeadAttention:
         wk = [rand(rng, 3, 2) for _ in range(3)]
         wv = [rand(rng, 3, 2) for _ in range(3)]
         out, attn = tx.multi_head_attention(
-            Tensor(q), Tensor(k), Tensor(v), *self.split([Tensor(w) for w in wq + wk + wv], 3))
+            Tensor(q), Tensor(k), Tensor(v), *blocks([Tensor(w) for w in wq + wk + wv], 3))
         np.testing.assert_allclose(out.data, mha_loop_reference(q, k, v, wq, wk, wv),
                                    atol=1e-12)
         assert attn.shape == (3, 2, 4)
@@ -306,20 +513,21 @@ class TestMultiHeadAttention:
         x = Tensor(rand(rng, 4, 3))
         ws = [Tensor(rand(rng, 3, 2)) for _ in range(6)]
         mask = np.array([True, False, True, False])
-        _, attn = tx.multi_head_attention(x, x, x, *self.split(ws, 2), mask=mask)
+        _, attn = tx.multi_head_attention(x, x, x, *blocks(ws, 2), mask=mask)
         assert (attn[:, :, ~mask] == 0.0).all()
         with pytest.raises(MaskError):
-            tx.multi_head_attention(x, x, x, *self.split(ws, 2),
+            tx.multi_head_attention(x, x, x, *blocks(ws, 2),
                                     mask=np.zeros(4, dtype=bool))
         with pytest.raises(ShapeError):
-            tx.multi_head_attention(x, x, x, *self.split(ws, 2), mask=np.ones(3, dtype=bool))
+            tx.multi_head_attention(x, x, x, *blocks(ws, 2), mask=np.ones(3, dtype=bool))
 
     def test_gradients(self):
+        # one head and four, around the table's two
         rng = np.random.default_rng(73)
-        for heads in (1, 2, 4):
+        for heads in (1, 4):
             for mask in (None, np.array([True, False, True, True, False])):
                 def op(q, k, v, *ws, heads=heads, mask=mask):
-                    return tx.multi_head_attention(q, k, v, *self.split(ws, heads),
+                    return tx.multi_head_attention(q, k, v, *blocks(ws, heads),
                                                    mask=mask)[0]
 
                 ws = ([rand(rng, 4, 2) for _ in range(heads)]
@@ -331,14 +539,13 @@ class TestMultiHeadAttention:
         mask = np.array([True, True, False, True])
         for heads in (1, 2, 4):
             def op(x, *ws, heads=heads):
-                return tx.multi_head_attention(x, x, x, *self.split(ws, heads),
+                return tx.multi_head_attention(x, x, x, *blocks(ws, heads),
                                                mask=mask)[0]
 
             fd_check(op, rand(rng, 4, 3), *[rand(rng, 3, 2) for _ in range(3 * heads)])
 
-
     def test_batched_rows_with_ragged_masks(self):
-        # row i of a batch attends exactly as its own unbatched call does
+        # each row's mask zeroes its own keys' weights in every head
         rng = np.random.default_rng(78)
         q, k = rand(rng, 3, 2, 4), rand(rng, 3, 5, 3)
         v = rand(rng, 3, 5, 3)
@@ -349,26 +556,13 @@ class TestMultiHeadAttention:
             ws = ([rand(rng, 4, 2) for _ in range(heads)]
                   + [rand(rng, 3, 2) for _ in range(2 * heads)])
             wt = [Tensor(w) for w in ws]
-            out, attn = tx.multi_head_attention(Tensor(q), Tensor(k), Tensor(v),
-                                                *self.split(wt, heads), mask=mask)
+            _, attn = tx.multi_head_attention(Tensor(q), Tensor(k), Tensor(v),
+                                              *blocks(wt, heads), mask=mask)
             assert attn.shape == (3, heads, 2, 5)
             assert (attn.transpose(0, 3, 1, 2)[~mask] == 0.0).all()
-            for i in range(3):
-                one, _ = tx.multi_head_attention(Tensor(q[i]), Tensor(k[i]), Tensor(v[i]),
-                                                 *self.split(wt, heads), mask=mask[i])
-                np.testing.assert_allclose(out.data[i], one.data, atol=1e-12)
-
-            def op(q, k, v, *ws, heads=heads):
-                return tx.multi_head_attention(q, k, v, *self.split(ws, heads), mask=mask)[0]
-
-            fd_check(op, q, k, v, *ws)
-        with pytest.raises(ShapeError):
-            tx.multi_head_attention(Tensor(q), Tensor(k), Tensor(v), *self.split(wt, 2),
+        with pytest.raises(ShapeError, match="^multi_head_attention: mask"):
+            tx.multi_head_attention(Tensor(q), Tensor(k), Tensor(v), *blocks(wt, 2),
                                     mask=mask[0])
-
-
-def plain(x):
-    return x.data if isinstance(x, Tensor) else x
 
 
 def region_attention(query, r, w_r):
@@ -432,13 +626,6 @@ class TestCapsuleRegionAttention:
         return (rand(rng, *lead, 49, 7) * 0.5, rand(rng, 7, 4) * 0.5, rand(rng, 4) * 0.1,
                 rand(rng, *lead, 5), rand(rng, 7, 5) * 0.5)
 
-    def joint(self, lead):
-        def op(r, w, b, q, w_r):
-            s, out, _ = tx.capsule_region_attention(r, w, b, q, w_r)
-            return tx.concat([tx.reshape(s, lead + (49 * 4,)), out])
-
-        return op
-
     def test_matches_separate_products(self):
         rng = np.random.default_rng(85)
         for lead in ((), (3,)):
@@ -453,13 +640,11 @@ class TestCapsuleRegionAttention:
             np.testing.assert_allclose(weights, want_weights, rtol=0, atol=1e-12)
 
     def test_gradients(self):
-        # every input in float64, the regions as a tape leaf and as a constant
+        # every input in float64, the regions as a tape leaf too
         rng = np.random.default_rng(86)
         for lead in ((), (3,)):
             r, w, b, q, w_r = self.operands(rng, lead)
-            op = self.joint(lead)
-            fd_check(op, r, w, b, q, w_r)
-            fd_check(lambda w, b, q, w_r: op(Tensor(r), w, b, q, w_r), w, b, q, w_r)
+            fd_check(lambda *ts: joined(tx.capsule_region_attention(*ts)), r, w, b, q, w_r)
             # without a bias, and with the capsule half alone
             fd_check(lambda r, w: tx.capsule_region_attention(r, w)[0], r, w)
 
@@ -472,30 +657,6 @@ class TestCapsuleRegionAttention:
             r, w, b, Tensor(q), Tensor(w_r, requires_grad=True))[0], r, w, b)
         fd_check(lambda r, q, w_r: tx.capsule_region_attention(
             r, Tensor(w, requires_grad=True), Tensor(b), q, w_r)[1], r, q, w_r)
-
-    def test_taped_equals_untaped_bitwise(self):
-        rng = np.random.default_rng(88)
-        for dtype in (np.float64, np.float32):
-            arrays = [a.astype(dtype) for a in self.operands(rng, (3,))]
-            untaped = tx.capsule_region_attention(*(Tensor(a) for a in arrays))
-            tape = Tape()
-            taped = tx.capsule_region_attention(
-                *(tape.watch(Tensor(a, requires_grad=True)) for a in arrays))
-            assert taped[0].tape is tape and taped[1].tape is tape
-            for got, want in zip(taped, untaped):
-                got, want = plain(got), plain(want)
-                assert got.dtype == dtype
-                np.testing.assert_array_equal(got, want)
-
-    def test_batch_rows_equal_single_calls(self):
-        rng = np.random.default_rng(89)
-        r, w, b, q, w_r = self.operands(rng, (4,))
-        batch = tx.capsule_region_attention(*(Tensor(a) for a in (r, w, b, q, w_r)))
-        for i in range(4):
-            one = tx.capsule_region_attention(*(Tensor(a) for a in (r[i], w, b, q[i], w_r)))
-            np.testing.assert_allclose(batch[0].data[i], one[0].data, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(batch[1].data[i], one[1].data, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(batch[2][i], one[2], rtol=0, atol=1e-12)
 
     def test_row_sources(self):
         # grids given as arrays or as reading functions give the result of a
@@ -522,8 +683,8 @@ class TestCapsuleRegionAttention:
             if taped:
                 weights = [tape.watch(t) for t in weights]
             got = tx.capsule_region_attention([reader(0), r[1], reader(2)], *weights)
-            for g, x in zip(got, want):
-                np.testing.assert_array_equal(plain(g), plain(x))
+            for g, x in zip(values(got), values(want)):
+                np.testing.assert_array_equal(g, x)
             assert handed[0] is None
             assert (handed[1] is None) if taped else (handed[1] is not None)
             if taped:
@@ -555,15 +716,11 @@ class TestCapsuleRegionAttention:
 
 
 class TestGRUSequence:
-    def weights(self, rng, d_in, d_h):
-        shapes = {"w": (d_in, d_h), "u": (d_h, d_h), "b": (d_h,)}
-        return [rand(rng, *shapes[n]) for n in "wubwubwub"]
-
     def test_matches_step_loop(self):
         rng = np.random.default_rng(75)
         for reverse in (False, True):
             x, ctx, h0 = rand(rng, 3, 2), rand(rng, 3), rand(rng, 4)
-            ws = [Tensor(w) for w in self.weights(rng, 5, 4)]
+            ws = [Tensor(w) for w in gru_weights(rng, 5, 4)]
             gru = GRUParams(*ws)
             x_ctx = np.concatenate([x, np.tile(ctx, (3, 1))], axis=1)
             got = tx.gru_sequence(Tensor(x), Tensor(h0), ws, context=Tensor(ctx),
@@ -576,7 +733,7 @@ class TestGRUSequence:
 
     def test_shape_errors(self):
         rng = np.random.default_rng(76)
-        ws = [Tensor(w) for w in self.weights(rng, 3, 2)]
+        ws = [Tensor(w) for w in gru_weights(rng, 3, 2)]
         with pytest.raises(ShapeError):
             tx.gru_sequence(Tensor(np.zeros((2, 4))), None, ws)
         with pytest.raises(ShapeError):
@@ -585,29 +742,28 @@ class TestGRUSequence:
             tx.gru_sequence(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), ws)
 
     def test_gradients(self):
+        # one step, as gru_cell runs it, in each direction, with a state
+        # and a context and with neither
         rng = np.random.default_rng(77)
-        for m in (1, 3):
-            for reverse in (False, True):
-                def op(x, h0, ctx, *ws, reverse=reverse):
-                    return tx.gru_sequence(x, h0, ws, context=ctx, reverse=reverse)
+        for reverse in (False, True):
+            def op(x, h0, ctx, *ws, reverse=reverse):
+                return tx.gru_sequence(x, h0, ws, context=ctx, reverse=reverse)
 
-                fd_check(op, rand(rng, m, 2), rand(rng, 3), rand(rng, 2),
-                         *self.weights(rng, 4, 3))
+            fd_check(op, rand(rng, 1, 2), rand(rng, 3), rand(rng, 2), *gru_weights(rng, 4, 3))
 
-                def op_plain(x, *ws, reverse=reverse):
-                    return tx.gru_sequence(x, None, ws, reverse=reverse)
+            def op_plain(x, *ws, reverse=reverse):
+                return tx.gru_sequence(x, None, ws, reverse=reverse)
 
-                fd_check(op_plain, rand(rng, m, 4), *self.weights(rng, 4, 3))
-
+            fd_check(op_plain, rand(rng, 1, 4), *gru_weights(rng, 4, 3))
 
     def test_batched_rows_with_ragged_masks(self):
         # padding at the end of a row leaves that row's real states exact,
-        # in both directions, and carries no gradient into padded inputs
+        # in both directions
         rng = np.random.default_rng(79)
         lengths = [3, 1, 2]
         mask = np.arange(3) < np.array(lengths)[:, None]
         x, ctx, h0 = rand(rng, 3, 3, 2), rand(rng, 3, 3), rand(rng, 3, 4)
-        ws = [Tensor(w) for w in self.weights(rng, 5, 4)]
+        ws = [Tensor(w) for w in gru_weights(rng, 5, 4)]
         for reverse in (False, True):
             got = tx.gru_sequence(Tensor(x), Tensor(h0), ws, context=Tensor(ctx),
                                   reverse=reverse, mask=mask).data
@@ -615,43 +771,19 @@ class TestGRUSequence:
                 one = tx.gru_sequence(Tensor(x[i, :n]), Tensor(h0[i]), ws,
                                       context=Tensor(ctx[i]), reverse=reverse).data
                 np.testing.assert_allclose(got[i, :n], one, atol=1e-12)
-
-            def op(x, h0, ctx, *ws, reverse=reverse):
-                return tx.gru_sequence(x, h0, ws, context=ctx, reverse=reverse, mask=mask)
-
-            fd_check(op, x, h0, ctx, *self.weights(rng, 5, 4))
         with pytest.raises(ShapeError):
             tx.gru_sequence(Tensor(x), None, ws, context=Tensor(ctx[0]))
 
 
-    def test_untaped_states_equal_taped(self):
-        # the untaped run keeps no step buffers; its states must not change
-        rng = np.random.default_rng(80)
-        mask = np.arange(3) < np.array([3, 2])[:, None]
-        x, ctx = rand(rng, 2, 3, 2), rand(rng, 2, 3)
-        ws = self.weights(rng, 5, 4)
-        for reverse in (False, True):
-            plain = tx.gru_sequence(Tensor(x), None, [Tensor(w) for w in ws],
-                                    context=Tensor(ctx), reverse=reverse, mask=mask)
-            tape = Tape()
-            leaves = [tape.watch(Tensor(w, requires_grad=True)) for w in ws]
-            taped = tx.gru_sequence(Tensor(x), None, leaves, context=Tensor(ctx),
-                                    reverse=reverse, mask=mask)
-            assert taped.tape is tape and plain.tape is None
-            np.testing.assert_array_equal(plain.data, taped.data)
-
-
 class TestBiGRUSequence:
-    weights = TestGRUSequence.weights
-
     def test_matches_two_directions(self):
         rng = np.random.default_rng(81)
         for batched in (False, True):
             shape = (3, 4, 2) if batched else (4, 2)
             x, ctx = rand(rng, *shape), rand(rng, *shape[:-2], 3)
             mask = (np.arange(4) < np.array([4, 1, 3])[:, None]) if batched else None
-            fwd = [Tensor(w) for w in self.weights(rng, 5, 4)]
-            bwd = [Tensor(w) for w in self.weights(rng, 5, 4)]
+            fwd = [Tensor(w) for w in gru_weights(rng, 5, 4)]
+            bwd = [Tensor(w) for w in gru_weights(rng, 5, 4)]
             got = tx.bigru_sequence(Tensor(x), fwd, bwd, context=Tensor(ctx), mask=mask).data
             want = np.concatenate([
                 tx.gru_sequence(Tensor(x), None, ws, context=Tensor(ctx), reverse=rev,
@@ -660,25 +792,15 @@ class TestBiGRUSequence:
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_gradients(self):
+        # one step; the table's row has three
         rng = np.random.default_rng(82)
-        mask = np.arange(3) < np.array([3, 1])[:, None]
-
-        def op(x, ctx, *ws):
-            return tx.bigru_sequence(x, ws[:9], ws[9:], context=ctx)
-
-        def op_masked(x, ctx, *ws):
-            return tx.bigru_sequence(x, ws[:9], ws[9:], context=ctx, mask=mask)
-
-        for m in (1, 3):
-            fd_check(op, rand(rng, m, 2), rand(rng, 2), *self.weights(rng, 4, 3),
-                     *self.weights(rng, 4, 3))
-        fd_check(op_masked, rand(rng, 2, 3, 2), rand(rng, 2, 2), *self.weights(rng, 4, 3),
-                 *self.weights(rng, 4, 3))
+        fd_check(lambda x, ctx, *ws: tx.bigru_sequence(x, ws[:9], ws[9:], context=ctx),
+                 rand(rng, 1, 2), rand(rng, 2), *gru_weights(rng, 4, 3), *gru_weights(rng, 4, 3))
 
     def test_shape_errors(self):
         rng = np.random.default_rng(83)
-        fwd = [Tensor(w) for w in self.weights(rng, 3, 2)]
-        bwd = [Tensor(w) for w in self.weights(rng, 3, 4)]
+        fwd = [Tensor(w) for w in gru_weights(rng, 3, 2)]
+        bwd = [Tensor(w) for w in gru_weights(rng, 3, 4)]
         with pytest.raises(ShapeError, match="bigru_sequence"):
             tx.bigru_sequence(Tensor(np.zeros((2, 3))), fwd, bwd)
         with pytest.raises(ShapeError, match="bigru_sequence"):

@@ -204,7 +204,6 @@ class TestFlatAdam:
             np.testing.assert_array_equal(p.data, before[name], err_msg=name)
             np.testing.assert_array_equal(state.m[name], moments[name], err_msg=name)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_infinite_rate_names_first_parameter(self):
         cfg, params, _, sample = self.models("double")
         before = {name: p.data.copy() for name, p in params.named_parameters()}
@@ -465,7 +464,6 @@ class TestTrain:
         with pytest.raises(TrainError, match=r"epoch 1, batch 0"):
             train(params, table, samples, samples, cfg, epochs=1, batch_size=4)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_names_stage_and_samples(self, tmp_path, monkeypatch):
         # one parameter driven into overflow: the capsule squash in the
         # image stage is the first to make a non-finite value
