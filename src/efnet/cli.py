@@ -24,6 +24,7 @@ from .data import (
     load_dataset,
     load_embeddings,
     synth_generate,
+    text_lines,
 )
 from .layers import ConfigError
 from .model import CheckpointMismatch, EFNetParams, ModelConfig, forward, load_checkpoint
@@ -68,21 +69,20 @@ class RunConfig:
         def where(key):
             return f"{path}: line {lines[key]}: {key}" if key in lines else f"{path}: {key}"
 
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = (part.strip() for part in line.partition("="))
-                if not sep or not key or not value:
-                    raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-                if key not in slots:
-                    raise ConfigError(f"{path}: line {lineno}: unknown config key '{key}'")
-                if key in lines:
-                    raise ConfigError(f"{path}: line {lineno}: duplicate key '{key}'")
-                lines[key] = lineno
-                obj, name = slots[key]
-                setattr(obj, name, _parse(where(key), value, getattr(obj, name), base))
+        for lineno, raw in text_lines(path, ConfigError):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not sep or not key or not value:
+                raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
+            if key not in slots:
+                raise ConfigError(f"{path}: line {lineno}: unknown config key '{key}'")
+            if key in lines:
+                raise ConfigError(f"{path}: line {lineno}: duplicate key '{key}'")
+            lines[key] = lineno
+            obj, name = slots[key]
+            setattr(obj, name, _parse(where(key), value, getattr(obj, name), base))
         cfg.validate(where)
         return cfg
 

@@ -42,6 +42,27 @@ class FormatError(ValueError):
     """A binary file violates its layout; names the offending field."""
 
 
+def text_lines(path, error: type, unit: str = "line"):
+    """(number, line) for each line of the UTF-8 text file at ``path``,
+    numbered from 1. A byte that is not UTF-8 raises ``error`` naming the
+    file and the line (or record, for ``unit``) that holds it; text mode
+    decodes ahead of the line it hands out, so the file is read again to
+    find it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError:
+            blob = Path(path).read_bytes()
+            try:
+                blob.decode("utf-8")
+            except UnicodeDecodeError as e:
+                head = blob[:e.start].decode("utf-8")
+                number = len(head.replace("\r\n", "\n").replace("\r", "\n").split("\n"))
+                raise error(f"{path}: {unit} {number}: byte {blob[e.start]:#04x} is not "
+                            "UTF-8 text") from None
+            raise
+
+
 @dataclass
 class Sample:
     id: str
@@ -107,29 +128,28 @@ def load_embeddings(path, rng=None, dtype=DEFAULT_DTYPE) -> EmbeddingTable:
     rows = []
     linenos = []
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            if dim is None:
-                if not values:
-                    raise ParseError(f"{path}: line {lineno}: token {token!r} has no values")
-                dim = len(values)
-            if len(values) != dim:
-                raise ParseError(f"{path}: line {lineno}: token {token!r} has "
-                                 f"{len(values)} values, expected {dim}")
-            if token in index:
-                raise ParseError(f"{path}: line {lineno}: duplicate token {token!r}")
-            try:
-                row = [float(v) for v in values]
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {lineno}: token {token!r} has a non-numeric value") from None
-            index[token] = len(rows) + 2
-            rows.append(row)
-            linenos.append(lineno)
+    for lineno, line in text_lines(path, ParseError):
+        parts = line.split()
+        if not parts:
+            continue
+        token, values = parts[0], parts[1:]
+        if dim is None:
+            if not values:
+                raise ParseError(f"{path}: line {lineno}: token {token!r} has no values")
+            dim = len(values)
+        if len(values) != dim:
+            raise ParseError(f"{path}: line {lineno}: token {token!r} has "
+                             f"{len(values)} values, expected {dim}")
+        if token in index:
+            raise ParseError(f"{path}: line {lineno}: duplicate token {token!r}")
+        try:
+            row = [float(v) for v in values]
+        except ValueError:
+            raise ParseError(
+                f"{path}: line {lineno}: token {token!r} has a non-numeric value") from None
+        index[token] = len(rows) + 2
+        rows.append(row)
+        linenos.append(lineno)
     if dim is None:
         raise InputError(f"{path}: empty embedding file")
     matrix = np.zeros((len(rows) + 2, dim), dtype=dtype)
@@ -187,18 +207,17 @@ def load_dataset(path) -> list:
     directory so downstream loaders can open them as-is."""
     base = Path(path).parent
     samples = []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                raise ParseError(f"{path}: record {i}: not valid JSON") from None
-            sample = _parse_record(path, i, obj)
-            if sample.image_ref is not None:
-                sample.image_ref = str(base / sample.image_ref)
-            samples.append(sample)
+    for i, line in text_lines(path, ParseError, "record"):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            raise ParseError(f"{path}: record {i}: not valid JSON") from None
+        sample = _parse_record(path, i, obj)
+        if sample.image_ref is not None:
+            sample.image_ref = str(base / sample.image_ref)
+        samples.append(sample)
     return samples
 
 

@@ -5,7 +5,8 @@ Parameter containers are plain dataclasses holding trainable Tensors; each
 has a seeded ``create`` factory. Functions take inputs first and parameters
 after, and everything runs on the autodiff primitives from ``tensor``.
 ``ParamBuffer`` packs trainable tensors into one flat array; the multi-head
-projections always live in one, as [H, d, d_head] blocks.
+projections always live in one, as [H, d, d_head] blocks, and so do the GRU
+gates, as [3, d, d_h] blocks.
 """
 
 from __future__ import annotations
@@ -86,9 +87,10 @@ class ParamBuffer:
                            self.tensors[first:last], self.views[first:last])
 
     def sync(self) -> "ParamBuffer":
-        for name, t, view in zip(self.names, self.tensors, self.views):
+        for t, view in zip(self.tensors, self.views):
             if t.data is not view:
                 if t.data.shape != view.shape or t.data.dtype != view.dtype:
+                    name = self.names[self.tensors.index(t)]
                     raise InternalError(
                         f"parameter {name} is {t.data.dtype} of shape {t.data.shape}; "
                         f"its slot in the buffer is {view.dtype} of shape {view.shape}"
@@ -103,13 +105,16 @@ class MHAParams:
     """Per-head projection triples; output width is head_count * d_head.
 
     Construction packs the heads of each role into one [H, d, d_head]
-    block: each head's ``data`` becomes a row of its role's block, and the
-    attention op reads the blocks of the synced ``buffer``."""
+    block: each head's ``data`` becomes a row of its role's block. The wk
+    and wv blocks are adjacent, so ``blocks``, what the attention op reads
+    once ``buffer`` is synced, views them as one [2, H, d, d_head] array;
+    keys and values therefore share one input width."""
 
     wq: list
     wk: list
     wv: list
     buffer: ParamBuffer = field(init=False, repr=False, compare=False)
+    blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (len(self.wq) == len(self.wk) == len(self.wv)) or not self.wq:
@@ -118,13 +123,21 @@ class MHAParams:
         for w in (*self.wq, *self.wk, *self.wv):
             if w.data.ndim != 2 or w.shape[1] != d_head:
                 raise ConfigError("all heads must share one d_head")
-        for role in (self.wq, self.wk, self.wv):
+        for role in (self.wq, self.wk + self.wv):
             if any(w.shape != role[0].shape for w in role):
-                raise ConfigError("the heads of one projection must share one input width")
-        self.buffer = ParamBuffer.pack([
+                raise ConfigError("the wq heads, and the wk and wv heads, must each "
+                                  "share one input width")
+        self.place(ParamBuffer.pack([
             [(f"{name}[{h}]", w) for h, w in enumerate(role)]
             for name, role in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv))
-        ])
+        ]))
+
+    def place(self, buffer: ParamBuffer) -> None:
+        """Read the projections from ``buffer``, whose blocks are wq, wk
+        and wv in that order and nothing else."""
+        self.buffer = buffer
+        w_q, w_k, _ = buffer.blocks
+        self.blocks = (w_q, buffer.flat[w_q.size:].reshape((2,) + w_k.shape))
 
     @property
     def head_count(self) -> int:
@@ -148,7 +161,14 @@ class MHAParams:
 
 @dataclass
 class GRUParams:
-    """Gate weights for one recurrence direction (update z, reset r, candidate)."""
+    """Gate weights for one recurrence direction (update z, reset r,
+    candidate h).
+
+    Construction packs the gates into three blocks, as ``MHAParams`` does
+    the heads: the input weights [3, d_in, d_h], the recurrent weights
+    [3, d_h, d_h] and the biases [3, d_h], rows z, r, h. The two directions
+    of a Bi-GRU share one ``buffer`` whose blocks hold both, forward rows
+    first (``gate_groups``), so the Bi-GRU op reads them without a copy."""
 
     wz: Tensor
     uz: Tensor
@@ -159,6 +179,10 @@ class GRUParams:
     wh: Tensor
     uh: Tensor
     bh: Tensor
+    buffer: ParamBuffer = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.buffer = ParamBuffer.pack(gate_groups([("", self)]))
 
     @classmethod
     def create(cls, rng, d_in: int, d_hidden: int, dtype=DEFAULT_DTYPE):
@@ -173,6 +197,15 @@ class GRUParams:
             wr=w(), ur=u(), br=zeros_param(d_hidden, dtype),
             wh=w(), uh=u(), bh=zeros_param(d_hidden, dtype),
         )
+
+
+def gate_groups(directions) -> list:
+    """``ParamBuffer.pack`` groups for the gate blocks of the (name prefix,
+    ``GRUParams``) pairs in ``directions``: the input weights, then the
+    recurrent weights, then the biases, each direction by direction in
+    gate order z, r, h."""
+    return [[(prefix + kind + gate, getattr(p, kind + gate))
+             for prefix, p in directions for gate in "zrh"] for kind in "wub"]
 
 
 @dataclass
@@ -221,9 +254,8 @@ def multi_head(q: Tensor, k: Tensor, v: Tensor, params: MHAParams, mask=None, re
     projection afterwards. All heads run as one fused op; the per-head
     weights it returns ([(B,) n_q, n_kv] each) are detached values, not
     tape nodes."""
-    buffer = params.buffer.sync()
     out, weights = tx.multi_head_attention(
-        q, k, v, buffer.blocks, buffer.tensors, mask=mask
+        q, k, v, params.blocks, params.buffer.sync().tensors, mask=mask
     )
     if not return_weights:
         return out
@@ -235,15 +267,16 @@ def mhsa(x: Tensor, params: MHAParams, mask=None, return_weights: bool = False):
     return multi_head(x, x, x, params, mask=mask, return_weights=return_weights)
 
 
-def _gru_weights(p: GRUParams) -> tuple:
-    return (p.wz, p.uz, p.bz, p.wr, p.ur, p.br, p.wh, p.uh, p.bh)
-
-
 def gru_cell(x: Tensor, h_prev: Tensor, params: GRUParams) -> Tensor:
     if x.data.ndim != 1 or h_prev.data.ndim != 1:
         raise ShapeError("gru_cell expects rank-1 input and state")
+    buffer = params.buffer.sync()
+    # this direction's three rows of each block, which may hold a second one
+    n = len(buffer.tensors) // 3
+    at = buffer.tensors.index(params.wz)
+    leaves = [buffer.tensors[i * n + row] for i in range(3) for row in range(at, at + 3)]
     x_row = tx.reshape(x, (1, x.shape[0]))
-    h = tx.gru_sequence(x_row, h_prev, _gru_weights(params))
+    h = tx.gru_sequence(x_row, h_prev, [block[at:at + 3] for block in buffer.blocks], leaves)
     return tx.reshape(h, (h_prev.shape[0],))
 
 
@@ -265,7 +298,14 @@ def bigru_encode(target_embeds: Tensor, aspect_embed: Tensor, fwd: GRUParams, bw
         raise ShapeError(
             f"aspect embedding must be rank {rank - 1}, got {aspect_embed.shape}"
         )
-    return tx.bigru_sequence(target_embeds, _gru_weights(fwd), _gru_weights(bwd),
+    buffer = fwd.buffer
+    if len(buffer.tensors) != 18 or buffer.tensors[0] is not fwd.wz \
+            or buffer.tensors[3] is not bwd.wz:
+        # both directions into one buffer, the forward rows first
+        buffer = fwd.buffer = bwd.buffer = ParamBuffer.pack(
+            gate_groups([("fwd.", fwd), ("bwd.", bwd)]))
+    buffer.sync()
+    return tx.bigru_sequence(target_embeds, buffer.blocks, buffer.tensors,
                              context=aspect_embed, mask=mask)
 
 
@@ -285,15 +325,17 @@ def capsule_layer(regions: Tensor, params: CapsuleParams) -> Tensor:
 def position_embeddings(span, n: int, table: PositionTable) -> Tensor:
     """Embed each token's signed distance to the target span (0 inside it).
 
-    ``span`` is (start, end) as integers, or as two [B] arrays for a batch
-    of rows padded to length ``n``; the result is [(B,) n, d_p]."""
-    start, end = np.asarray(span[0])[..., None], np.asarray(span[1])[..., None]
-    if not ((0 <= start) & (start < end) & (end <= n)).all():
+    ``span`` is (start, end) as integers, or as two [B, 1] arrays for a
+    batch of rows padded to length ``n``; the result is [(B,) n, d_p]."""
+    start, end = span
+    inner = end - 1 - start
+    # start, end - 1 - start and n - end are all >= 0 when no sign bit is set
+    if np.minimum.reduce(start | inner | (n - end), axis=None) < 0:
         raise ShapeError(f"span [{span[0]}, {span[1]}) invalid for sentence length {n}")
     clip = table.clip
-    # token i, shifted by clip: its row is clip + (i - start clamped to
-    # [-clip, 0]) + (i - (end - 1) clamped to [0, clip])
-    idx = np.arange(clip, n + clip)
-    before = np.maximum(np.minimum(idx - start, clip), 0)
-    after = np.minimum(np.maximum(idx - (end - 1), clip), 2 * clip)
-    return tx.embedding_lookup(table.rows, before + after - clip)
+    # token i's row is clip plus its distance, clipped to [0, 2 clip]: below
+    # the span the first minimum is the larger, above it the second, and in
+    # it both are at most clip, which the first is
+    shifted = np.arange(clip, n + clip) - start
+    rows = np.maximum(np.minimum(shifted, clip), np.minimum(shifted - inner, 2 * clip))
+    return tx.embedding_lookup(table.rows, np.maximum(rows, 0, out=rows))

@@ -34,6 +34,7 @@ from .layers import (
     MHAParams,
     ParamBuffer,
     PositionTable,
+    gate_groups,
 )
 from .tensor import MaskError, ShapeError, TapeError, Tensor
 
@@ -133,21 +134,23 @@ class EFNetParams:
     _named: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Every parameter moves into one flat buffer. A multi-head role stays
-        # one [H, d, d_head] block, now a slice of this buffer, and its
-        # MHAParams reads the block there.
+        # Every parameter moves into one flat buffer. The Bi-GRU's gate
+        # blocks and each multi-head role's [H, d, d_head] block become
+        # slices of it, where their GRUParams and MHAParams read them.
         named = self.named_parameters()
         mhas = [m for m in (self.ctx_mhsa, self.inter_ctx, self.inter_img, self.fusion)
                 if m is not None]
-        in_mha = {id(w) for m in mhas for w in m.buffer.tensors}
         names = {id(p): name for name, p in named}
-        groups = [[(name, p)] for name, p in named if id(p) not in in_mha]
-        first = len(groups)
+        groups = gate_groups([("gru_fwd.", self.gru_fwd), ("gru_bwd.", self.gru_bwd)])
         for m in mhas:
             groups += [[(names[id(w)], w) for w in ws] for ws in (m.wq, m.wk, m.wv)]
-        self.buffer = ParamBuffer.pack(groups)
-        for i, m in enumerate(mhas):
-            m.buffer = self.buffer.part(first + 3 * i, first + 3 * i + 3)
+        blocked = {id(p) for group in groups for _, p in group}
+        alone = [[(name, p)] for name, p in named if id(p) not in blocked]
+        self.buffer = ParamBuffer.pack(alone + groups)
+        first = len(alone)
+        self.gru_fwd.buffer = self.gru_bwd.buffer = self.buffer.part(first, first + 3)
+        for i, m in enumerate(mhas, start=1):
+            m.place(self.buffer.part(first + 3 * i, first + 3 * i + 3))
 
     @classmethod
     def create(cls, config: ModelConfig, rng, embed_matrix: Tensor) -> "EFNetParams":
@@ -411,13 +414,14 @@ def _unless_full(mask: np.ndarray):
 
 
 def _inputs(sample):
-    """Sample ids, token ids, token mask, (start, end), target ids, target
-    mask, aspect ids, aspect mask and feature refs of a ``Batch``; or of one
-    ``EncodedSample``, without the batch axis (one sample id in a list, one
-    feature ref). Masks that keep every entry come out None."""
+    """Sample ids, token ids, token mask, (start, end) as [B, 1] columns,
+    target ids, target mask, aspect ids, aspect mask and feature refs of a
+    ``Batch``; or of one ``EncodedSample``, without the batch axis (one
+    sample id in a list, integer span ends, one feature ref). Masks that
+    keep every entry come out None."""
     if isinstance(sample, Batch):
         b = sample
-        return (b.ids, b.token_ids, _unless_full(b.mask), (b.spans[:, 0], b.spans[:, 1]),
+        return (b.ids, b.token_ids, _unless_full(b.mask), (b.spans[:, :1], b.spans[:, 1:]),
                 b.target_ids, _unless_full(b.target_mask), b.aspect_ids,
                 _unless_full(b.aspect_mask), b.features)
     start, end = sample.span
@@ -542,7 +546,11 @@ def _read_checkpoint_records(blob: bytes, path) -> dict:
         (name_len,) = struct.unpack_from("<I", blob, offset)
         offset += 4
         need(name_len, "record name")
-        name = blob[offset : offset + name_len].decode("utf-8")
+        try:
+            name = blob[offset : offset + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: record {len(records) + 1}: name is not UTF-8 "
+                              "text") from None
         offset += name_len
         need(4, "record rank")
         (rank,) = struct.unpack_from("<I", blob, offset)

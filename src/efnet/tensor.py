@@ -10,6 +10,7 @@ own tape.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Sequence
@@ -315,12 +316,22 @@ def mean_pool(a: Tensor, mask=None) -> Tensor:
         if not count.all():
             raise MaskError("mean_pool: every row is masked")
         weights = (m / count).astype(x.dtype)
+        out = Tensor(np.matmul(weights[..., None, :], x)[..., 0, :])
     else:
-        weights = np.full(groups, 1.0 / groups[-1], dtype=x.dtype)
-    out = Tensor(np.matmul(weights[..., None, :], x)[..., 0, :])
+        # one weight row serves every batch row
+        weights = _mean_row(groups[-1], x.dtype)
+        out = Tensor(weights @ x)
     if (tape := _find_tape((a,))) is None:
         return out
     return _record(tape, out, (a,), lambda g: (weights[..., :, None] * g[..., None, :],))
+
+
+@functools.lru_cache(maxsize=256)
+def _mean_row(n: int, dtype: np.dtype) -> np.ndarray:
+    """n weights of 1/n, read-only, as ``mean_pool`` reads them."""
+    row = np.full(n, 1.0 / n, dtype=dtype)
+    row.flags.writeable = False
+    return row
 
 
 def cross_entropy(probs: Tensor, labels) -> Tensor:
@@ -414,13 +425,15 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.nd
     """Multi-head scaled dot-product attention as one op.
 
     Head i attends with softmax(q wq[i] (k wk[i])^T / sqrt(d_head)) v wv[i].
-    ``blocks`` holds each role's projections, wq, wk and wv, as one
-    [H, d, d_head] array, so each role is one broadcast product for all
-    heads and all batch rows (Vaswani et al. 2017). ``leaves`` are the 3H
-    trainable tensors whose data are the blocks' rows, the wq heads first,
-    then wk, then wv; the op reads only the blocks and gives each leaf its
-    row of the block gradient. ``q``, ``k`` and ``v`` are [n, d], or
-    [B, n, d] for a batch; they may be one tensor (self-attention).
+    ``blocks`` is (w_q, w_kv): the query projections as one [H, d_q,
+    d_head] array and the key and value projections as one [2, H, d_kv,
+    d_head] array, so each role is one broadcast product for all heads and
+    all batch rows (Vaswani et al. 2017), and keys and values given as one
+    tensor take a single product. ``leaves`` are the 3H trainable tensors
+    whose data are the blocks' rows, the wq heads first, then wk, then wv;
+    the op reads only the blocks and gives each leaf its row of the block
+    gradient. ``q``, ``k`` and ``v`` are [n, d], or [B, n, d] for a batch;
+    they may be one tensor (self-attention).
     ``mask`` ([n_kv] or [n_q, n_kv], with a leading B for a batch; True =
     attend) applies to every head. Masked weights are exactly zero, and a
     query row with no key left is a MaskError.
@@ -429,33 +442,37 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.nd
     H * d_head], and the attention weights as a plain [(B,) H, n_q, n_kv]
     array.
     """
-    w_q, w_k, w_v = blocks
+    w_q, w_kv = blocks
     heads, d_head = w_q.shape[0], w_q.shape[-1]
-    if w_q.ndim != 3 or w_k.shape[::2] != w_q.shape[::2] or w_v.shape[::2] != w_q.shape[::2] \
-            or len(leaves) != 3 * heads:
+    if w_q.ndim != 3 or w_kv.ndim != 4 or w_kv.shape[:2] != (2, heads) \
+            or w_kv.shape[3] != d_head or len(leaves) != 3 * heads:
         raise ShapeError(
-            "multi_head_attention: need [H, d, d_head] blocks with one H and d_head, "
-            "and 3H leaves"
+            "multi_head_attention: need [H, d_q, d_head] and [2, H, d_kv, d_head] blocks "
+            "with one H and d_head, and 3H leaves"
         )
-    rank = q.data.ndim
-    if rank not in (2, 3) or k.data.ndim != rank or v.data.ndim != rank:
+    q2, k2, v2 = q.data, k.data, v.data
+    shapes = q2.shape, k2.shape, v2.shape
+    q_shape, k_shape, v_shape = shapes
+    rank = len(q_shape)
+    if rank not in (2, 3) or len(k_shape) != rank or len(v_shape) != rank:
         raise ShapeError("multi_head_attention: attention operands must be rank 2, "
                          "or rank 3 with a batch axis")
-    b = q.shape[0] if rank == 3 else 1
-    n_q, n_kv = q.shape[-2], k.shape[-2]
-    if k.shape[:-2] != q.shape[:-2] or v.shape[:-2] != q.shape[:-2]:
+    b = q_shape[0] if rank == 3 else 1
+    n_q, n_kv = q_shape[-2], k_shape[-2]
+    if k_shape[:-2] != q_shape[:-2] or v_shape[:-2] != q_shape[:-2]:
         raise ShapeError("multi_head_attention: batch sizes differ: "
-                         f"{q.shape}, {k.shape}, {v.shape}")
-    if v.shape[-2] != n_kv:
-        raise ShapeError(f"multi_head_attention: key count {n_kv} != value count {v.shape[-2]}")
-    q2, k2, v2 = q.data, k.data, v.data
+                         f"{q_shape}, {k_shape}, {v_shape}")
+    if v_shape[-2] != n_kv:
+        raise ShapeError(f"multi_head_attention: key count {n_kv} != value count {v_shape[-2]}")
     if rank == 3:
         # the batch folds into the rows of each projection
         q2, k2, v2 = q2.reshape(-1, q2.shape[-1]), k2.reshape(-1, k2.shape[-1]), \
             v2.reshape(-1, v2.shape[-1])
     try:
         # [rows, d] against [H, d, d_head] give [H, rows, d_head]
-        qh, kh, vh = np.matmul(q2, w_q), np.matmul(k2, w_k), np.matmul(v2, w_v)
+        qh = np.matmul(q2, w_q)
+        kh, vh = np.matmul(k2, w_kv) if k is v else (np.matmul(k2, w_kv[0]),
+                                                     np.matmul(v2, w_kv[1]))
     except ValueError as e:
         raise ShapeError(f"multi_head_attention: {e}") from None
     if rank == 3:
@@ -465,7 +482,8 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.nd
     else:
         heads_last = heads_first = (1, 0, 2)
     c = 1.0 / math.sqrt(d_head)
-    scores = (qh @ kh.swapaxes(-1, -2)) * c
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= c
     if mask is not None:
         m = np.asarray(mask)
         want = ((n_kv,), (n_q, n_kv)) if rank == 2 else ((b, n_kv), (b, n_q, n_kv))
@@ -477,23 +495,23 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.nd
         if not m.any(axis=-1).all():
             raise MaskError("multi_head_attention: a query has every key masked")
         scores = np.where(m if rank == 2 else m.reshape((b, -1, n_kv)), scores, -np.inf)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor((attn @ vh).transpose(heads_last).reshape(q.shape[:-1] + (heads * d_head,)))
+    scores -= scores.max(axis=-1, keepdims=True)
+    attn = np.exp(scores, out=scores)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    out = Tensor((attn @ vh).transpose(heads_last).reshape(q_shape[:-1] + (heads * d_head,)))
     weights = attn.transpose(1, 0, 2, 3) if rank == 3 else attn
     inputs = (q, k, v, *leaves)
     if (tape := _find_tape(inputs)) is None:
         return out, weights
-    shapes = (q.shape, k.shape, v.shape)
 
     def backward(g):
-        g_heads = g.reshape(shapes[0][:-1] + (heads, d_head)).transpose(heads_first)
+        g_heads = g.reshape(q_shape[:-1] + (heads, d_head)).transpose(heads_first)
         d_attn = g_heads @ vh.swapaxes(-1, -2)
         d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) * c
         d_heads = (d_scores @ kh, d_scores.swapaxes(-1, -2) @ qh,
                    attn.swapaxes(-1, -2) @ g_heads)
         d_inputs, d_leaves = [], []
-        for x, w, d, shape in zip((q2, k2, v2), blocks, d_heads, shapes):
+        for x, w, d, shape in zip((q2, k2, v2), (w_q, *w_kv), d_heads, shapes):
             d = d.reshape(heads, -1, d_head)
             d_inputs.append(np.matmul(d, w.swapaxes(1, 2)).sum(axis=0).reshape(shape))
             d_leaves.extend(np.matmul(x.T, d))
@@ -655,7 +673,7 @@ def capsule_region_attention(regions, w_cap: Tensor | None = None,
                     d_r[i] += np.outer(attn[i], d_pooled[i])
         grads = [] if r_shape is None else [None if d_r is None else d_r.reshape(r_shape)]
         if cap:
-            grads.append(d_wcap_t.T)
+            grads.append(np.ascontiguousarray(d_wcap_t.T))
             if has_bias:
                 grads.append(g_s.sum(axis=(0, 1)))
         if att:
@@ -679,27 +697,24 @@ def capsule_region_attention(regions, w_cap: Tensor | None = None,
     return v_out, _record(tape, out, (v_out,), hand_off), weights
 
 
-def _col_blocks(a: np.ndarray, count: int) -> list:
-    """``a`` [n, count * w] as ``count`` [n, w] column blocks (views)."""
-    n, width = a.shape[0], a.shape[1] // count
-    return list(a.reshape(n, count, width).transpose(1, 0, 2))
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # the tanh form cannot overflow, for any sign or magnitude
     return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
-def gru_sequence(x: Tensor, h0: Tensor | None, weights: Sequence[Tensor],
-                 context: Tensor | None = None, reverse: bool = False,
-                 mask=None) -> Tensor:
+def gru_sequence(x: Tensor, h0: Tensor | None, blocks: Sequence[np.ndarray],
+                 leaves: Sequence[Tensor], context: Tensor | None = None,
+                 reverse: bool = False, mask=None) -> Tensor:
     """A GRU run over the rows of ``x`` as one op, for one direction.
 
-    ``weights`` is (wz, uz, bz, wr, ur, br, wh, uh, bh): input weights
-    [d_in, d_h], recurrent weights [d_h, d_h] and biases [d_h] of the update
-    gate z, the reset gate r and the candidate. Step t reads row t of ``x``
-    followed by ``context`` (a vector shared by every step, or None) and
-    updates the state h:
+    ``blocks`` is (w, u, b): the input weights [3, d_in, d_h], the
+    recurrent weights [3, d_h, d_h] and the biases [3, d_h] of the update
+    gate z, the reset gate r and the candidate, one row each in that order.
+    ``leaves`` are the 9 trainable tensors whose data are the blocks' rows,
+    the three of w first, then u, then b; the op reads only the blocks and
+    gives each leaf its row of the block gradient. Step t reads row t of
+    ``x`` followed by ``context`` (a vector shared by every step, or None)
+    and updates the state h:
 
         z = sigmoid(x_t wz + h uz + bz)    r = sigmoid(x_t wr + h ur + br)
         cand = tanh(x_t wh + (r * h) uh + bh)    h' = h + z * (cand - h)
@@ -715,19 +730,20 @@ def gru_sequence(x: Tensor, h0: Tensor | None, weights: Sequence[Tensor],
     the end leave both directions exact. Returns the state after each row,
     [(B,) m, d_h], in row order.
     """
-    return _gru("gru_sequence", x, h0, [weights], (reverse,), context, mask)
+    return _gru("gru_sequence", x, h0, blocks, leaves, (reverse,), context, mask)
 
 
-def bigru_sequence(x: Tensor, forward: Sequence[Tensor], backward: Sequence[Tensor],
+def bigru_sequence(x: Tensor, blocks: Sequence[np.ndarray], leaves: Sequence[Tensor],
                    context: Tensor | None = None, mask=None) -> Tensor:
     """Both directions of a bidirectional GRU as one op: ``gru_sequence``
-    from zero states with the ``forward`` weights, and reversed with the
-    ``backward`` weights. The directions step together, one [2, b, d_h]
-    state against [2, d_h, ...] weights, so a step costs one pass of array
-    calls instead of two. Returns both states of each row side by side,
-    [(B,) m, 2 d_h], the forward state first.
+    from zero states forward and reversed. ``blocks`` holds both
+    directions' gates, the forward rows first: [6, d_in, d_h], [6, d_h,
+    d_h] and [6, d_h], with 18 ``leaves`` in block order. The directions
+    step together, one [2, ...] state against both directions' blocks, so a
+    step costs one pass of array calls instead of two. Returns both states
+    of each row side by side, [(B,) m, 2 d_h], the forward state first.
     """
-    return _gru("bigru_sequence", x, None, [forward, backward], (False, True), context, mask)
+    return _gru("bigru_sequence", x, None, blocks, leaves, (False, True), context, mask)
 
 
 def _reverse_steps(a: np.ndarray, reverse) -> None:
@@ -738,14 +754,14 @@ def _reverse_steps(a: np.ndarray, reverse) -> None:
             a[:, j] = a[::-1, j]
 
 
-def _gru(name, x, h0, weights, reverse, context, mask) -> Tensor:
+def _gru(name, x, h0, blocks, leaves, reverse, context, mask) -> Tensor:
     """GRU directions j = 0..D-1 over the rows of ``x``, stepped together.
 
-    Inside, arrays are step-major, [m, D, b, ...]: step s of a reversed
-    direction reads row m-1-s. Returns the states in row order, the
-    directions side by side on the last axis.
+    Inside, arrays are step-major and gate-major, [m, D, gates, b, d_h]:
+    step s of a reversed direction reads row m-1-s. Returns the states in
+    row order, the directions side by side on the last axis.
     """
-    dirs = len(weights)
+    dirs = len(reverse)
     rank = x.data.ndim
     if rank not in (2, 3) or x.shape[-2] < 1:
         raise ShapeError(
@@ -754,12 +770,19 @@ def _gru(name, x, h0, weights, reverse, context, mask) -> Tensor:
     xd = x.data if rank == 3 else x.data[None]
     b, m, d_x = xd.shape
     lead = x.shape[:-2]
-    d_h = weights[0][1].shape[0]
     if context is not None and (context.data.ndim != rank - 1 or context.shape[:-1] != lead):
         raise ShapeError(
             f"{name}: context must be one vector per input sequence, got {context.shape}"
         )
     d_ctx = 0 if context is None else context.shape[-1]
+    w_all, u_all, bias = blocks
+    rows, d_h = 3 * dirs, bias.shape[-1] if bias.ndim else 0
+    if w_all.shape != (rows, d_x + d_ctx, d_h) or u_all.shape != (rows, d_h, d_h) \
+            or bias.shape != (rows, d_h) or len(leaves) != 3 * rows:
+        raise ShapeError(
+            f"{name}: need {rows} gate rows and {3 * rows} leaves that fit input width "
+            f"{d_x + d_ctx} and state width {d_h}"
+        )
     if h0 is not None and h0.shape != lead + (d_h,):
         raise ShapeError(
             f"{name}: initial state must have shape {lead + (d_h,)}, got {h0.shape}"
@@ -769,58 +792,45 @@ def _gru(name, x, h0, weights, reverse, context, mask) -> Tensor:
         mk = np.asarray(mask)
         if mk.dtype != np.bool_ or mk.shape != x.shape[:-1]:
             raise ShapeError(f"{name}: mask must be boolean of shape {x.shape[:-1]}")
-        keep = np.empty((m, dirs, b, 1), dtype=xd.dtype)
-        keep[...] = mk.reshape(b, m).T[:, None, :, None]
+        keep = np.empty((m, dirs, 1, b, 1), dtype=xd.dtype)
+        keep[...] = mk.reshape(b, m).T[:, None, None, :, None]
         _reverse_steps(keep, reverse)
-    width = 3 * d_h
-    try:
-        # per direction, the gates side by side: [z | r | candidate]
-        w_in = np.concatenate([ws[i].data for ws in weights for i in (0, 3, 6)], axis=1)
-        u_all = np.concatenate([ws[i].data for ws in weights for i in (1, 4, 7)], axis=1)
-        bias = np.concatenate([ws[i].data for ws in weights for i in (2, 5, 8)])
-    except ValueError as e:
-        raise ShapeError(f"{name}: gate weights disagree: {e}") from None
-    if w_in.shape != (d_x + d_ctx, dirs * width) or u_all.shape != (d_h, dirs * width) \
-            or bias.shape != (dirs * width,):
-        raise ShapeError(
-            f"{name}: weights do not fit input width {d_x + d_ctx} and state width {d_h}"
-        )
-    # [D, d, 3 d_h] views
-    w_in = w_in.reshape(-1, dirs, width).transpose(1, 0, 2)
-    u_all = u_all.reshape(d_h, dirs, width).transpose(1, 0, 2)
-    w_x, w_ctx = w_in[:, :d_x], w_in[:, d_x:]
-    u_zr, u_c = u_all[:, :, : 2 * d_h], u_all[:, :, 2 * d_h :]
-    # rows of every step, time-major, projected at once: [D, m * b, 3 d_h]
+    # [D, 3, d, d_h] views
+    w = w_all.reshape(dirs, 3, -1, d_h)
+    u = u_all.reshape(dirs, 3, d_h, d_h)
+    w_x, w_ctx = w[:, :, :d_x], w[:, :, d_x:]
+    u_zr, u_c = u[:, :2], u[:, 2:]
+    # rows of every step, time-major, projected at once: [D, 3, m * b, d_h]
     x2 = xd.transpose(1, 0, 2).reshape(m * b, d_x)
-    proj = np.matmul(x2, w_x) + bias.reshape(dirs, 1, width)
-    steps_proj = proj.reshape(dirs, m, b, width).transpose(1, 0, 2, 3)
+    proj = np.matmul(x2, w_x) + bias.reshape(dirs, 3, 1, d_h)
+    steps_proj = proj.reshape(dirs, 3, m, b, d_h).transpose(2, 0, 1, 3, 4)
     ctx = None if context is None else context.data.reshape(b, d_ctx)
     if ctx is not None:
         steps_proj += np.matmul(ctx, w_ctx)
     _reverse_steps(steps_proj, reverse)
-    p_zr, p_c = steps_proj[..., : 2 * d_h], steps_proj[..., 2 * d_h :]
+    p_zr, p_c = steps_proj[:, :, :2], steps_proj[:, :, 2:]
     if h0 is None:
-        h = np.zeros((dirs, b, d_h), dtype=xd.dtype)
+        h = np.zeros((dirs, 1, b, d_h), dtype=xd.dtype)
     else:
-        h = h0.data.reshape(1, b, d_h)
-    inputs = [x] + [t for t in (h0, context) if t is not None] + [w for ws in weights for w in ws]
+        h = h0.data.reshape(1, 1, b, d_h)
+    inputs = [x] + [t for t in (h0, context) if t is not None] + list(leaves)
     tape = _find_tape(inputs)
-    states = np.empty((m, dirs, b, d_h), dtype=proj.dtype)
+    states = np.empty((m, dirs, 1, b, d_h), dtype=proj.dtype)
     if tape is not None:
         # what the backward pass reads: each step's incoming state and gates
         prev = np.empty_like(states)
-        gates = np.empty((m, dirs, b, 2 * d_h), dtype=proj.dtype)
+        gates = np.empty((m, dirs, 2, b, d_h), dtype=proj.dtype)
         cands = np.empty_like(states)
     for s in range(m):
         zr = _sigmoid(p_zr[s] + h @ u_zr)
-        cand = np.tanh(p_c[s] + (zr[..., d_h:] * h) @ u_c)
+        cand = np.tanh(p_c[s] + (zr[:, 1:] * h) @ u_c)
         if tape is not None:
             prev[s], gates[s], cands[s] = h, zr, cand
-        z = zr[..., :d_h] if keep is None else zr[..., :d_h] * keep[s]
+        z = zr[:, :1] if keep is None else zr[:, :1] * keep[s]
         h = h + z * (cand - h)
         states[s] = h
     _reverse_steps(states, reverse)
-    out = Tensor(states.transpose(2, 0, 1, 3).reshape(x.shape[:-1] + (dirs * d_h,)))
+    out = Tensor(states.transpose(3, 0, 1, 2, 4).reshape(x.shape[:-1] + (dirs * d_h,)))
     if tape is None:
         return out
     x_shape = x.shape
@@ -828,18 +838,25 @@ def _gru(name, x, h0, weights, reverse, context, mask) -> Tensor:
     ctx_shape = None if context is None else context.shape
 
     def backward(g):
+        # the steps run with each direction's gates side by side, [D, b, 3 d_h],
+        # so one product per step takes the state gradient through z and r
         g = g.reshape(b, m, dirs, d_h).transpose(1, 2, 0, 3).copy()
         _reverse_steps(g, reverse)
-        d_proj = np.empty_like(steps_proj)
+        zrs = gates.transpose(0, 1, 3, 2, 4).reshape(m, dirs, b, 2 * d_h)
+        cs, hps = cands.reshape(m, dirs, b, d_h), prev.reshape(m, dirs, b, d_h)
+        ks = None if keep is None else keep.reshape(m, dirs, b, 1)
+        d_proj = np.empty((m, dirs, b, 3 * d_h), dtype=g.dtype)
         d_h_next = np.zeros((dirs, b, d_h), dtype=g.dtype)
-        u_zr_t, u_c_t = u_zr.swapaxes(1, 2), u_c.swapaxes(1, 2)
+        # the z and r rows transposed and stacked, [D, 2 d_h, d_h]
+        u_zr_t = u_zr.swapaxes(-1, -2).reshape(dirs, 2 * d_h, d_h)
+        u_c_t = u_c[:, 0].swapaxes(-1, -2)
         for s in range(m - 1, -1, -1):
             dh = g[s] + d_h_next
-            zr, cand, hp = gates[s], cands[s], prev[s]
+            zr, cand, hp = zrs[s], cs[s], hps[s]
             z, r = zr[..., :d_h], zr[..., d_h:]
             d_z = dh * (cand - hp)
-            if keep is not None:
-                z, d_z = z * keep[s], d_z * keep[s]
+            if ks is not None:
+                z, d_z = z * ks[s], d_z * ks[s]
             d_c = dh * z * (1.0 - cand * cand)
             d_rh = d_c @ u_c_t
             d_zr = np.concatenate([d_z, d_rh * hp], axis=-1) * zr * (1.0 - zr)
@@ -851,27 +868,32 @@ def _gru(name, x, h0, weights, reverse, context, mask) -> Tensor:
             # [m, D, b, w] -> [D, m * b, w]
             return a.transpose(1, 0, 2, 3).reshape(dirs, m * b, a.shape[-1])
 
-        d_steps = per_dir(d_proj)
-        d_bias = d_steps.sum(axis=1)
-        d_u_zr = per_dir(prev).swapaxes(1, 2) @ d_steps[..., : 2 * d_h]
-        d_u_c = per_dir(gates[..., d_h:] * prev).swapaxes(1, 2) @ d_steps[..., 2 * d_h :]
+        def gate_major(a):
+            # [D, n, 3 d_h] -> [D, 3, n, d_h], a view
+            return a.reshape(dirs, a.shape[1], 3, d_h).transpose(0, 2, 1, 3)
+
+        # the products below give the block gradients gate-major and contiguous
+        d_steps = gate_major(per_dir(d_proj))
+        d_bias = d_steps.sum(axis=2)
+        d_u = np.concatenate([per_dir(hps).swapaxes(1, 2)[:, None] @ d_steps[:, :2],
+                              per_dir(zrs[..., d_h:] * hps).swapaxes(1, 2)[:, None]
+                              @ d_steps[:, 2:]], axis=1)
         _reverse_steps(d_proj, reverse)
-        d_rows = per_dir(d_proj)
+        d_rows = gate_major(per_dir(d_proj))
         d_w = np.matmul(x2.T, d_rows)
         if ctx is not None:
-            d_ctx_proj = d_proj.sum(axis=0)
-            d_w = np.concatenate([d_w, np.matmul(ctx.T, d_ctx_proj)], axis=1)
-        d_xs = np.matmul(d_rows, w_x.swapaxes(1, 2)).sum(axis=0)
+            d_ctx_proj = gate_major(d_proj.sum(axis=0))
+            d_w = np.concatenate([d_w, np.matmul(ctx.T, d_ctx_proj)], axis=2)
+        d_xs = np.matmul(d_rows, w_x.swapaxes(-1, -2)).sum(axis=(0, 1))
         grads = [d_xs.reshape(m, b, d_x).transpose(1, 0, 2).reshape(x_shape)]
         if h0_shape is not None:
             grads.append(d_h_next.reshape(h0_shape))
         if ctx is not None:
-            grads.append(np.matmul(d_ctx_proj, w_ctx.swapaxes(1, 2)).sum(axis=0)
+            grads.append(np.matmul(d_ctx_proj, w_ctx.swapaxes(-1, -2)).sum(axis=(0, 1))
                          .reshape(ctx_shape))
-        for j in range(dirs):
-            recurrent = _col_blocks(d_u_zr[j], 2) + [d_u_c[j]]
-            for i, d_w_gate in enumerate(_col_blocks(d_w[j], 3)):
-                grads += [d_w_gate, recurrent[i], d_bias[j, i * d_h:(i + 1) * d_h]]
+        # each leaf's gradient is a contiguous row of its block's
+        for d in (d_w, d_u, d_bias):
+            grads.extend(d.reshape((rows,) + d.shape[2:]))
         return grads
 
     return _record(tape, out, inputs, backward)

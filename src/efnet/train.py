@@ -17,6 +17,14 @@ from .tensor import Tape, Tensor
 METRICS_HEADER = "epoch,split,loss,accuracy,macro_f1"
 SWEEP_HEADER = "heads,accuracy,macro_f1"
 EVAL_BATCH = 32  # rows per evaluation forward; results do not depend on it
+# Steps between flushes of subnormal moment entries to zero (see adam_step).
+# A moment whose gradient stays zero shrinks by beta1 = 0.9 a step: from
+# 1e-4 it turns subnormal in float32 after 742 steps and then sticks near
+# 6e-45, where a multiply over 67,131 such entries took 461 us against 11 us
+# for normal ones. Flushing both moments of that size takes about 38 us,
+# 2.4 us a step at 16, and an entry then stays subnormal for at most 16
+# steps of the 742 it took to get there.
+FLUSH_EVERY = 16
 
 
 class TrainError(RuntimeError):
@@ -66,8 +74,10 @@ def adam_step(params: EFNetParams, grads, state: OptimizerState) -> None:
     parameters, so the result is bitwise equal to it. A non-finite gradient
     or update raises ``TrainError`` naming the first parameter it reaches,
     before any parameter changes (after a non-finite update the moments
-    have advanced). The padding embedding row is re-zeroed afterwards so
-    index 0 never drifts away from zero.
+    have advanced). Every ``FLUSH_EVERY``-th step, moment entries below the
+    dtype's smallest normal value become zero before the update reads them.
+    The padding embedding row is re-zeroed afterwards so index 0 never
+    drifts away from zero.
     """
     buffer = params.buffer.sync()
     dtype = buffer.flat.dtype
@@ -107,6 +117,10 @@ def adam_step(params: EFNetParams, grads, state: OptimizerState) -> None:
         g *= 1.0 - state.beta2
         v *= state.beta2
         v += g
+        if state.t % FLUSH_EVERY == 0:
+            tiny = np.finfo(dtype).tiny
+            m[np.abs(m) < tiny] = 0.0
+            v[v < tiny] = 0.0
         step = m / c1
         step *= state.lr
         root = v / c2

@@ -336,6 +336,13 @@ class TestTrainEval:
         assert main(["train", "--config", str(cfg), "--out", str(workdir / "z")]) == 2
         assert "mystery" in capsys.readouterr().err
 
+    def test_non_utf8_config_is_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"epochs = 1\n\xff\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}: line 2: byte 0xff is not UTF-8 text\n"
+
 
 # `efnet train` in a child process that stops at one point and prints
 # "hold" there, so the parent's SIGKILL lands at that point every run.

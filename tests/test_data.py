@@ -56,6 +56,12 @@ class TestEmbeddings:
         with pytest.raises(ParseError, match=rf"emb\.txt: line 2: token 'dog'"):
             dio.load_embeddings(path)
 
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"cat 0.1 0.2\ndog 0.3 0.4\xe9\n")
+        with pytest.raises(ParseError, match=r"emb\.txt: line 2: byte 0xe9 is not UTF-8"):
+            dio.load_embeddings(path)
+
     def test_duplicate_token(self, tmp_path):
         with pytest.raises(ParseError, match="duplicate"):
             dio.load_embeddings(self.write(tmp_path, "cat 1 2\ncat 3 4\n"))
@@ -135,6 +141,12 @@ class TestDataset:
     def test_empty_tokens(self, tmp_path):
         with pytest.raises(ParseError, match="tokens"):
             dio.load_dataset(self.write_record(tmp_path, tokens=[]))
+
+    def test_non_utf8_byte_names_file_and_record(self, tmp_path):
+        path = self.write_record(tmp_path)
+        path.write_bytes(path.read_bytes() + b'{"id": "s\xff1"}\n')
+        with pytest.raises(ParseError, match=r"data\.jsonl: record 2: byte 0xff is not UTF-8"):
+            dio.load_dataset(path)
 
     def test_record_index_counts_lines(self, tmp_path):
         good = {

@@ -705,13 +705,13 @@ class TestForward:
 TRAIN_BATCH_NODE_LIMIT = 31  # non-leaf tape nodes of one training batch
 
 
-def test_training_batch_tape_size(tmp_path):
-    """The first training batch of 8 on the overfit config (the benchmark's
-    train_mm workload) records at most TRAIN_BATCH_NODE_LIMIT op nodes: op
-    dispatch is the cost of a batch, so fused ops must not come apart."""
-    dio.synth_generate(tmp_path, seed=0, n=300, grid_rule="both", embed_dim=16)
+def overfit_batch_step(tmp_path, n):
+    """The parameters, the tape and the loss of the first training batch of
+    8 on the overfit config (the benchmark's train_mm workload), from a
+    synthesized corpus of ``n`` samples."""
+    dio.synth_generate(tmp_path, seed=0, n=n, grid_rule="both", embed_dim=16)
     table = dio.load_embeddings(tmp_path / "embeddings.txt")
-    samples = dio.load_dataset(tmp_path / "dataset.jsonl")[:240]
+    samples = dio.load_dataset(tmp_path / "dataset.jsonl")[:n * 4 // 5]
     cfg = overfit_config()
     params = EFNetParams.create(cfg, np.random.default_rng(cfg.seed),
                                 Tensor(table.matrix.data.copy(), requires_grad=True))
@@ -719,14 +719,32 @@ def test_training_batch_tape_size(tmp_path):
     batch = dio.make_batches(samples, table, batch_size=8, max_len=cfg.max_len,
                              text_only=False, rng=rng)[0]
     tape = Tape()
-    named = params.named_parameters()
-    for _, p in named:
+    for _, p in params.named_parameters():
         tape.watch(p)
     out = md.forward(batch, params, cfg, train=True, rng=rng)
     value = md.loss([out.probs], batch.labels, params, cfg.l2_lambda)
     assert value.tape is tape and len(batch) == 8
-    nodes = len(tape) - len(named)
+    return params, tape, value
+
+
+def test_training_batch_tape_size(tmp_path):
+    """The first training batch of 8 on the overfit config (the benchmark's
+    train_mm workload) records at most TRAIN_BATCH_NODE_LIMIT op nodes: op
+    dispatch is the cost of a batch, so fused ops must not come apart."""
+    params, tape, _ = overfit_batch_step(tmp_path, 300)
+    nodes = len(tape) - len(params.named_parameters())
     assert nodes <= TRAIN_BATCH_NODE_LIMIT, f"{nodes} op nodes for one batch"
+
+
+def test_training_batch_gradients_are_contiguous(tmp_path):
+    """Every parameter gradient of a training batch is C-contiguous, so the
+    optimizer's gather copies each one as a block."""
+    params, tape, value = overfit_batch_step(tmp_path, 20)
+    grads = tape.backward(value)
+    named = params.named_parameters()
+    assert len(named) == 50
+    strided = [name for name, p in named if not grads[p].flags.c_contiguous]
+    assert not strided, f"strided gradients: {strided}"
 
 
 class TestBatchedForward:
@@ -983,6 +1001,16 @@ class TestCheckpoint:
         versioned.write_bytes(bytes(vb))
         with pytest.raises(FormatError, match="version"):
             md.load_checkpoint(versioned, params)
+
+    def test_non_utf8_record_name_is_format_error(self, tmp_path):
+        cfg, params, path = self.roundtrip_params(tmp_path)
+        blob = bytearray(path.read_bytes())
+        # magic, version and the first name's length come before its bytes
+        blob[12] = 0xFF
+        bad = tmp_path / "name.efck"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=r"name\.efck: record 1: name is not UTF-8"):
+            md.load_checkpoint(bad, params)
 
     def test_non_finite_record_is_format_error(self, tmp_path):
         cfg, params, path = self.roundtrip_params(tmp_path)

@@ -39,13 +39,25 @@ def ragged(lead, n):
 def blocks(ws, heads=2):
     """``multi_head_attention``'s blocks and leaves for 3H per-head
     tensors, the wq heads first."""
-    roles = ws[:heads], ws[heads:2 * heads], ws[2 * heads:]
-    return [np.stack([w.data for w in role]) for role in roles], list(ws)
+    def stack(role):
+        return np.stack([w.data for w in role])
+
+    w_kv = np.stack([stack(ws[heads:2 * heads]), stack(ws[2 * heads:])])
+    return [stack(ws[:heads]), w_kv], list(ws)
 
 
 def gru_weights(rng, d_in, d_h):
     shapes = {"w": (d_in, d_h), "u": (d_h, d_h), "b": (d_h,)}
     return [rand(rng, *shapes[n]) for n in "wubwubwub"]
+
+
+def gru_blocks(*directions):
+    """The GRU ops' blocks and leaves for directions given as (wz, uz, bz,
+    wr, ur, br, wh, uh, bh) tensors."""
+    leaves = [ws[kind + 3 * gate] for kind in range(3) for ws in directions
+              for gate in range(3)]
+    return [np.stack([t.data for t in leaves[i:i + 3 * len(directions)]])
+            for i in range(0, len(leaves), 3 * len(directions))], leaves
 
 
 class Row(NamedTuple):
@@ -118,12 +130,14 @@ ROWS = [
                             rand(rng, 4) * 0.1, rand(rng, *lead, 5), rand(rng, 7, 5) * 0.5], {}),
         wrong=lambda r, w, b, q, w_r: [r, w, b, q, w_r[1:]], watch=(1, 2, 3, 4)),
     Row("gru_sequence",
-        lambda x, h0, *ws, mask: tx.gru_sequence(x, h0, ws, reverse=True, mask=mask),
+        lambda x, h0, *ws, mask: tx.gru_sequence(x, h0, *gru_blocks(ws), reverse=True,
+                                                 mask=mask),
         lambda rng, lead: ([rand(rng, *lead, 3, 4), rand(rng, *lead, 3),
                             *gru_weights(rng, 4, 3)], {"mask": ragged(lead, 3)}),
         wrong=lambda x, h0, *ws: [x, h0[1:], *ws]),
     Row("bigru_sequence",
-        lambda x, ctx, *ws, mask: tx.bigru_sequence(x, ws[:9], ws[9:], context=ctx, mask=mask),
+        lambda x, ctx, *ws, mask: tx.bigru_sequence(x, *gru_blocks(ws[:9], ws[9:]), context=ctx,
+                                                    mask=mask),
         lambda rng, lead: ([rand(rng, *lead, 3, 2), rand(rng, *lead, 2), *gru_weights(rng, 4, 3),
                             *gru_weights(rng, 4, 3)], {"mask": ragged(lead, 3)}),
         wrong=lambda x, ctx, *ws: [x[:, 1:], ctx, *ws]),
@@ -723,11 +737,11 @@ class TestGRUSequence:
             ws = [Tensor(w) for w in gru_weights(rng, 5, 4)]
             gru = GRUParams(*ws)
             x_ctx = np.concatenate([x, np.tile(ctx, (3, 1))], axis=1)
-            got = tx.gru_sequence(Tensor(x), Tensor(h0), ws, context=Tensor(ctx),
+            got = tx.gru_sequence(Tensor(x), Tensor(h0), *gru_blocks(ws), context=Tensor(ctx),
                                   reverse=reverse).data
             np.testing.assert_allclose(got, gru_reference(x_ctx, gru, reverse, h0),
                                        atol=1e-12)
-            got = tx.gru_sequence(Tensor(x), None, ws, context=Tensor(ctx),
+            got = tx.gru_sequence(Tensor(x), None, *gru_blocks(ws), context=Tensor(ctx),
                                   reverse=reverse).data
             np.testing.assert_allclose(got, gru_reference(x_ctx, gru, reverse), atol=1e-12)
 
@@ -735,11 +749,11 @@ class TestGRUSequence:
         rng = np.random.default_rng(76)
         ws = [Tensor(w) for w in gru_weights(rng, 3, 2)]
         with pytest.raises(ShapeError):
-            tx.gru_sequence(Tensor(np.zeros((2, 4))), None, ws)
+            tx.gru_sequence(Tensor(np.zeros((2, 4))), None, *gru_blocks(ws))
         with pytest.raises(ShapeError):
-            tx.gru_sequence(Tensor(np.zeros((0, 3))), None, ws)
+            tx.gru_sequence(Tensor(np.zeros((0, 3))), None, *gru_blocks(ws))
         with pytest.raises(ShapeError):
-            tx.gru_sequence(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), ws)
+            tx.gru_sequence(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), *gru_blocks(ws))
 
     def test_gradients(self):
         # one step, as gru_cell runs it, in each direction, with a state
@@ -747,12 +761,12 @@ class TestGRUSequence:
         rng = np.random.default_rng(77)
         for reverse in (False, True):
             def op(x, h0, ctx, *ws, reverse=reverse):
-                return tx.gru_sequence(x, h0, ws, context=ctx, reverse=reverse)
+                return tx.gru_sequence(x, h0, *gru_blocks(ws), context=ctx, reverse=reverse)
 
             fd_check(op, rand(rng, 1, 2), rand(rng, 3), rand(rng, 2), *gru_weights(rng, 4, 3))
 
             def op_plain(x, *ws, reverse=reverse):
-                return tx.gru_sequence(x, None, ws, reverse=reverse)
+                return tx.gru_sequence(x, None, *gru_blocks(ws), reverse=reverse)
 
             fd_check(op_plain, rand(rng, 1, 4), *gru_weights(rng, 4, 3))
 
@@ -765,14 +779,14 @@ class TestGRUSequence:
         x, ctx, h0 = rand(rng, 3, 3, 2), rand(rng, 3, 3), rand(rng, 3, 4)
         ws = [Tensor(w) for w in gru_weights(rng, 5, 4)]
         for reverse in (False, True):
-            got = tx.gru_sequence(Tensor(x), Tensor(h0), ws, context=Tensor(ctx),
+            got = tx.gru_sequence(Tensor(x), Tensor(h0), *gru_blocks(ws), context=Tensor(ctx),
                                   reverse=reverse, mask=mask).data
             for i, n in enumerate(lengths):
-                one = tx.gru_sequence(Tensor(x[i, :n]), Tensor(h0[i]), ws,
+                one = tx.gru_sequence(Tensor(x[i, :n]), Tensor(h0[i]), *gru_blocks(ws),
                                       context=Tensor(ctx[i]), reverse=reverse).data
                 np.testing.assert_allclose(got[i, :n], one, atol=1e-12)
         with pytest.raises(ShapeError):
-            tx.gru_sequence(Tensor(x), None, ws, context=Tensor(ctx[0]))
+            tx.gru_sequence(Tensor(x), None, *gru_blocks(ws), context=Tensor(ctx[0]))
 
 
 class TestBiGRUSequence:
@@ -784,27 +798,29 @@ class TestBiGRUSequence:
             mask = (np.arange(4) < np.array([4, 1, 3])[:, None]) if batched else None
             fwd = [Tensor(w) for w in gru_weights(rng, 5, 4)]
             bwd = [Tensor(w) for w in gru_weights(rng, 5, 4)]
-            got = tx.bigru_sequence(Tensor(x), fwd, bwd, context=Tensor(ctx), mask=mask).data
+            got = tx.bigru_sequence(Tensor(x), *gru_blocks(fwd, bwd), context=Tensor(ctx),
+                                    mask=mask).data
             want = np.concatenate([
-                tx.gru_sequence(Tensor(x), None, ws, context=Tensor(ctx), reverse=rev,
-                                mask=mask).data
+                tx.gru_sequence(Tensor(x), None, *gru_blocks(ws), context=Tensor(ctx),
+                                reverse=rev, mask=mask).data
                 for ws, rev in ((fwd, False), (bwd, True))], axis=-1)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_gradients(self):
         # one step; the table's row has three
         rng = np.random.default_rng(82)
-        fd_check(lambda x, ctx, *ws: tx.bigru_sequence(x, ws[:9], ws[9:], context=ctx),
+        fd_check(lambda x, ctx, *ws: tx.bigru_sequence(x, *gru_blocks(ws[:9], ws[9:]),
+                                                       context=ctx),
                  rand(rng, 1, 2), rand(rng, 2), *gru_weights(rng, 4, 3), *gru_weights(rng, 4, 3))
 
     def test_shape_errors(self):
         rng = np.random.default_rng(83)
         fwd = [Tensor(w) for w in gru_weights(rng, 3, 2)]
-        bwd = [Tensor(w) for w in gru_weights(rng, 3, 4)]
+        one_direction = gru_blocks(fwd)
         with pytest.raises(ShapeError, match="bigru_sequence"):
-            tx.bigru_sequence(Tensor(np.zeros((2, 3))), fwd, bwd)
+            tx.bigru_sequence(Tensor(np.zeros((2, 3))), *one_direction)
         with pytest.raises(ShapeError, match="bigru_sequence"):
-            tx.bigru_sequence(Tensor(np.zeros((0, 3))), fwd, fwd)
+            tx.bigru_sequence(Tensor(np.zeros((0, 3))), *gru_blocks(fwd, fwd))
 
 
 class TestCrossEntropy:

@@ -82,6 +82,23 @@ class TestAdamStep:
         np.testing.assert_array_equal(w.data, [[1.5, -2.0]])
         assert state.t == 3
 
+    def test_zero_gradient_moments_flush_to_zero(self):
+        # a first moment that only decays turns subnormal after about 820
+        # steps here; the flush makes it zero instead of leaving it stuck
+        embed = Tensor(np.zeros((3, 2), np.float32), requires_grad=True)
+        w = Tensor(np.array([0.5, -0.5], np.float32), requires_grad=True)
+        params = FakeParams([("embed.table", embed), ("w", w)], embed=embed)
+        state = OptimizerState()
+        zero = FakeGrads({id(params.embed): np.zeros((3, 2), np.float32),
+                          id(w): np.zeros(2, np.float32)})
+        adam_step(params, FakeGrads({id(params.embed): np.zeros((3, 2), np.float32),
+                                     id(w): np.ones(2, np.float32)}), state)
+        for _ in range(999):
+            adam_step(params, zero, state)
+        np.testing.assert_array_equal(state.m["w"], 0.0)
+        tiny = np.finfo(np.float32).tiny
+        assert (state.v["w"] >= tiny).all()
+
     def test_pad_row_rezeroed(self):
         params = fake_model()
         grads = FakeGrads({id(params.embed): np.ones((3, 2))})
