@@ -128,13 +128,17 @@ def _read(config_path, cfg: RunConfig, key: str, load):
 
 def _prepare(args, splits):
     """Load and check the run config, its embedding table and ``splits``,
-    and build the model, before anything is written."""
+    and build the model, before anything is written. A split with no
+    samples is an ``InputError`` naming the config file and the key."""
     cfg = RunConfig.load(args.config)
     table = _read(args.config, cfg, "embeddings", load_embeddings)
     if table.dim != cfg.model.embed_dim:
         raise ConfigError(f"{args.config}: embed_dim = {cfg.model.embed_dim}, but "
                           f"{cfg.embeddings} has {table.dim} values per token")
     data = [_read(args.config, cfg, s, load_dataset) for s in splits]
+    for key, samples in zip(splits, data):
+        if not samples:
+            raise InputError(f"{args.config}: {key} = {getattr(cfg, key)}: no samples")
     params = EFNetParams.create(cfg.model, np.random.default_rng(cfg.model.seed),
                                 table.matrix)
     return cfg, table, data, params

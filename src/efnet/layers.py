@@ -5,8 +5,8 @@ Parameter containers are plain dataclasses holding trainable Tensors; each
 has a seeded ``create`` factory. Functions take inputs first and parameters
 after, and everything runs on the autodiff primitives from ``tensor``.
 ``ParamBuffer`` packs trainable tensors into one flat array; the multi-head
-projections always live in one, as [H, d, d_head] blocks, and so do the GRU
-gates, as [3, d, d_h] blocks.
+projections always live in one, as [H, d, d_head] blocks, and a Bi-GRU's
+gates do once the pair has run, as [6, d, d_h] blocks.
 """
 
 from __future__ import annotations
@@ -127,10 +127,13 @@ class MHAParams:
             if any(w.shape != role[0].shape for w in role):
                 raise ConfigError("the wq heads, and the wk and wv heads, must each "
                                   "share one input width")
-        self.place(ParamBuffer.pack([
-            [(f"{name}[{h}]", w) for h, w in enumerate(role)]
-            for name, role in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv))
-        ]))
+        self.place(ParamBuffer.pack(self.groups("")))
+
+    def groups(self, prefix: str) -> list:
+        """``ParamBuffer.pack`` groups for the wq, wk and wv blocks, in that
+        order, each head named ``{prefix}h{i}.{role}``."""
+        return [[(f"{prefix}h{h}.{name}", w) for h, w in enumerate(role)]
+                for name, role in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv))]
 
     def place(self, buffer: ParamBuffer) -> None:
         """Read the projections from ``buffer``, whose blocks are wq, wk
@@ -164,11 +167,11 @@ class GRUParams:
     """Gate weights for one recurrence direction (update z, reset r,
     candidate h).
 
-    Construction packs the gates into three blocks, as ``MHAParams`` does
-    the heads: the input weights [3, d_in, d_h], the recurrent weights
-    [3, d_h, d_h] and the biases [3, d_h], rows z, r, h. The two directions
-    of a Bi-GRU share one ``buffer`` whose blocks hold both, forward rows
-    first (``gate_groups``), so the Bi-GRU op reads them without a copy."""
+    The two directions of a Bi-GRU share one ``buffer``, None until the
+    pair is packed, whose three blocks are the input weights [6, d_in,
+    d_h], the recurrent weights [6, d_h, d_h] and the biases [6, d_h],
+    rows z, r, h of the forward direction first (``gate_groups``), so the
+    Bi-GRU op reads them without a copy. A direction alone packs nothing."""
 
     wz: Tensor
     uz: Tensor
@@ -179,10 +182,7 @@ class GRUParams:
     wh: Tensor
     uh: Tensor
     bh: Tensor
-    buffer: ParamBuffer = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.buffer = ParamBuffer.pack(gate_groups([("", self)]))
+    buffer: ParamBuffer | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def create(cls, rng, d_in: int, d_hidden: int, dtype=DEFAULT_DTYPE):
@@ -270,13 +270,10 @@ def mhsa(x: Tensor, params: MHAParams, mask=None, return_weights: bool = False):
 def gru_cell(x: Tensor, h_prev: Tensor, params: GRUParams) -> Tensor:
     if x.data.ndim != 1 or h_prev.data.ndim != 1:
         raise ShapeError("gru_cell expects rank-1 input and state")
-    buffer = params.buffer.sync()
-    # this direction's three rows of each block, which may hold a second one
-    n = len(buffer.tensors) // 3
-    at = buffer.tensors.index(params.wz)
-    leaves = [buffer.tensors[i * n + row] for i in range(3) for row in range(at, at + 3)]
+    groups = gate_groups([("", params)])
+    blocks = [np.stack([t.data for _, t in group]) for group in groups]
     x_row = tx.reshape(x, (1, x.shape[0]))
-    h = tx.gru_sequence(x_row, h_prev, [block[at:at + 3] for block in buffer.blocks], leaves)
+    h = tx.gru_sequence(x_row, h_prev, blocks, [t for group in groups for _, t in group])
     return tx.reshape(h, (h_prev.shape[0],))
 
 
@@ -299,8 +296,7 @@ def bigru_encode(target_embeds: Tensor, aspect_embed: Tensor, fwd: GRUParams, bw
             f"aspect embedding must be rank {rank - 1}, got {aspect_embed.shape}"
         )
     buffer = fwd.buffer
-    if len(buffer.tensors) != 18 or buffer.tensors[0] is not fwd.wz \
-            or buffer.tensors[3] is not bwd.wz:
+    if buffer is None or buffer.tensors[0] is not fwd.wz or buffer.tensors[3] is not bwd.wz:
         # both directions into one buffer, the forward rows first
         buffer = fwd.buffer = bwd.buffer = ParamBuffer.pack(
             gate_groups([("fwd.", fwd), ("bwd.", bwd)]))

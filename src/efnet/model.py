@@ -5,9 +5,9 @@ and the softmax classifier, plus the training loss and checkpoint I/O.
 Every trainable tensor is reachable through ``EFNetParams.named_parameters``
 under a stable name; the optimizer, the L2 term, and the checkpoint format
 all cover exactly that list. Its tensors are views into one flat
-``ParamBuffer``, which the L2 term and the optimizer read whole. In
-text_only mode the visual parameters are never created, so their gradients
-are structurally absent rather than zero.
+``ParamBuffer``, in the list's order, which the L2 term and the optimizer
+read whole. In text_only mode the visual parameters are never created, so
+their gradients are structurally absent rather than zero.
 ``forward`` runs a whole padded batch at once, [B, ...] per stage; a single
 encoded sample runs the same stages without the batch axis.
 """
@@ -17,14 +17,14 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import layers as ly
 from . import tensor as tx
-from .data import Batch, FormatError, InputError, load_image_features
+from .data import FEATURE_SHAPE, Batch, FormatError, InputError, load_image_features
 from .layers import (
     REGION_COUNT,
     CapsuleParams,
@@ -39,6 +39,11 @@ from .layers import (
 from .tensor import MaskError, ShapeError, TapeError, Tensor
 
 NUM_CLASSES = 3
+
+# The most trainable parameters a config may ask for, the embedding table
+# aside: 200 MB of float32 weights, and as much again for the gradients and
+# each of Adam's two moments.
+MAX_PARAMETERS = 50_000_000
 
 CHECKPOINT_MAGIC = b"EFCK"
 CHECKPOINT_VERSION = 1
@@ -97,6 +102,27 @@ class ModelConfig:
             if width % self.head_count != 0:
                 raise ConfigError(f"{name('head_count')} = {self.head_count} does not divide "
                                   f"the {what} width {width}")
+        count = self.parameter_count()
+        if count > MAX_PARAMETERS:
+            # the width whose least value shrinks the model most is to blame
+            widths = ("embed_dim", "hidden_dim", "capsule_dim", "att_dim", "max_len")
+            blame = min(widths, key=lambda f: replace(self, **{f: 1}).parameter_count())
+            raise ConfigError(f"{name(blame)} = {getattr(self, blame)} makes a model of "
+                              f"{count:,} parameters, more than {MAX_PARAMETERS:,}")
+
+    def parameter_count(self) -> int:
+        """Trainable parameters of the model this config builds, apart from
+        the embedding table, whose rows the embedding file gives."""
+        d_c, d_t, d_h = self.context_width, self.target_width, self.hidden_dim
+        count = (2 * self.max_len + 1) * self.embed_dim  # position rows
+        count += 3 * d_c * d_c + 6 * (d_c + d_h + 1) * d_h  # ctx_mhsa, the Bi-GRU
+        count += d_t * d_t + 2 * d_c * d_t + 3 * d_t * d_t  # inter_ctx, fusion
+        count += 3 * (self.fused_width + 1)  # the classifier
+        if not self.text_only:
+            # the capsule, img_attn and inter_img
+            r, k, a = FEATURE_SHAPE[-1], self.capsule_dim, self.att_dim
+            count += (r + 1) * k + (d_t + r) * a + d_t * (d_t + 2 * k)
+        return count
 
 
 @dataclass
@@ -131,26 +157,38 @@ class EFNetParams:
     img_w_ta: Tensor | None = None
     img_w_r: Tensor | None = None
     buffer: ParamBuffer = field(init=False, repr=False, compare=False)
-    _named: list | None = field(default=None, init=False, repr=False, compare=False)
+    _named: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Every parameter moves into one flat buffer. The Bi-GRU's gate
-        # blocks and each multi-head role's [H, d, d_head] block become
-        # slices of it, where their GRUParams and MHAParams read them.
-        named = self.named_parameters()
-        mhas = [m for m in (self.ctx_mhsa, self.inter_ctx, self.inter_img, self.fusion)
-                if m is not None]
-        names = {id(p): name for name, p in named}
-        groups = gate_groups([("gru_fwd.", self.gru_fwd), ("gru_bwd.", self.gru_bwd)])
-        for m in mhas:
-            groups += [[(names[id(w)], w) for w in ws] for ws in (m.wq, m.wk, m.wv)]
-        blocked = {id(p) for group in groups for _, p in group}
-        alone = [[(name, p)] for name, p in named if id(p) not in blocked]
-        self.buffer = ParamBuffer.pack(alone + groups)
-        first = len(alone)
-        self.gru_fwd.buffer = self.gru_bwd.buffer = self.buffer.part(first, first + 3)
-        for i, m in enumerate(mhas, start=1):
-            m.place(self.buffer.part(first + 3 * i, first + 3 * i + 3))
+        # One pass in pipeline order moves every parameter into one flat
+        # buffer: a tensor of its own is a group of one, and a multi-head
+        # container or the Bi-GRU pair adds its three blocks, which it then
+        # reads as its part of the buffer.
+        pair = [("gru_fwd.", self.gru_fwd), ("gru_bwd.", self.gru_bwd)]
+        fields = [("embed.table", self.embed), ("pos.rows", self.pos.rows),
+                  ("ctx_mhsa.", self.ctx_mhsa), ("gru", pair)]
+        if self.capsule is not None:
+            fields += [("capsule.w", self.capsule.w), ("capsule.b", self.capsule.b),
+                       ("img_attn.w_ta", self.img_w_ta), ("img_attn.w_r", self.img_w_r)]
+        fields += [("inter_ctx.", self.inter_ctx), ("inter_img.", self.inter_img),
+                   ("fusion.", self.fusion), ("cls.w", self.cls_w), ("cls.b", self.cls_b)]
+        groups, parts = [], []
+        for name, item in fields:
+            if isinstance(item, Tensor):
+                groups.append([(name, item)])
+            elif item is pair:
+                parts.append((self._place_gru, len(groups)))
+                groups += gate_groups(pair)
+            elif item is not None:
+                parts.append((item.place, len(groups)))
+                groups += item.groups(name)
+        self.buffer = ParamBuffer.pack(groups)
+        self._named = list(zip(self.buffer.names, self.buffer.tensors))
+        for place, start in parts:
+            place(self.buffer.part(start, start + 3))
+
+    def _place_gru(self, buffer: ParamBuffer) -> None:
+        self.gru_fwd.buffer = self.gru_bwd.buffer = buffer
 
     @classmethod
     def create(cls, config: ModelConfig, rng, embed_matrix: Tensor) -> "EFNetParams":
@@ -178,9 +216,9 @@ class EFNetParams:
         )
         if not config.text_only:
             fields.update(
-                capsule=CapsuleParams.create(rng, 2048, config.capsule_dim, dtype),
+                capsule=CapsuleParams.create(rng, FEATURE_SHAPE[-1], config.capsule_dim, dtype),
                 img_w_ta=ly.glorot(rng, d_t, config.att_dim, dtype),
-                img_w_r=ly.glorot(rng, 2048, config.att_dim, dtype),
+                img_w_r=ly.glorot(rng, FEATURE_SHAPE[-1], config.att_dim, dtype),
                 inter_img=MHAParams.create(
                     rng, config.head_count, d_t, config.capsule_dim, d_t, dtype
                 ),
@@ -188,46 +226,10 @@ class EFNetParams:
         return cls(**fields)
 
     def named_parameters(self) -> list:
-        """(name, tensor) pairs in registry order. Fields are assigned only
-        at construction, so the list is built once; callers must not mutate
-        it."""
-        if self._named is None:
-            self._named = self._build_named()
+        """(name, tensor) pairs in buffer order, the order of the tensors'
+        rows in ``buffer.flat``. Fields are assigned only at construction,
+        so the list is built once; callers must not mutate it."""
         return self._named
-
-    def _build_named(self) -> list:
-        items = [("embed.table", self.embed), ("pos.rows", self.pos.rows)]
-        items += _mha_items("ctx_mhsa", self.ctx_mhsa)
-        items += _gru_items("gru_fwd", self.gru_fwd)
-        items += _gru_items("gru_bwd", self.gru_bwd)
-        if self.capsule is not None:
-            items.append(("capsule.w", self.capsule.w))
-            if self.capsule.b is not None:
-                items.append(("capsule.b", self.capsule.b))
-            items.append(("img_attn.w_ta", self.img_w_ta))
-            items.append(("img_attn.w_r", self.img_w_r))
-        items += _mha_items("inter_ctx", self.inter_ctx)
-        if self.inter_img is not None:
-            items += _mha_items("inter_img", self.inter_img)
-        items += _mha_items("fusion", self.fusion)
-        items += [("cls.w", self.cls_w), ("cls.b", self.cls_b)]
-        return items
-
-
-def _mha_items(prefix: str, params: MHAParams):
-    out = []
-    for i in range(params.head_count):
-        out += [
-            (f"{prefix}.h{i}.wq", params.wq[i]),
-            (f"{prefix}.h{i}.wk", params.wk[i]),
-            (f"{prefix}.h{i}.wv", params.wv[i]),
-        ]
-    return out
-
-
-def _gru_items(prefix: str, params: GRUParams):
-    names = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
-    return [(f"{prefix}.{n}", getattr(params, n)) for n in names]
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +496,7 @@ def forward(sample, params: EFNetParams, config: ModelConfig, train: bool = Fals
 
 
 def save_checkpoint(path, params: EFNetParams) -> None:
-    """Write every named parameter, in registry order, as float32 records.
+    """Write every named parameter, in buffer order, as float32 records.
 
     The records go to a temporary file beside ``path``, which is flushed,
     synced and then renamed over ``path``, so a crash or kill mid-write

@@ -703,45 +703,45 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def gru_sequence(x: Tensor, h0: Tensor | None, blocks: Sequence[np.ndarray],
-                 leaves: Sequence[Tensor], context: Tensor | None = None,
-                 reverse: bool = False, mask=None) -> Tensor:
+                 leaves: Sequence[Tensor]) -> Tensor:
     """A GRU run over the rows of ``x`` as one op, for one direction.
 
-    ``blocks`` is (w, u, b): the input weights [3, d_in, d_h], the
+    ``blocks`` is (w, u, b): the input weights [3, d_x, d_h], the
     recurrent weights [3, d_h, d_h] and the biases [3, d_h] of the update
     gate z, the reset gate r and the candidate, one row each in that order.
     ``leaves`` are the 9 trainable tensors whose data are the blocks' rows,
     the three of w first, then u, then b; the op reads only the blocks and
     gives each leaf its row of the block gradient. Step t reads row t of
-    ``x`` followed by ``context`` (a vector shared by every step, or None)
-    and updates the state h:
+    ``x`` and updates the state h:
 
         z = sigmoid(x_t wz + h uz + bz)    r = sigmoid(x_t wr + h ur + br)
         cand = tanh(x_t wh + (r * h) uh + bh)    h' = h + z * (cand - h)
 
-    The input projections of every step are one matmul, and the shared
-    context adds one row product (Appleyard et al. 2016). Backpropagation
-    through time is written out below. ``h0`` is the initial state (None:
-    zeros); ``reverse`` runs from the last row to the first.
-
-    ``x`` is [m, d_x], or [B, m, d_x] for a batch, where ``h0`` and
-    ``context`` gain the same leading B. ``mask`` ([m], or [B, m]) marks
-    real steps; a masked step keeps the state as it is, so rows padded at
-    the end leave both directions exact. Returns the state after each row,
-    [(B,) m, d_h], in row order.
+    The input projections of every step are one matmul (Appleyard et al.
+    2016), and backpropagation through time is written out in ``_gru``.
+    ``h0`` is the initial state (None: zeros). ``x`` is [m, d_x], or
+    [B, m, d_x] for a batch, where ``h0`` gains the same leading B. Returns
+    the state after each row, [(B,) m, d_h].
     """
-    return _gru("gru_sequence", x, h0, blocks, leaves, (reverse,), context, mask)
+    return _gru("gru_sequence", x, h0, blocks, leaves, (False,), None, None)
 
 
 def bigru_sequence(x: Tensor, blocks: Sequence[np.ndarray], leaves: Sequence[Tensor],
                    context: Tensor | None = None, mask=None) -> Tensor:
     """Both directions of a bidirectional GRU as one op: ``gru_sequence``
-    from zero states forward and reversed. ``blocks`` holds both
-    directions' gates, the forward rows first: [6, d_in, d_h], [6, d_h,
-    d_h] and [6, d_h], with 18 ``leaves`` in block order. The directions
-    step together, one [2, ...] state against both directions' blocks, so a
-    step costs one pass of array calls instead of two. Returns both states
-    of each row side by side, [(B,) m, 2 d_h], the forward state first.
+    from a zero state over the rows of ``x``, and again over them reversed,
+    from the last row to the first. ``blocks`` holds both directions'
+    gates, the forward rows first: [6, d_x + d_ctx, d_h], [6, d_h, d_h]
+    and [6, d_h], with 18 ``leaves`` in block order.
+
+    Each step reads its row of ``x`` followed by ``context``, one vector
+    per sequence shared by every step ([(B,) d_ctx], or None), which adds
+    one row product per direction. ``mask`` ([(B,) m]) marks real steps; a
+    masked step keeps the state as it is, so rows padded at the end leave
+    both directions exact. The directions step together, one [2, ...]
+    state against both directions' blocks, so a step costs one pass of
+    array calls instead of two. Returns both states of each row side by
+    side, [(B,) m, 2 d_h], the forward state first.
     """
     return _gru("bigru_sequence", x, None, blocks, leaves, (False, True), context, mask)
 

@@ -225,9 +225,13 @@ def train(params: EFNetParams, table, train_samples, val_samples,
     validation report, or None when no epoch ran. ``on_epoch``, when given,
     receives each formatted row; ``stop_accuracy`` ends the run early once
     validation accuracy reaches the threshold. A negative ``epochs``, a
-    ``batch_size`` below 1, or an ``lr`` that is not finite and greater
-    than 0, is an ``InputError`` before anything is written.
+    ``batch_size`` below 1, an ``lr`` that is not finite and greater than
+    0, or an empty train or val split, is an ``InputError`` before anything
+    is written.
     """
+    for split, samples in (("train", train_samples), ("val", val_samples)):
+        if not samples:
+            raise InputError(f"train: the {split} split has no samples")
     if epochs < 0:
         raise InputError(f"train: epochs must be >= 0, got {epochs}")
     if batch_size < 1:

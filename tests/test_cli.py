@@ -183,6 +183,8 @@ BAD_INPUTS = [
     bad("embeddings.txt", None, "nonfinite 1 2 3 nan 5 6 7 8", "embeddings.txt",
         "line 24: token 'nonfinite'"),
     bad("run.cfg", "hidden_dim = 8", "hidden_dim = 4", "gru_fwd", command="eval", code=3),
+    bad("run.cfg", "capsule_dim = 4", "capsule_dim = 99999999999", "line 4: capsule_dim",
+        "more than 50,000,000"),
 ]
 
 
@@ -329,6 +331,34 @@ class TestTrainEval:
                      "--split", "val", "--out", str(workdir / "y.json")])
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_text_only_model_builds_no_capsule(self, workdir, tmp_path):
+        # the capsule width is not counted when no capsule is built
+        corpus = (workdir / "corpus").resolve()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(text_only="true").replace("corpus/", f"{corpus}/")
+                       .replace("capsule_dim = 4", "capsule_dim = 99999999999"))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "model.efck").exists()
+
+    @pytest.mark.parametrize("key, command", [("train", "train"), ("val", "train"),
+                                              ("test", "eval")])
+    def test_empty_split_is_exit_2_before_anything_runs(self, workdir, tmp_path, capsys,
+                                                        key, command):
+        corpus = (workdir / "corpus").resolve()
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(text_only="false").replace("corpus/", f"{corpus}/")
+                       .replace(f"{key} = {corpus}/dataset.jsonl", f"{key} = {empty}"))
+        argv = {"train": ["train"],
+                "eval": ["eval", "--checkpoint", str(workdir / "run" / "model.efck"),
+                         "--split", key]}[command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {key} = {empty}: no samples\n"
+        assert not out.exists()
 
     def test_unknown_config_key_is_exit_2(self, workdir, capsys):
         cfg = workdir / "bad.cfg"

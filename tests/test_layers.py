@@ -274,6 +274,23 @@ class TestBiGRU:
         np.testing.assert_allclose(flipped[:, :3], base[::-1, 3:], atol=1e-12)
         np.testing.assert_allclose(flipped[:, 3:], base[::-1, :3], atol=1e-12)
 
+    def test_a_pair_packs_one_buffer_on_first_use(self):
+        # a direction alone packs nothing; the pair's first run packs both,
+        # and a run with the roles swapped packs them again
+        rng = np.random.default_rng(22)
+        fwd, bwd = self.make(rng, 4, 3)
+        loose = fwd.wz.data
+        assert fwd.buffer is None and bwd.buffer is None
+        ly.bigru_encode(Tensor(rand(rng, 2, 4)), Tensor(rand(rng, 4)), fwd, bwd)
+        buffer = fwd.buffer
+        assert bwd.buffer is buffer
+        assert buffer.tensors[0] is fwd.wz and buffer.tensors[3] is bwd.wz
+        assert np.shares_memory(fwd.wz.data, buffer.flat) and fwd.wz.data is not loose
+        ly.bigru_encode(Tensor(rand(rng, 2, 4)), Tensor(rand(rng, 4)), fwd, bwd)
+        assert fwd.buffer is buffer
+        ly.bigru_encode(Tensor(rand(rng, 2, 4)), Tensor(rand(rng, 4)), bwd, fwd)
+        assert fwd.buffer is not buffer and fwd.buffer.tensors[0] is bwd.wz
+
     def test_output_shape_any_aspect(self):
         rng = np.random.default_rng(18)
         fwd, bwd = self.make(rng, 4, 3)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import os
@@ -48,6 +49,23 @@ class TestModelConfig:
             tiny_config(precision="half").validate()
         with pytest.raises(ConfigError, match="embed_dim"):
             tiny_config(embed_dim=0).validate()
+
+    @pytest.mark.parametrize("overrides", [{}, {"text_only": True}, {"head_count": 1},
+                                           {"embed_dim": 6, "max_len": 3, "att_dim": 5}])
+    def test_parameter_count_is_the_built_model_without_embeddings(self, overrides):
+        cfg = tiny_config(**overrides)
+        params = tiny_params(cfg, np.random.default_rng(5))
+        built = sum(p.data.size for _, p in params.named_parameters())
+        assert cfg.parameter_count() == built - params.embed.data.size
+
+    @pytest.mark.parametrize("field", ["embed_dim", "hidden_dim", "capsule_dim", "att_dim",
+                                       "max_len"])
+    def test_unallocatable_model_names_the_width(self, field):
+        cfg = tiny_config(head_count=1, **{field: 10**9})
+        with pytest.raises(ConfigError, match=rf"^{field} = 1000000000 makes a model of "):
+            cfg.validate()
+        if field in ("capsule_dim", "att_dim"):
+            dataclasses.replace(cfg, text_only=True).validate()
 
     @pytest.mark.parametrize("field, value", [
         ("seed", -1), ("l2_lambda", math.inf), ("l2_lambda", math.nan),
@@ -120,6 +138,19 @@ class TestParamBuffer:
                 assert block.shape == (len(role),) + role[0].shape
                 for h, w in enumerate(role):
                     assert same_array(w.data, block[h])
+
+    @pytest.mark.parametrize("text_only", [False, True])
+    def test_named_parameters_are_the_buffer_in_offset_order(self, text_only):
+        # one order: the names, the tensors and their rows of the flat array
+        params = tiny_params(tiny_config(text_only=text_only), np.random.default_rng(43))
+        buffer, named = params.buffer, params.named_parameters()
+        assert [name for name, _ in named] == buffer.names
+        assert all(p is t for (_, p), t in zip(named, buffer.tensors, strict=True))
+        base, lo = buffer.flat.__array_interface__["data"][0], 0
+        for name, p in named:
+            assert p.data.__array_interface__["data"][0] - base == lo, name
+            lo += p.data.nbytes
+        assert lo == buffer.flat.nbytes
 
     def test_l2_reads_a_rebound_parameter(self):
         cfg = tiny_config(l2_lambda=1.0)
@@ -983,6 +1014,41 @@ class TestCheckpoint:
             md.load_checkpoint(path, other)
         for n, p in other.named_parameters():
             np.testing.assert_array_equal(p.data, before[n], err_msg=n)
+
+    def test_records_load_in_any_order(self, tmp_path):
+        # records are written in buffer order and found by name, so the
+        # same records reversed load the same values and fail the same way
+        def both_orders(params, name):
+            paths = tmp_path / f"{name}.efck", tmp_path / f"{name}-reversed.efck"
+            md.save_checkpoint(paths[0], params)
+            md.save_checkpoint(paths[1], SimpleNamespace(
+                named_parameters=lambda: params.named_parameters()[::-1]))
+            return paths
+
+        cfg, params, _ = self.roundtrip_params(tmp_path)
+        forwards, backwards = both_orders(params, "model")
+        records = md._read_checkpoint_records(forwards.read_bytes(), forwards)
+        assert list(records) == params.buffer.names
+        assert list(md._read_checkpoint_records(backwards.read_bytes(), backwards)) == \
+            params.buffer.names[::-1]
+        saved = {n: p.data.copy() for n, p in params.named_parameters()}
+        for _, p in params.named_parameters():
+            p.data = p.data + 1.0
+        md.load_checkpoint(backwards, params)
+        for n, p in params.named_parameters():
+            np.testing.assert_array_equal(p.data, saved[n], err_msg=n)
+
+        text_only = tiny_params(tiny_config(text_only=True, precision="single"),
+                                np.random.default_rng(29))
+        narrow = tiny_params(tiny_config(hidden_dim=4, precision="single"),
+                             np.random.default_rng(30))
+        for source, model, match in ((text_only, params, "missing"), (params, narrow, "shape")):
+            errors = []
+            for path in both_orders(source, "mismatch"):
+                with pytest.raises(CheckpointMismatch, match=match) as caught:
+                    md.load_checkpoint(path, model)
+                errors.append(str(caught.value).replace(str(path), "<path>"))
+            assert errors[0] == errors[1]
 
     def test_corruption_is_format_error(self, tmp_path):
         cfg, params, path = self.roundtrip_params(tmp_path)

@@ -129,11 +129,9 @@ ROWS = [
         lambda rng, lead: ([rand(rng, *lead, 6, 7) * 0.5, rand(rng, 7, 4) * 0.5,
                             rand(rng, 4) * 0.1, rand(rng, *lead, 5), rand(rng, 7, 5) * 0.5], {}),
         wrong=lambda r, w, b, q, w_r: [r, w, b, q, w_r[1:]], watch=(1, 2, 3, 4)),
-    Row("gru_sequence",
-        lambda x, h0, *ws, mask: tx.gru_sequence(x, h0, *gru_blocks(ws), reverse=True,
-                                                 mask=mask),
+    Row("gru_sequence", lambda x, h0, *ws: tx.gru_sequence(x, h0, *gru_blocks(ws)),
         lambda rng, lead: ([rand(rng, *lead, 3, 4), rand(rng, *lead, 3),
-                            *gru_weights(rng, 4, 3)], {"mask": ragged(lead, 3)}),
+                            *gru_weights(rng, 4, 3)], {}),
         wrong=lambda x, h0, *ws: [x, h0[1:], *ws]),
     Row("bigru_sequence",
         lambda x, ctx, *ws, mask: tx.bigru_sequence(x, *gru_blocks(ws[:9], ws[9:]), context=ctx,
@@ -732,18 +730,13 @@ class TestCapsuleRegionAttention:
 class TestGRUSequence:
     def test_matches_step_loop(self):
         rng = np.random.default_rng(75)
-        for reverse in (False, True):
-            x, ctx, h0 = rand(rng, 3, 2), rand(rng, 3), rand(rng, 4)
-            ws = [Tensor(w) for w in gru_weights(rng, 5, 4)]
-            gru = GRUParams(*ws)
-            x_ctx = np.concatenate([x, np.tile(ctx, (3, 1))], axis=1)
-            got = tx.gru_sequence(Tensor(x), Tensor(h0), *gru_blocks(ws), context=Tensor(ctx),
-                                  reverse=reverse).data
-            np.testing.assert_allclose(got, gru_reference(x_ctx, gru, reverse, h0),
-                                       atol=1e-12)
-            got = tx.gru_sequence(Tensor(x), None, *gru_blocks(ws), context=Tensor(ctx),
-                                  reverse=reverse).data
-            np.testing.assert_allclose(got, gru_reference(x_ctx, gru, reverse), atol=1e-12)
+        x, h0 = rand(rng, 3, 5), rand(rng, 4)
+        ws = [Tensor(w) for w in gru_weights(rng, 5, 4)]
+        gru = GRUParams(*ws)
+        got = tx.gru_sequence(Tensor(x), Tensor(h0), *gru_blocks(ws)).data
+        np.testing.assert_allclose(got, gru_reference(x, gru, h0=h0), atol=1e-12)
+        got = tx.gru_sequence(Tensor(x), None, *gru_blocks(ws)).data
+        np.testing.assert_allclose(got, gru_reference(x, gru), atol=1e-12)
 
     def test_shape_errors(self):
         rng = np.random.default_rng(76)
@@ -756,37 +749,15 @@ class TestGRUSequence:
             tx.gru_sequence(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), *gru_blocks(ws))
 
     def test_gradients(self):
-        # one step, as gru_cell runs it, in each direction, with a state
-        # and a context and with neither
+        # one step, as gru_cell runs it, with a state and without one, on
+        # two draws each; the row of the step with a state is drawn in halves
         rng = np.random.default_rng(77)
-        for reverse in (False, True):
-            def op(x, h0, ctx, *ws, reverse=reverse):
-                return tx.gru_sequence(x, h0, *gru_blocks(ws), context=ctx, reverse=reverse)
-
-            fd_check(op, rand(rng, 1, 2), rand(rng, 3), rand(rng, 2), *gru_weights(rng, 4, 3))
-
-            def op_plain(x, *ws, reverse=reverse):
-                return tx.gru_sequence(x, None, *gru_blocks(ws), reverse=reverse)
-
-            fd_check(op_plain, rand(rng, 1, 4), *gru_weights(rng, 4, 3))
-
-    def test_batched_rows_with_ragged_masks(self):
-        # padding at the end of a row leaves that row's real states exact,
-        # in both directions
-        rng = np.random.default_rng(79)
-        lengths = [3, 1, 2]
-        mask = np.arange(3) < np.array(lengths)[:, None]
-        x, ctx, h0 = rand(rng, 3, 3, 2), rand(rng, 3, 3), rand(rng, 3, 4)
-        ws = [Tensor(w) for w in gru_weights(rng, 5, 4)]
-        for reverse in (False, True):
-            got = tx.gru_sequence(Tensor(x), Tensor(h0), *gru_blocks(ws), context=Tensor(ctx),
-                                  reverse=reverse, mask=mask).data
-            for i, n in enumerate(lengths):
-                one = tx.gru_sequence(Tensor(x[i, :n]), Tensor(h0[i]), *gru_blocks(ws),
-                                      context=Tensor(ctx[i]), reverse=reverse).data
-                np.testing.assert_allclose(got[i, :n], one, atol=1e-12)
-        with pytest.raises(ShapeError):
-            tx.gru_sequence(Tensor(x), None, *gru_blocks(ws), context=Tensor(ctx[0]))
+        for _ in range(2):
+            x, h0, x_more = rand(rng, 1, 2), rand(rng, 3), rand(rng, 2)
+            fd_check(lambda x, h0, *ws: tx.gru_sequence(x, h0, *gru_blocks(ws)),
+                     np.concatenate([x, x_more[None]], axis=1), h0, *gru_weights(rng, 4, 3))
+            fd_check(lambda x, *ws: tx.gru_sequence(x, None, *gru_blocks(ws)),
+                     rand(rng, 1, 4), *gru_weights(rng, 4, 3))
 
 
 class TestBiGRUSequence:
@@ -795,16 +766,36 @@ class TestBiGRUSequence:
         for batched in (False, True):
             shape = (3, 4, 2) if batched else (4, 2)
             x, ctx = rand(rng, *shape), rand(rng, *shape[:-2], 3)
-            mask = (np.arange(4) < np.array([4, 1, 3])[:, None]) if batched else None
+            lengths = [4, 1, 3] if batched else [4]
+            mask = (np.arange(4) < np.array(lengths)[:, None]) if batched else None
             fwd = [Tensor(w) for w in gru_weights(rng, 5, 4)]
             bwd = [Tensor(w) for w in gru_weights(rng, 5, 4)]
             got = tx.bigru_sequence(Tensor(x), *gru_blocks(fwd, bwd), context=Tensor(ctx),
                                     mask=mask).data
-            want = np.concatenate([
-                tx.gru_sequence(Tensor(x), None, *gru_blocks(ws), context=Tensor(ctx),
-                                reverse=rev, mask=mask).data
-                for ws, rev in ((fwd, False), (bwd, True))], axis=-1)
-            np.testing.assert_allclose(got, want, atol=1e-12)
+            # each row's first n steps, its context after each, forward and reversed
+            for row, xs, c, n in zip(got.reshape(-1, 4, 8), x.reshape(-1, 4, 2),
+                                     ctx.reshape(-1, 3), lengths):
+                x_ctx = np.concatenate([xs[:n], np.tile(c, (n, 1))], axis=1)
+                want = np.concatenate([gru_reference(x_ctx, GRUParams(*fwd)),
+                                       gru_reference(x_ctx, GRUParams(*bwd), reverse=True)],
+                                      axis=1)
+                np.testing.assert_allclose(row[:n], want, atol=1e-12)
+
+    def test_batched_rows_with_ragged_masks(self):
+        # padding at the end of a row leaves that row's real states exact,
+        # in both directions
+        rng = np.random.default_rng(79)
+        lengths = [3, 1, 2]
+        mask = np.arange(3) < np.array(lengths)[:, None]
+        x, ctx = rand(rng, 3, 3, 2), rand(rng, 3, 3)
+        fwd = [Tensor(w) for w in gru_weights(rng, 5, 4)]
+        ws = gru_blocks(fwd, [Tensor(w) for w in gru_weights(rng, 5, 4)])
+        got = tx.bigru_sequence(Tensor(x), *ws, context=Tensor(ctx), mask=mask).data
+        for i, n in enumerate(lengths):
+            one = tx.bigru_sequence(Tensor(x[i, :n]), *ws, context=Tensor(ctx[i])).data
+            np.testing.assert_allclose(got[i, :n], one, atol=1e-12)
+        with pytest.raises(ShapeError, match="context"):
+            tx.bigru_sequence(Tensor(x), *ws, context=Tensor(ctx[0]))
 
     def test_gradients(self):
         # one step; the table's row has three

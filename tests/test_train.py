@@ -523,6 +523,18 @@ class TestTrain:
         assert log.read_text() == "earlier log\n"
         assert ck.read_bytes() == b"earlier checkpoint"
 
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_empty_split_is_input_error_before_writing(self, tmp_path, split):
+        table, samples = synth_corpus(tmp_path, rule="none")
+        cfg = corpus_config(text_only=True)
+        params = corpus_params(cfg, table)
+        log, ck = tmp_path / "metrics.csv", tmp_path / "model.efck"
+        splits = {"train": samples, "val": samples, split: []}
+        with pytest.raises(InputError, match=f"train: the {split} split has no samples"):
+            train(params, table, splits["train"], splits["val"], cfg, epochs=1, batch_size=4,
+                  checkpoint_path=ck, log_path=log)
+        assert not log.exists() and not ck.exists()
+
     def test_stop_accuracy_short_circuits(self, tmp_path):
         table, samples = synth_corpus(tmp_path, rule="none")
         cfg = corpus_config(text_only=True)
