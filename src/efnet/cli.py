@@ -29,7 +29,7 @@ from .data import (
 from .layers import ConfigError
 from .model import CheckpointMismatch, EFNetParams, ModelConfig, forward, load_checkpoint
 from .tensor import MaskError, ShapeError
-from .train import TrainError, evaluate, head_sweep, train
+from .train import TrainError, _check_finite, evaluate, head_sweep, train
 
 _FILE_KEY = {"head_count": "heads"}  # field -> its key in the file, where they differ
 _NOT_IN_FILE = {"model", "precision"}
@@ -167,7 +167,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg, table, (samples,), params = _prepare(args, (args.split,))
     load_checkpoint(args.checkpoint, params)
-    report = evaluate(params, table, samples, cfg.model)
+    try:
+        report = evaluate(params, table, samples, cfg.model)
+    except TrainError as e:
+        raise TrainError(f"{args.checkpoint}: {e}") from None
     print(f"{args.split} accuracy={report.accuracy:.6f} "
           f"macro_f1={report.macro_f1:.6f}")
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -204,7 +207,12 @@ def cmd_dump_attention(args) -> int:
         raise InputError(f"sample id '{args.sample_id}' not found in any configured split")
     load_checkpoint(args.checkpoint, params)
     encoded = encode_sample(sample, table, mc.max_len, not mc.text_only)
-    out = forward(encoded, params, mc, want_trace=True)
+    with np.errstate(all="ignore"):
+        out = forward(encoded, params, mc, want_trace=True)
+    try:
+        _check_finite(out, encoded, params, mc)
+    except TrainError as e:
+        raise TrainError(f"{args.checkpoint}: {e}") from None
     tokens, _ = _truncate(sample.tokens, sample.target_span, mc.max_len)
     payload = {
         "id": encoded.id,

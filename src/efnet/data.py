@@ -12,6 +12,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,9 @@ UNK_INDEX = 1
 FEATURE_MAGIC = b"EFVF"
 FEATURE_VERSION = 1
 FEATURE_SHAPE = (7, 7, 2048)
+# a well-formed feature file: this header, then the float32 payload
+_FEATURE_HEADER = FEATURE_MAGIC + struct.pack("<II3I", FEATURE_VERSION, 3, *FEATURE_SHAPE)
+_FEATURE_FILE_BYTES = len(_FEATURE_HEADER) + 4 * math.prod(FEATURE_SHAPE)
 
 BRIGHT_CELLS = ((1, 1), (3, 3), (5, 5))
 CUE_TOKENS = ("negcue", "neucue", "poscue")
@@ -107,11 +111,8 @@ class EmbeddingTable:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def lookup(self, token: str) -> int:
-        return self.index.get(token, UNK_INDEX)
-
     def token_ids(self, tokens) -> np.ndarray:
-        return np.array([self.lookup(t) for t in tokens], dtype=np.int64)
+        return np.fromiter(map(self.index.get, tokens, repeat(UNK_INDEX)), np.int64)
 
 
 def load_embeddings(path, rng=None, dtype=DEFAULT_DTYPE) -> EmbeddingTable:
@@ -242,22 +243,31 @@ def load_image_features(path, out=None) -> Tensor:
     """Read one region-feature file (magic EFVF, version 1, dims 7x7x2048).
 
     The payload goes straight into ``out`` when one is given: a C-contiguous
-    little-endian float32 array of 7*7*2048 values, in any shape.
+    little-endian float32 array of 7*7*2048 values, in any shape. A file
+    costs one scatter read, into the header, the payload and one spare byte
+    that catches trailing data; only a file that fails the one comparison
+    with the expected header and size is taken apart, field by field, to
+    name what is wrong (on an error, ``out`` may hold part of the payload).
     """
     try:
-        with open(path, "rb") as fh:
-            head = fh.read(24)
-            size = os.fstat(fh.fileno()).st_size
-            _check_feature_header(path, head, size)
+        fd = os.open(path, os.O_RDONLY)
+        try:
             values = np.empty(FEATURE_SHAPE, dtype="<f4") if out is None else out
             if values.dtype != np.dtype("<f4") or values.size != math.prod(FEATURE_SHAPE) \
                     or not values.flags.c_contiguous:
                 raise ValueError(f"cannot read {path} into {values.dtype} {values.shape}")
-            got = fh.readinto(values)
+            head = bytearray(len(_FEATURE_HEADER))
+            got = os.preadv(fd, [head, values, bytearray(1)], 0)
+            if got != _FEATURE_FILE_BYTES or head != _FEATURE_HEADER:
+                _check_feature_header(path, bytes(head[:got]), os.fstat(fd).st_size)
+                raise FormatError(f"{path}: payload is {got - len(head)} bytes, "
+                                  f"expected {values.nbytes}")
+        finally:
+            os.close(fd)
     except OSError as e:
+        # a failed read names no file; name it, as a failed open does
+        e.filename = e.filename or os.fspath(path)
         raise InputError(f"cannot read feature file {path}: {e}") from None
-    if got != values.nbytes:
-        raise FormatError(f"{path}: payload is {got} bytes, expected {values.nbytes}")
     return Tensor(values.reshape(FEATURE_SHAPE))
 
 
@@ -276,10 +286,9 @@ def _check_feature_header(path, head: bytes, size: int) -> None:
     dims = struct.unpack_from("<III", head, 12)
     if dims != FEATURE_SHAPE:
         raise FormatError(f"{path}: dims {dims} do not match {FEATURE_SHAPE}")
-    expected = 24 + 4 * math.prod(FEATURE_SHAPE)
-    if size != expected:
+    if size != _FEATURE_FILE_BYTES:
         raise FormatError(
-            f"{path}: payload is {size - 24} bytes, expected {expected - 24}"
+            f"{path}: payload is {size - 24} bytes, expected {_FEATURE_FILE_BYTES - 24}"
         )
 
 
@@ -288,9 +297,7 @@ def write_image_features(path, values) -> None:
     if arr.shape != FEATURE_SHAPE:
         raise FormatError(f"feature payload must be {FEATURE_SHAPE}, got {arr.shape}")
     with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<II", FEATURE_VERSION, 3))
-        fh.write(struct.pack("<III", *FEATURE_SHAPE))
+        fh.write(_FEATURE_HEADER)
         fh.write(arr.tobytes())
 
 
@@ -307,20 +314,22 @@ def _truncate(tokens, span, max_len):
     return tokens[lo : lo + max_len], (start - lo, end - lo)
 
 
-def _image_ref(sample: Sample) -> str:
-    if sample.image_ref is None:
-        raise InputError(f"sample {sample.id}: no image in multimodal mode")
-    return sample.image_ref
-
-
-def encode_sample(sample: Sample, table: EmbeddingTable, max_len: int, with_features: bool) -> EncodedSample:
+def _window(sample: Sample, max_len: int, with_image: bool):
+    """The sample's tokens truncated to ``max_len`` around its target, the
+    span in them, and its image path (None unless ``with_image``). A target
+    wider than ``max_len``, or no image where one is wanted, is an
+    ``InputError`` naming the sample."""
     start, end = sample.target_span
     if end - start > max_len:
         raise InputError(f"sample {sample.id}: target span exceeds max_len {max_len}")
+    if with_image and sample.image_ref is None:
+        raise InputError(f"sample {sample.id}: no image in multimodal mode")
     tokens, span = _truncate(sample.tokens, sample.target_span, max_len)
-    features = None
-    if with_features:
-        features = load_image_features(_image_ref(sample)).data
+    return tokens, span, sample.image_ref if with_image else None
+
+
+def encode_sample(sample: Sample, table: EmbeddingTable, max_len: int, with_features: bool) -> EncodedSample:
+    tokens, span, image = _window(sample, max_len, with_features)
     return EncodedSample(
         id=sample.id,
         token_ids=table.token_ids(tokens),
@@ -328,7 +337,7 @@ def encode_sample(sample: Sample, table: EmbeddingTable, max_len: int, with_feat
         span=span,
         aspect_ids=table.token_ids(sample.aspect_tokens),
         label=sample.label,
-        features=features,
+        features=None if image is None else load_image_features(image).data,
     )
 
 
@@ -359,49 +368,75 @@ class Batch:
         return len(self.ids)
 
 
-def _pad(rows, masks=None):
-    width = max(len(r) for r in rows)
-    ids = np.full((len(rows), width), PAD_INDEX, dtype=np.int64)
-    mask = np.zeros((len(rows), width), dtype=bool)
-    for i, r in enumerate(rows):
-        ids[i, : len(r)] = r
-        mask[i, : len(r)] = True if masks is None else masks[i]
+def _pad(flat, lengths, masks=None):
+    """Rows of ``lengths[i]`` ids each, taken in order from ``flat``, padded
+    to the longest: ids [B, L] and the mask of the real entries, or of the
+    entries that ``masks`` (one boolean row per row) keeps."""
+    real = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.full(real.shape, PAD_INDEX, dtype=np.int64)
+    ids[real] = flat
+    if masks is None:
+        return ids, real
+    mask = np.zeros_like(real)
+    mask[real] = np.concatenate(masks)
     return ids, mask
+
+
+def _batch(ids, token_ids, lengths, masks, spans, aspect_ids, aspect_lengths,
+           labels, features) -> Batch:
+    """One batch from its rows' ids laid end to end (``token_ids``,
+    ``aspect_ids``) and their lengths; target ids are read from the padded
+    token rows, by span."""
+    tokens, mask = _pad(token_ids, lengths, masks)
+    column = np.arange(tokens.shape[1])
+    in_span = (column >= spans[:, :1]) & (column < spans[:, 1:])
+    target_ids, target_mask = _pad(tokens[in_span], spans[:, 1] - spans[:, 0])
+    aspects, aspect_mask = _pad(aspect_ids, aspect_lengths)
+    return Batch(ids=ids, token_ids=tokens, mask=mask, spans=spans, target_ids=target_ids,
+                 target_mask=target_mask, aspect_ids=aspects, aspect_mask=aspect_mask,
+                 labels=labels, features=features)
+
+
+def _lengths(rows) -> np.ndarray:
+    return np.fromiter(map(len, rows), np.int64)
 
 
 def collate(encoded) -> Batch:
     """Pad a list of encoded samples into one batch."""
-    token_ids, mask = _pad([e.token_ids for e in encoded], [e.mask for e in encoded])
-    target_ids, target_mask = _pad([e.token_ids[e.span[0] : e.span[1]] for e in encoded])
-    aspect_ids, aspect_mask = _pad([e.aspect_ids for e in encoded])
-    return Batch(
-        ids=[e.id for e in encoded],
-        token_ids=token_ids,
-        mask=mask,
-        spans=np.array([e.span for e in encoded], dtype=np.int64),
-        target_ids=target_ids,
-        target_mask=target_mask,
-        aspect_ids=aspect_ids,
-        aspect_mask=aspect_mask,
-        labels=np.array([e.label for e in encoded], dtype=np.int64),
-        features=[e.features for e in encoded],
+    return _batch(
+        [e.id for e in encoded],
+        np.concatenate([e.token_ids for e in encoded]), _lengths(e.token_ids for e in encoded),
+        [e.mask for e in encoded],
+        np.array([e.span for e in encoded], dtype=np.int64),
+        np.concatenate([e.aspect_ids for e in encoded]),
+        _lengths(e.aspect_ids for e in encoded),
+        np.array([e.label for e in encoded], dtype=np.int64),
+        [e.features for e in encoded],
     )
 
 
 def make_batches(samples, table: EmbeddingTable, *, batch_size: int, max_len: int,
                  text_only: bool, rng=None) -> list:
     """Chunk and pad, in a ``rng`` permutation or, without one, in order.
-    The last batch may be ragged. Feature grids are not read here: each
-    row carries its file path, read when its batch runs."""
+    The last batch may be ragged. Each batch maps all of its tokens to ids
+    in one pass and pads them as whole arrays. Feature grids are not read
+    here: each row carries its file path, read when its batch runs."""
     order = range(len(samples)) if rng is None else rng.permutation(len(samples))
-    encoded = []
-    for i in order:
-        enc = encode_sample(samples[i], table, max_len, with_features=False)
-        if not text_only:
-            enc.features = _image_ref(samples[i])
-        encoded.append(enc)
-    return [collate(encoded[at : at + batch_size])
-            for at in range(0, len(encoded), batch_size)]
+    batches = []
+    for at in range(0, len(samples), batch_size):
+        chunk = [samples[i] for i in order[at : at + batch_size]]
+        tokens, spans, images = zip(*(_window(s, max_len, not text_only) for s in chunk))
+        aspects = [s.aspect_tokens for s in chunk]
+        lengths, aspect_lengths = _lengths(tokens), _lengths(aspects)
+        ids = np.fromiter(map(table.index.get, chain(*tokens, *aspects), repeat(UNK_INDEX)),
+                          np.int64)
+        split = lengths.sum()
+        batches.append(_batch(
+            [s.id for s in chunk], ids[:split], lengths, None,
+            np.array(spans, dtype=np.int64), ids[split:], aspect_lengths,
+            np.array([s.label for s in chunk], dtype=np.int64), list(images),
+        ))
+    return batches
 
 
 def synth_generate(out_dir, seed: int, n: int, vocab_size: int = 40,

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .data import InputError, make_batches
+from .data import Batch, InputError, make_batches
 from .layers import ParamBuffer
 from .model import EFNetParams, InternalError, ModelConfig, forward, save_checkpoint
 from .model import loss as batch_loss
@@ -195,7 +195,9 @@ def evaluate(params: EFNetParams, table, samples, config: ModelConfig) -> EvalRe
 
     Samples run in order, ``EVAL_BATCH`` at a time. Padding is masked out,
     so a prediction does not depend on the batch it ran in, except for the
-    order of float summation.
+    order of float summation. A non-finite class probability is a
+    ``TrainError`` naming the batch's samples and the stage where the
+    first non-finite value appeared.
     """
     if not samples:
         raise InputError("evaluate: empty dataset")
@@ -203,10 +205,22 @@ def evaluate(params: EFNetParams, table, samples, config: ModelConfig) -> EvalRe
     preds = []
     for batch in make_batches(samples, table, batch_size=EVAL_BATCH,
                               max_len=config.max_len, text_only=config.text_only):
-        out = forward(batch, params, config, train=False)
+        # a non-finite probability is named below, so numpy need not warn of it
+        with np.errstate(all="ignore"):
+            out = forward(batch, params, config, train=False)
+        _check_finite(out, batch, params, config)
         truths += batch.labels.tolist()
         preds += np.argmax(out.probs.data, axis=1).tolist()
     return metrics_from_pairs(truths, preds)
+
+
+def _check_finite(out, sample, params, config) -> None:
+    """Raise ``TrainError`` when the evaluation forward ``out`` of ``sample``
+    (a ``Batch`` or one ``EncodedSample``) holds a non-finite probability."""
+    if not np.isfinite(out.probs.data).all():
+        ids = sample.ids if isinstance(sample, Batch) else [sample.id]
+        raise TrainError(f"non-finite class probabilities (samples {', '.join(ids)}): "
+                         f"{_replay(sample, params, config)}")
 
 
 def train(params: EFNetParams, table, train_samples, val_samples,
@@ -227,7 +241,8 @@ def train(params: EFNetParams, table, train_samples, val_samples,
     validation accuracy reaches the threshold. A negative ``epochs``, a
     ``batch_size`` below 1, an ``lr`` that is not finite and greater than
     0, or an empty train or val split, is an ``InputError`` before anything
-    is written.
+    is written. A non-finite validation probability stops the run with a
+    ``TrainError`` before its epoch writes a row or a checkpoint.
     """
     for split, samples in (("train", train_samples), ("val", val_samples)):
         if not samples:
@@ -275,7 +290,10 @@ def train(params: EFNetParams, table, train_samples, val_samples,
             _release(params)
             total += float(value.data) * len(batch)
             seen += len(batch)
-        report = evaluate(params, table, val_samples, config)
+        try:
+            report = evaluate(params, table, val_samples, config)
+        except TrainError as e:
+            raise TrainError(f"validation at epoch {epoch}: {e}") from None
         row = (f"{epoch},val,{total / seen:.6f},"
                f"{report.accuracy:.6f},{report.macro_f1:.6f}")
         if log_path is not None:
@@ -293,18 +311,21 @@ def train(params: EFNetParams, table, train_samples, val_samples,
     return best
 
 
-def _replay(batch, params, config, rng) -> str:
-    """Where a batch's non-finite loss began: its forward and loss rerun
-    with numpy's floating-point errors raised. A non-finite value made from
-    finite ones is an overflow, an invalid operation or a division by zero,
-    so the first error names the stage where one first appeared."""
+def _replay(batch, params, config, rng=None) -> str:
+    """Where a batch's non-finite output began: its forward rerun with
+    numpy's floating-point errors raised; with ``rng``, the training
+    forward, drawing the same dropout masks, and its loss. A non-finite
+    value made from finite ones is an overflow, an invalid operation or a
+    division by zero, so the first error names the stage where one first
+    appeared."""
     _release(params)
     where = ""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            out = forward(batch, params, config, train=True, rng=rng)
-            where = "loss: "
-            batch_loss([out.probs], batch.labels, params, config.l2_lambda)
+            out = forward(batch, params, config, train=rng is not None, rng=rng)
+            if rng is not None:
+                where = "loss: "
+                batch_loss([out.probs], batch.labels, params, config.l2_lambda)
     except FloatingPointError as e:
         return f"first non-finite value in {where}{e}"
     return "no operation made one from finite values; an input or a parameter holds one"

@@ -23,7 +23,7 @@ from efnet.data import (
     write_image_features,
 )
 from efnet.layers import ConfigError
-from efnet.model import EFNetParams, ModelConfig, forward, load_checkpoint
+from efnet.model import EFNetParams, ModelConfig, forward, load_checkpoint, save_checkpoint
 from efnet.tensor import Tensor
 from efnet.train import METRICS_HEADER, SWEEP_HEADER, train
 
@@ -290,6 +290,45 @@ class TestTrainEval:
         assert re.fullmatch(r"error: non-finite loss at epoch 1, batch 1 \(samples [^)]+\): "
                             r"first non-finite value in encode_context: [^\n]+\n",
                             done.stderr), done.stderr
+
+    def test_non_finite_validation_is_one_error_line(self, workdir, tmp_path, capsys):
+        # the updates stay finite but the first validation pass overflows:
+        # the epoch is not scored, and no row or checkpoint is written
+        corpus = (workdir / "corpus").resolve()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(text_only="false")
+                       .replace("corpus/", f"{corpus}/").replace("lr = 0.003", "lr = 1e9"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: validation at epoch 1: non-finite class probabilities "
+                            r"\(samples s0000, [^)]+\): first non-finite value in "
+                            r"encode_context: [^\n]+\n", err), err
+        assert not (tmp_path / "run" / "model.efck").exists()
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "dump-attention"])
+    def test_overflowing_checkpoint_is_exit_2(self, workdir, tmp_path, capsys, command):
+        cfg = RunConfig.load(workdir / "run.cfg")
+        table = load_embeddings(cfg.embeddings)
+        params = EFNetParams.create(cfg.model, np.random.default_rng(0), table.matrix)
+        load_checkpoint(workdir / "run" / "model.efck", params)
+        for name, p in params.named_parameters():
+            if name.startswith("ctx_mhsa."):
+                p.data *= 1e30
+        checkpoint = tmp_path / "overflow.efck"
+        save_checkpoint(checkpoint, params)
+        out = tmp_path / "out.json"
+        argv = {"eval": ["eval", "--split", "val"],
+                "dump-attention": ["dump-attention", "--sample-id", "s0003"]}[command]
+        capsys.readouterr()
+        assert main(argv + ["--config", str(workdir / "run.cfg"), "--checkpoint",
+                            str(checkpoint), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {re.escape(str(checkpoint))}: non-finite class "
+                            r"probabilities \(samples s0[^)]*\): first non-finite value in "
+                            r"encode_context: [^\n]+\n", err), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("file, old, new, names, command, code", BAD_INPUTS)
     def test_bad_run_input_is_exit_2(self, workdir, tmp_path, capsys,

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from efnet import data as dio
 from efnet.data import (
     CUE_TOKENS,
+    FEATURE_MAGIC,
     FEATURE_SHAPE,
     FormatError,
     InputError,
@@ -36,9 +39,8 @@ class TestEmbeddings:
 
     def test_unknown_token_falls_back(self, tmp_path):
         table = dio.load_embeddings(self.write(tmp_path, "cat 0.5 0.5\n"))
-        assert table.lookup("cat") == 2
-        assert table.lookup("unseen") == 1
         np.testing.assert_array_equal(table.token_ids(["cat", "unseen"]), [2, 1])
+        assert table.token_ids([]).dtype == np.int64 and table.token_ids([]).shape == (0,)
 
     def test_inconsistent_width(self, tmp_path):
         path = self.write(tmp_path, "cat 1 2 3\ndog 1 2\n")
@@ -211,17 +213,67 @@ class TestImageFeatures:
 
     def test_short_payload(self, tmp_path):
         path = self.corrupt(tmp_path, lambda b: b[:-4])
-        with pytest.raises(FormatError, match="payload"):
+        with pytest.raises(FormatError) as caught:
             dio.load_image_features(path)
+        assert str(caught.value) == f"{path}: payload is 401404 bytes, expected 401408"
 
     def test_trailing_garbage(self, tmp_path):
         path = self.corrupt(tmp_path, lambda b: b + b"\x00\x00\x00\x00")
-        with pytest.raises(FormatError, match="payload"):
+        with pytest.raises(FormatError) as caught:
             dio.load_image_features(path)
+        assert str(caught.value) == f"{path}: payload is 401412 bytes, expected 401408"
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda b: b[:24], "payload is 0 bytes, expected 401408"),
+        (lambda b: b[:10], "truncated header (version/ndims)"),
+        (lambda b: b[:23], "truncated dims"),
+        (lambda b: b"", f"bad magic, expected {FEATURE_MAGIC!r}"),
+    ], ids=["header-only", "10-bytes", "23-bytes", "empty"])
+    def test_exact_size_messages(self, tmp_path, mutate, message):
+        path = self.corrupt(tmp_path, mutate)
+        with pytest.raises(FormatError) as caught:
+            dio.load_image_features(path)
+        assert str(caught.value) == f"{path}: {message}"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             dio.load_image_features(tmp_path / "absent.efvf")
+
+    def test_directory_is_input_error_naming_it(self, tmp_path):
+        with pytest.raises(InputError) as caught:
+            dio.load_image_features(tmp_path)
+        assert str(caught.value) == (f"cannot read feature file {tmp_path}: [Errno "
+                                     f"{errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+                                     f"'{tmp_path}'")
+
+    @pytest.mark.parametrize("out", [np.empty(FEATURE_SHAPE), np.empty(10, dtype="<f4"),
+                                     np.empty((49, 4096), dtype="<f4")[:, ::2]],
+                             ids=["float64", "size-10", "strided"])
+    def test_out_of_wrong_layout_is_rejected(self, tmp_path, out):
+        path = self.corrupt(tmp_path, lambda b: b)
+        with pytest.raises(ValueError) as caught:
+            dio.load_image_features(path, out=out)
+        assert str(caught.value) == f"cannot read {path} into {out.dtype} {out.shape}"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="lists open descriptors through /proc/self/fd")
+    def test_no_error_path_leaves_a_descriptor_open(self, tmp_path):
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        bad = [self.corrupt(tmp_path, mutate) for mutate in
+               (lambda b: b[:-4], lambda b: b + b"\x00", lambda b: b[:10],
+                lambda b: b"XXXX" + b[4:])]
+        cases = [(p, None) for p in bad + [tmp_path, tmp_path / "absent.efvf"]]
+        good = tmp_path / "good.efvf"
+        dio.write_image_features(good, self.ramp())
+        cases.append((good, np.empty(10, dtype="<f4")))
+        before = open_fds()
+        for path, out in cases:
+            with pytest.raises(ValueError):
+                dio.load_image_features(path, out=out)
+        dio.load_image_features(good)
+        assert open_fds() == before
 
     def test_wrong_write_shape(self):
         with pytest.raises(FormatError):
@@ -284,7 +336,7 @@ class TestBatching:
         assert b.ids == ["a", "b"]
         np.testing.assert_array_equal(b.spans, [[1, 3], [0, 1]])
         np.testing.assert_array_equal(b.target_ids, [table.token_ids(["t2", "t3"]),
-                                                     [table.lookup("t5"), dio.PAD_INDEX]])
+                                                     [table.index["t5"], dio.PAD_INDEX]])
         np.testing.assert_array_equal(b.target_mask, [[True, True], [True, False]])
         np.testing.assert_array_equal(b.aspect_mask, [[True, False, False], [True, True, True]])
         np.testing.assert_array_equal(b.aspect_ids[1], table.token_ids(["t7", "t8", "t9"]))
@@ -336,6 +388,102 @@ class TestBatching:
         assert got.features == [str(feat)]
         np.testing.assert_array_equal(dio.load_image_features(got.features[0]).data, values)
         assert got.labels.tolist() == [sample.label]
+
+
+def loop_collate(encoded):
+    """Reference batch: the samples padded one row at a time."""
+    def pad(rows, masks=None):
+        width = max(len(r) for r in rows)
+        ids = np.full((len(rows), width), dio.PAD_INDEX, dtype=np.int64)
+        mask = np.zeros((len(rows), width), dtype=bool)
+        for i, r in enumerate(rows):
+            ids[i, : len(r)] = r
+            mask[i, : len(r)] = True if masks is None else masks[i]
+        return ids, mask
+
+    token_ids, mask = pad([e.token_ids for e in encoded], [e.mask for e in encoded])
+    target_ids, target_mask = pad([e.token_ids[e.span[0] : e.span[1]] for e in encoded])
+    aspect_ids, aspect_mask = pad([e.aspect_ids for e in encoded])
+    return dio.Batch(
+        ids=[e.id for e in encoded], token_ids=token_ids, mask=mask,
+        spans=np.array([e.span for e in encoded], dtype=np.int64),
+        target_ids=target_ids, target_mask=target_mask,
+        aspect_ids=aspect_ids, aspect_mask=aspect_mask,
+        labels=np.array([e.label for e in encoded], dtype=np.int64),
+        features=[e.features for e in encoded],
+    )
+
+
+def assert_same_batch(got, want):
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        if isinstance(value, np.ndarray):
+            assert (other.dtype, other.shape) == (value.dtype, value.shape), name
+            assert other.tobytes() == value.tobytes(), name
+        else:
+            assert other == value, name
+
+
+class TestBatchBuilders:
+    """``make_batches`` builds each batch from whole arrays; it must give
+    what ``collate`` and a row-by-row padding give for the same samples."""
+
+    MAX_LEN = 9
+
+    @pytest.fixture(scope="class", params=[1, 2, 3])
+    def corpus(self, request, tmp_path_factory):
+        # a synth corpus with wider targets and aspects, tokens the table
+        # lacks, and sentences longer than the truncation window
+        root = tmp_path_factory.mktemp(f"builders{request.param}")
+        dio.synth_generate(root, seed=request.param, n=70, vocab_size=12,
+                           grid_rule="none", embed_dim=4)
+        table = dio.load_embeddings(root / "embeddings.txt")
+        samples = dio.load_dataset(root / "dataset.jsonl")
+        rng = np.random.default_rng(request.param)
+        vocab = [f"w{i}" for i in range(12)] + ["oov1", "oov2"]
+        for i, s in enumerate(samples):
+            s.tokens += [vocab[j] for j in rng.integers(0, len(vocab), size=rng.integers(0, 4))]
+            start = int(rng.integers(0, len(s.tokens)))
+            s.target_span = (start, min(len(s.tokens), start + int(rng.integers(1, 5))))
+            s.aspect_tokens = [vocab[j] for j in rng.integers(0, len(vocab),
+                                                               size=rng.integers(1, 4))]
+            s.image_ref = f"grid{i}.efvf"
+        assert any(len(s.tokens) > self.MAX_LEN for s in samples)
+        return table, samples
+
+    @pytest.mark.parametrize("text_only", [True, False])
+    @pytest.mark.parametrize("batch_size", [1, 3, 32])
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_make_batches_equals_collate_of_encoded(self, corpus, text_only, batch_size,
+                                                    seed):
+        table, samples = corpus
+        batches = dio.make_batches(samples, table, batch_size=batch_size,
+                                   max_len=self.MAX_LEN, text_only=text_only,
+                                   rng=None if seed is None else np.random.default_rng(seed))
+        order = (range(len(samples)) if seed is None
+                 else np.random.default_rng(seed).permutation(len(samples)))
+        encoded = []
+        for i in order:
+            enc = dio.encode_sample(samples[i], table, self.MAX_LEN, with_features=False)
+            enc.features = None if text_only else samples[i].image_ref
+            encoded.append(enc)
+        assert len(batches) == -(-len(samples) // batch_size)
+        for at, batch in zip(range(0, len(encoded), batch_size), batches):
+            rows = encoded[at : at + batch_size]
+            assert_same_batch(batch, loop_collate(rows))
+            assert_same_batch(dio.collate(rows), loop_collate(rows))
+
+    def test_collate_keeps_partial_masks(self, corpus):
+        table, samples = corpus
+        rng = np.random.default_rng(0)
+        encoded = [dio.encode_sample(s, table, self.MAX_LEN, with_features=False)
+                   for s in samples[:6]]
+        for enc in encoded:
+            enc.mask = rng.random(len(enc.token_ids)) < 0.6
+        batch = dio.collate(encoded)
+        assert_same_batch(batch, loop_collate(encoded))
+        # some real tokens are masked out, not only the padding
+        assert (~batch.mask & (batch.token_ids != dio.PAD_INDEX)).any()
 
 
 class TestSynthGenerate:
@@ -400,8 +548,7 @@ class TestSynthGenerate:
         samples = dio.load_dataset(tmp_path / "dataset.jsonl")
         for s in samples:
             assert 5 <= len(s.tokens) <= 31
-            for t in s.tokens:
-                assert table.lookup(t) != dio.UNK_INDEX
+            assert (table.token_ids(s.tokens) != dio.UNK_INDEX).all()
         assert table.matrix.shape == (15 + len(CUE_TOKENS) + 2, 50)
 
     def test_bad_rule_rejected(self, tmp_path):
