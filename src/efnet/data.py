@@ -115,16 +115,15 @@ class EmbeddingTable:
         return np.fromiter(map(self.index.get, tokens, repeat(UNK_INDEX)), np.int64)
 
 
-def load_embeddings(path, rng=None, dtype=DEFAULT_DTYPE) -> EmbeddingTable:
-    """Read "token v1 ... vd" lines into a table with pad/unk rows prepended.
+def load_embeddings(path) -> EmbeddingTable:
+    """Read "token v1 ... vd" lines into a float32 table with pad/unk rows
+    prepended.
 
-    The unknown row is drawn uniform in +-0.05 from ``rng`` (a fixed default
-    generator when omitted, so loading stays deterministic). A value that is
-    not finite in ``dtype`` (nan, inf, or beyond its range) is a
-    ``ParseError`` naming the file, the line and the token.
+    The unknown row is drawn uniform in +-0.05 from a generator seeded
+    with 0, so loading is deterministic. A value that is not finite in
+    float32 (nan, inf, or beyond its range) is a ``ParseError`` naming the
+    file, the line and the token.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     index: dict = {}
     rows = []
     linenos = []
@@ -153,16 +152,16 @@ def load_embeddings(path, rng=None, dtype=DEFAULT_DTYPE) -> EmbeddingTable:
         linenos.append(lineno)
     if dim is None:
         raise InputError(f"{path}: empty embedding file")
-    matrix = np.zeros((len(rows) + 2, dim), dtype=dtype)
-    matrix[UNK_INDEX] = rng.uniform(-0.05, 0.05, size=dim).astype(dtype)
+    matrix = np.zeros((len(rows) + 2, dim), dtype=DEFAULT_DTYPE)
+    matrix[UNK_INDEX] = np.random.default_rng(0).uniform(-0.05, 0.05, size=dim)
     with np.errstate(over="ignore"):
-        matrix[2:] = np.asarray(rows, dtype=dtype)
+        matrix[2:] = np.asarray(rows, dtype=DEFAULT_DTYPE)
     bad = np.argwhere(~np.isfinite(matrix[2:]))
     if bad.size:
         r, c = bad[0]
         raise ParseError(
             f"{path}: line {linenos[r]}: token {list(index)[r]!r} has value {rows[r][c]!r}, "
-            f"not finite as {np.dtype(dtype).name}"
+            f"not finite as {np.dtype(DEFAULT_DTYPE).name}"
         )
     return EmbeddingTable(index, Tensor(matrix, requires_grad=True))
 

@@ -12,9 +12,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 FD_STEP = 1e-5
+# the floor of max_rel_error's denominator, so that two gradients that are
+# both near zero do not count as disagreeing
+REL_ERROR_FLOOR = 1e-8
 
 
-def fd_gradient(f: Callable[..., float], arrays: Sequence[np.ndarray], step: float = FD_STEP):
+def fd_gradient(f: Callable[..., float], arrays: Sequence[np.ndarray]):
     """Numeric gradient of ``f`` w.r.t. each array via central differences.
 
     ``f`` is called with float64 copies of ``arrays``, and it is those
@@ -30,21 +33,21 @@ def fd_gradient(f: Callable[..., float], arrays: Sequence[np.ndarray], step: flo
         gflat = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FD_STEP
             hi = f(*work)
-            flat[i] = orig - step
+            flat[i] = orig - FD_STEP
             lo = f(*work)
             flat[i] = orig
-            gflat[i] = (hi - lo) / (2.0 * step)
+            gflat[i] = (hi - lo) / (2.0 * FD_STEP)
         grads.append(g)
     return grads
 
 
-def max_rel_error(analytic, numeric, eps: float = 1e-8) -> float:
+def max_rel_error(analytic, numeric) -> float:
     """Worst-case relative disagreement between two gradient arrays."""
     a = np.asarray(analytic, dtype=np.float64)
     n = np.asarray(numeric, dtype=np.float64)
     if a.shape != n.shape:
         raise ValueError(f"gradient shapes differ: {a.shape} vs {n.shape}")
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), eps)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), REL_ERROR_FLOOR)
     return float(np.max(np.abs(a - n) / denom))

@@ -211,7 +211,7 @@ def gate_groups(directions) -> list:
 @dataclass
 class CapsuleParams:
     w: Tensor
-    b: Tensor | None = None
+    b: Tensor
 
     @classmethod
     def create(cls, rng, d_in: int, d_cap: int, dtype=DEFAULT_DTYPE):

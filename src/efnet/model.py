@@ -237,10 +237,10 @@ class EFNetParams:
 
 
 def encode_context(word_embeds: Tensor, pos_embeds: Tensor, mask, params: MHAParams,
-                   dropout_rate: float = 0.0, train: bool = False, rng=None):
+                   dropout_rate: float = 0.0, rng=None):
     """Self-attend over [word, position] features; also return the masked mean."""
     x = tx.concat([word_embeds, pos_embeds])
-    x = tx.dropout(x, dropout_rate, train, rng)
+    x = tx.dropout(x, dropout_rate, rng)
     h_c = ly.mhsa(x, params, mask=mask)
     return h_c, tx.mean_pool(h_c, mask)
 
@@ -349,8 +349,8 @@ def interact(h_ta: Tensor, h_c: Tensor, h_i, params: EFNetParams, ctx_mask=None,
 
 
 def fuse(h_ta: Tensor, h_tac: Tensor, h_tai, h_avg_c: Tensor, h_att_i,
-         params: EFNetParams, dropout_rate: float = 0.0, train: bool = False,
-         rng=None, return_weights: bool = False, target_mask=None):
+         params: EFNetParams, dropout_rate: float = 0.0, rng=None,
+         return_weights: bool = False, target_mask=None):
     """Cross-attend queries h^ta against keys h^tac with values h^tai (the
     asymmetric role split is deliberate), pool, and concatenate the pooled
     context, pooled fusion, and image-attention vectors. ``target_mask``
@@ -369,7 +369,7 @@ def fuse(h_ta: Tensor, h_tac: Tensor, h_tai, h_avg_c: Tensor, h_att_i,
     if h_att_i is not None:
         parts.append(h_att_i)
     fused = tx.concat(parts)
-    fused = tx.dropout(fused, dropout_rate, train, rng)
+    fused = tx.dropout(fused, dropout_rate, rng)
     return (fused, weights) if return_weights else fused
 
 
@@ -433,15 +433,15 @@ def _inputs(sample):
             sample.features)
 
 
-def forward(sample, params: EFNetParams, config: ModelConfig, train: bool = False,
-            rng=None, want_trace: bool = False) -> ForwardOutput:
+def forward(sample, params: EFNetParams, config: ModelConfig, rng=None,
+            want_trace: bool = False) -> ForwardOutput:
     """Run a batch through the whole pipeline, every stage over [B, ...]
     with per-row masks; probabilities come out [B, 3].
 
     ``sample`` is a ``Batch``, or one ``EncodedSample``: that runs the same
     stages without the batch axis, and its probabilities come out [3].
-    Feature grids given as paths are read here. Stage errors are re-raised
-    with the stage name prefixed.
+    Feature grids given as paths are read here. Dropout runs when ``rng``
+    is given. Stage errors are re-raised with the stage name prefixed.
     """
     sids, ids, ctx_mask, span, t_ids, t_mask, a_ids, a_mask, features = _inputs(sample)
     stage = "encode_context"
@@ -449,7 +449,7 @@ def forward(sample, params: EFNetParams, config: ModelConfig, train: bool = Fals
         word = tx.embedding_lookup(params.embed, ids)
         pos = ly.position_embeddings(span, ids.shape[-1], params.pos)
         h_c, h_avg_c = encode_context(
-            word, pos, ctx_mask, params.ctx_mhsa, config.dropout, train, rng
+            word, pos, ctx_mask, params.ctx_mhsa, config.dropout, rng
         )
 
         stage = "bigru_encode"
@@ -469,7 +469,7 @@ def forward(sample, params: EFNetParams, config: ModelConfig, train: bool = Fals
         stage = "fuse"
         fused = fuse(
             h_ta, h_tac, h_tai, h_avg_c, h_att, params,
-            dropout_rate=config.dropout, train=train, rng=rng, return_weights=want_trace,
+            dropout_rate=config.dropout, rng=rng, return_weights=want_trace,
             target_mask=t_mask,
         )
         if want_trace:

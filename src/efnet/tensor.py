@@ -270,14 +270,13 @@ def transpose(a: Tensor) -> Tensor:
     return _record(tape, out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
-def dropout(a: Tensor, rate: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: scales survivors by 1/(1-rate); identity in eval mode."""
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout: scales survivors by 1/(1-rate). It runs when an
+    ``rng`` is given (training) and is the identity without one."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
+    if rng is None or rate == 0.0:
         return a
-    if rng is None:
-        raise ValueError("dropout in training mode needs an rng")
     keep = (rng.random(a.shape) >= rate).astype(a.data.dtype)
     factor = keep / a.data.dtype.type(1.0 - rate)
     out = Tensor(a.data * factor)
@@ -544,7 +543,7 @@ def capsule_region_attention(regions, w_cap: Tensor | None = None,
     use ``out`` (None, or an array an earlier function returned) as its
     storage. Without a tape one such array serves every row, so no
     [B, n, C] array is formed; under a tape each row keeps its own, for the
-    backward pass. Either half may be left out: ``w_cap`` (and ``b_cap``) or
+    backward pass. Either half may be left out: ``w_cap`` with ``b_cap``, or
     ``query`` with ``w_r``. Returns the squashed capsules [(B,) n, K], the
     attended vector [(B,) a] and the region weights as a plain [(B,) n]
     array, with None for a half left out. The two outputs are two tape
@@ -563,12 +562,12 @@ def capsule_region_attention(regions, w_cap: Tensor | None = None,
     b = len(sources)
     cap, att = w_cap is not None, query is not None
     first = w_cap if cap else w_r
-    if first is None or att != (w_r is not None) or b_cap is not None and not cap or not b:
-        raise ShapeError("capsule_region_attention: need grids and w_cap, query with "
-                         "w_r, or both")
+    if first is None or att != (w_r is not None) or cap != (b_cap is not None) or not b:
+        raise ShapeError("capsule_region_attention: need grids and w_cap with b_cap, "
+                         "query with w_r, or both")
     width, dtype = first.shape[0], first.data.dtype
     k = w_cap.shape[1] if cap else 0
-    if cap and (w_cap.data.ndim != 2 or b_cap is not None and b_cap.shape != (k,)) \
+    if cap and (w_cap.data.ndim != 2 or b_cap.shape != (k,)) \
             or att and (w_r.data.ndim != 2 or w_r.shape[0] != width
                         or query.shape != ((b,) if batched else ()) + (w_r.shape[1],)):
         raise ShapeError(
@@ -586,7 +585,7 @@ def capsule_region_attention(regions, w_cap: Tensor | None = None,
         qd, wd = query.data.reshape(b, -1), w_r.data
         c = 1.0 / math.sqrt(wd.shape[1])
         qk = qd @ wd.T
-    bias = b_cap.data if b_cap is not None else dtype.type(0)
+    bias = b_cap.data if cap else dtype.type(0)
     kept, buf = [], None
     for i, src in enumerate(sources):
         if callable(src):
@@ -628,7 +627,6 @@ def capsule_region_attention(regions, w_cap: Tensor | None = None,
     r_shape = regions.shape if isinstance(regions, Tensor) else None
     want_r = r_shape is not None and (regions.requires_grad or regions.tape is not None)
     q_shape = query.shape if att else None
-    has_bias = b_cap is not None
     stash = []
     if cap:
         nonzero = u > 0
@@ -673,9 +671,7 @@ def capsule_region_attention(regions, w_cap: Tensor | None = None,
                     d_r[i] += np.outer(attn[i], d_pooled[i])
         grads = [] if r_shape is None else [None if d_r is None else d_r.reshape(r_shape)]
         if cap:
-            grads.append(np.ascontiguousarray(d_wcap_t.T))
-            if has_bias:
-                grads.append(g_s.sum(axis=(0, 1)))
+            grads += [np.ascontiguousarray(d_wcap_t.T), g_s.sum(axis=(0, 1))]
         if att:
             if g_out is None:
                 grads += [None, None]

@@ -25,6 +25,8 @@ EVAL_BATCH = 32  # rows per evaluation forward; results do not depend on it
 # 2.4 us a step at 16, and an entry then stays subnormal for at most 16
 # steps of the 742 it took to get there.
 FLUSH_EVERY = 16
+# Adam's moment decay rates and the epsilon added outside the square root
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class TrainError(RuntimeError):
@@ -42,9 +44,6 @@ class OptimizerState:
     """
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = dataclasses.field(default_factory=dict)
     v: dict = dataclasses.field(default_factory=dict)
@@ -105,17 +104,17 @@ def adam_step(params: EFNetParams, grads, state: OptimizerState) -> None:
                 moments[name] = flat[lo:hi].reshape(view.shape)
     m, v = state._flat
     state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
+    c1 = 1.0 - BETA1 ** state.t
+    c2 = 1.0 - BETA2 ** state.t
     # in-place forms of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
     # p - lr (m / c1) / (sqrt(v / c2) + eps), rounding for rounding; a
     # non-finite update is named below, so numpy need not warn of it
     with np.errstate(all="ignore"):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
         g *= g
-        g *= 1.0 - state.beta2
-        v *= state.beta2
+        g *= 1.0 - BETA2
+        v *= BETA2
         v += g
         if state.t % FLUSH_EVERY == 0:
             tiny = np.finfo(dtype).tiny
@@ -126,7 +125,7 @@ def adam_step(params: EFNetParams, grads, state: OptimizerState) -> None:
         root = v / c2
         np.sqrt(root, out=root)
         # epsilon sits outside the square root
-        root += state.eps
+        root += EPS
         step /= root
         updated = np.subtract(buffer.flat, step, out=step)
     if not np.isfinite(updated).all():
@@ -207,7 +206,7 @@ def evaluate(params: EFNetParams, table, samples, config: ModelConfig) -> EvalRe
                               max_len=config.max_len, text_only=config.text_only):
         # a non-finite probability is named below, so numpy need not warn of it
         with np.errstate(all="ignore"):
-            out = forward(batch, params, config, train=False)
+            out = forward(batch, params, config)
         _check_finite(out, batch, params, config)
         truths += batch.labels.tolist()
         preds += np.argmax(out.probs.data, axis=1).tolist()
@@ -278,7 +277,7 @@ def train(params: EFNetParams, table, train_samples, val_samples,
             # a non-finite loss is named here, with the replay's stage, and a
             # non-finite gradient by adam_step, so numpy need not warn of them
             with np.errstate(all="ignore"):
-                out = forward(batch, params, config, train=True, rng=rng)
+                out = forward(batch, params, config, rng=rng)
                 value = batch_loss([out.probs], batch.labels, params, config.l2_lambda)
                 if not np.isfinite(value.data):
                     rng.bit_generator.state = draws
@@ -322,7 +321,7 @@ def _replay(batch, params, config, rng=None) -> str:
     where = ""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            out = forward(batch, params, config, train=rng is not None, rng=rng)
+            out = forward(batch, params, config, rng=rng)
             if rng is not None:
                 where = "loss: "
                 batch_loss([out.probs], batch.labels, params, config.l2_lambda)
@@ -333,7 +332,7 @@ def _replay(batch, params, config, rng=None) -> str:
 
 def head_sweep(table, train_samples, val_samples, base_config: ModelConfig,
                head_list, *, epochs: int, lr: float = 1e-3,
-               batch_size: int = 128, out_path=None, on_epoch=None):
+               batch_size: int = 128, out_path=None):
     """Train one model per head count with a shared seed and data.
 
     Every head count is validated against the model widths before any
@@ -353,8 +352,7 @@ def head_sweep(table, train_samples, val_samples, base_config: ModelConfig,
         embed = Tensor(table.matrix.data.copy(), requires_grad=True)
         params = EFNetParams.create(cfg, rng, embed)
         report = train(params, table, train_samples, val_samples, cfg,
-                       epochs=epochs, lr=lr, batch_size=batch_size,
-                       on_epoch=on_epoch)
+                       epochs=epochs, lr=lr, batch_size=batch_size)
         if report is None:
             report = evaluate(params, table, val_samples, cfg)
         rows.append((cfg.head_count, report.accuracy, report.macro_f1))

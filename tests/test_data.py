@@ -73,10 +73,12 @@ class TestEmbeddings:
             dio.load_embeddings(self.write(tmp_path, ""))
 
     def test_unk_row_is_seeded(self, tmp_path):
+        # the unknown row is drawn from a generator seeded with 0, in float32
         path = self.write(tmp_path, "cat 1 2 3\n")
-        a = dio.load_embeddings(path, rng=np.random.default_rng(5))
-        b = dio.load_embeddings(path, rng=np.random.default_rng(5))
+        a, b = dio.load_embeddings(path), dio.load_embeddings(path)
         np.testing.assert_array_equal(a.matrix.data, b.matrix.data)
+        want = np.random.default_rng(0).uniform(-0.05, 0.05, size=3).astype(np.float32)
+        np.testing.assert_array_equal(a.matrix.data[dio.UNK_INDEX], want)
 
 
 def make_sample(i=0, image=None, tokens=None, span=(1, 2)):

@@ -330,7 +330,7 @@ class TestCapsuleLayer:
         np.testing.assert_allclose(out[7], 0.0)
 
     def test_unit_projection_norm_half(self):
-        params = CapsuleParams(w=Tensor(np.eye(4), requires_grad=True))
+        params = CapsuleParams(w=Tensor(np.eye(4), requires_grad=True), b=Tensor(np.zeros(4)))
         regions = np.zeros((REGION_COUNT, 4))
         regions[0, 0] = 1.0
         regions[1:] = 0.3

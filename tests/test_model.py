@@ -578,8 +578,8 @@ class TestForward:
         cfg = tiny_config(dropout=0.3)
         params = tiny_params(cfg, rng)
         sample = tiny_sample(cfg, rng)
-        a = md.forward(sample, params, cfg, train=False)
-        b = md.forward(sample, params, cfg, train=False)
+        a = md.forward(sample, params, cfg)
+        b = md.forward(sample, params, cfg)
         np.testing.assert_array_equal(a.probs.data, b.probs.data)
 
     def test_probability_simplex(self):
@@ -752,7 +752,7 @@ def overfit_batch_step(tmp_path, n):
     tape = Tape()
     for _, p in params.named_parameters():
         tape.watch(p)
-    out = md.forward(batch, params, cfg, train=True, rng=rng)
+    out = md.forward(batch, params, cfg, rng=rng)
     value = md.loss([out.probs], batch.labels, params, cfg.l2_lambda)
     assert value.tape is tape and len(batch) == 8
     return params, tape, value

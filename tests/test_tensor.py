@@ -100,7 +100,7 @@ ROWS = [
         wrong=lambda a: [a[0]]),
     # the uniform draws ``u`` stand in for the generator: every call drops
     # the same units
-    Row("dropout", lambda a, u: tx.dropout(a, 0.4, True, SimpleNamespace(random=lambda _: u)),
+    Row("dropout", lambda a, u: tx.dropout(a, 0.4, SimpleNamespace(random=lambda _: u)),
         lambda rng, lead: ([rand(rng, *lead, 6, 5)], {"u": rng.random((*lead, 6, 5))})),
     Row("softmax", tx.softmax, lambda rng, lead: ([rand(rng, *lead, 3, 5)], {}),
         wrong=lambda a: [a[0, 0]]),
@@ -433,14 +433,15 @@ class TestEmbeddingLookup:
 
 class TestDropout:
     def test_eval_mode_is_identity(self):
+        # without an rng (evaluation), or at rate 0, dropout returns its input
         x = Tensor(np.ones((3, 3)))
-        assert tx.dropout(x, 0.5, train=False) is x
-        assert tx.dropout(x, 0.0, train=True) is x
+        assert tx.dropout(x, 0.5) is x
+        assert tx.dropout(x, 0.0, rng=np.random.default_rng(0)) is x
 
     def test_scaling_preserves_expectation(self):
         rng = np.random.default_rng(41)
         x = Tensor(np.ones(10_000))
-        y = tx.dropout(x, 0.3, train=True, rng=rng).data
+        y = tx.dropout(x, 0.3, rng=rng).data
         assert abs(y.mean() - 1.0) < 0.02
         kept = y[y != 0.0]
         np.testing.assert_allclose(kept, 1.0 / 0.7, rtol=1e-6)
@@ -448,28 +449,27 @@ class TestDropout:
     def test_gradient_uses_same_mask(self):
         tape = Tape()
         x = tape.watch(Tensor(np.ones(64, dtype=np.float64), requires_grad=True))
-        y = tx.dropout(x, 0.4, train=True, rng=np.random.default_rng(7))
+        y = tx.dropout(x, 0.4, rng=np.random.default_rng(7))
         g = tape.backward(total(y))[x]
         np.testing.assert_allclose(g, np.where(y.data != 0.0, 1.0 / 0.6, 0.0))
 
     def test_bad_rate(self):
         with pytest.raises(ValueError):
-            tx.dropout(Tensor(np.ones(2)), 1.0, train=True, rng=np.random.default_rng(0))
+            tx.dropout(Tensor(np.ones(2)), 1.0, rng=np.random.default_rng(0))
 
     def test_gradients(self):
         rng = np.random.default_rng(43)
         fd_check(
-            lambda t: tx.dropout(t, 0.4, train=True, rng=np.random.default_rng(9)),
+            lambda t: tx.dropout(t, 0.4, rng=np.random.default_rng(9)),
             rand(rng, 6, 5),
         )
 
 
-def capsules(r, w_cap=None, b_cap=None):
-    """The squashed capsule output of the fused image op; an identity
-    ``w_cap`` (the default) squashes the rows of ``r`` themselves."""
-    if w_cap is None:
-        w_cap = Tensor(np.eye(r.shape[-1], dtype=r.data.dtype))
-    return tx.capsule_region_attention(r, w_cap, b_cap)[0]
+def capsules(r):
+    """The squashed capsule output of the fused image op; its identity
+    ``w_cap`` and zero ``b_cap`` squash the rows of ``r`` themselves."""
+    eye = np.eye(r.shape[-1], dtype=r.data.dtype)
+    return tx.capsule_region_attention(r, Tensor(eye), Tensor(np.zeros_like(eye[0])))[0]
 
 
 class TestSquashRows:
@@ -657,8 +657,8 @@ class TestCapsuleRegionAttention:
         for lead in ((), (3,)):
             r, w, b, q, w_r = self.operands(rng, lead)
             fd_check(lambda *ts: joined(tx.capsule_region_attention(*ts)), r, w, b, q, w_r)
-            # without a bias, and with the capsule half alone
-            fd_check(lambda r, w: tx.capsule_region_attention(r, w)[0], r, w)
+            # with the capsule half alone
+            fd_check(lambda r, w, b: tx.capsule_region_attention(r, w, b)[0], r, w, b)
 
     def test_one_output_used(self):
         # the second output hands its gradient to the first; each output
@@ -717,6 +717,7 @@ class TestCapsuleRegionAttention:
             (r, w, b[:3], q, w_r),            # bias of the wrong width
             (r, w, b, q[0], w_r),             # unbatched query for a batch
             (r, None, b, q, w_r),             # a bias without a weight
+            (r, w, None, q, w_r),             # a weight without a bias
             (r, w, b, q, None),               # a query without w_r
             (r, None, None, None, None),      # nothing to compute
         ]
@@ -724,7 +725,7 @@ class TestCapsuleRegionAttention:
             with pytest.raises(ShapeError, match="capsule_region_attention"):
                 tx.capsule_region_attention(*(None if a is None else Tensor(a) for a in args))
         with pytest.raises(ShapeError, match="grid 1"):
-            tx.capsule_region_attention([r[0], r[1, :48]], Tensor(w))
+            tx.capsule_region_attention([r[0], r[1, :48]], Tensor(w), Tensor(b))
 
 
 class TestGRUSequence:

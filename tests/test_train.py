@@ -138,8 +138,8 @@ def loop_adam_step(params, grads, state):
     """Adam one parameter at a time, the per-parameter loop ``adam_step``
     must match bit for bit."""
     state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
+    c1 = 1.0 - tr.BETA1 ** state.t
+    c2 = 1.0 - tr.BETA2 ** state.t
     for name, p in params.named_parameters():
         g = grads.get(p)
         m = state.m.get(name)
@@ -147,11 +147,11 @@ def loop_adam_step(params, grads, state):
             m = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        m = tr.BETA1 * m + (1.0 - tr.BETA1) * g
+        v = tr.BETA2 * v + (1.0 - tr.BETA2) * (g * g)
         state.m[name] = m
         state.v[name] = v
-        p.data = p.data - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p.data = p.data - state.lr * (m / c1) / (np.sqrt(v / c2) + tr.EPS)
     params.embed.data[0] = 0.0
 
 
