@@ -100,6 +100,8 @@ class RunConfig:
 def _parse(where: str, value: str, default, base: Path):
     """``value`` as the type of ``default``; a path when the default is None."""
     if default is None:
+        if "\0" in value:
+            raise ConfigError(f"{where}: a path cannot hold a NUL character")
         return str((base / value).resolve())
     if isinstance(default, bool):
         lowered = value.lower()

@@ -192,6 +192,8 @@ def _parse_record(path, i: int, obj) -> Sample:
     image = obj.get("image")
     if image is not None and not isinstance(image, str):
         fail("image must be a path string")
+    if image is not None and "\0" in image:
+        fail("image path holds a NUL character")
     return Sample(
         id=str(obj["id"]),
         tokens=tokens,

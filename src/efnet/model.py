@@ -47,6 +47,7 @@ MAX_PARAMETERS = 50_000_000
 
 CHECKPOINT_MAGIC = b"EFCK"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_MAX_RANK = 32  # numpy 1.24's limit on array dimensions
 
 
 class CheckpointMismatch(ValueError):
@@ -557,10 +558,13 @@ def _read_checkpoint_records(blob: bytes, path) -> dict:
         need(4, "record rank")
         (rank,) = struct.unpack_from("<I", blob, offset)
         offset += 4
+        if rank > CHECKPOINT_MAX_RANK:
+            raise FormatError(f"{path}: record {len(records) + 1}: rank {rank} is above "
+                              f"{CHECKPOINT_MAX_RANK}")
         need(4 * rank, "record dims")
         dims = struct.unpack_from(f"<{rank}I", blob, offset)
         offset += 4 * rank
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        count = math.prod(dims)  # exact, so no product wraps past the payload check
         need(4 * count, "record payload")
         values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         offset += 4 * count

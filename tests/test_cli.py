@@ -4,6 +4,7 @@ import os
 import re
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -23,7 +24,15 @@ from efnet.data import (
     write_image_features,
 )
 from efnet.layers import ConfigError
-from efnet.model import EFNetParams, ModelConfig, forward, load_checkpoint, save_checkpoint
+from efnet.model import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    EFNetParams,
+    ModelConfig,
+    forward,
+    load_checkpoint,
+    save_checkpoint,
+)
 from efnet.tensor import Tensor
 from efnet.train import METRICS_HEADER, SWEEP_HEADER, train
 
@@ -178,6 +187,7 @@ BAD_INPUTS = [
     bad("run.cfg", "embed_dim = 8", "embed_dim = 16", "embed_dim",
         "{corpus}/embeddings.txt"),
     bad("run.cfg", "embeddings = ", "# embeddings = ", "missing required key 'embeddings'"),
+    bad("run.cfg", "val = ", "val = \0", "line 16: val", "NUL character"),
     bad("dataset.jsonl", '"label": "neutral"', '"label": "great"', "record 1: label"),
     bad("embeddings.txt", None, "short 1 2 3", "line 24: token 'short'"),
     bad("embeddings.txt", None, "nonfinite 1 2 3 nan 5 6 7 8", "embeddings.txt",
@@ -371,6 +381,25 @@ class TestTrainEval:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dims, why", [
+        ((1,) * 65, "record 1: rank 65 is above 32"),
+        # the element counts overflow 64 bits: to 0, and to a negative number
+        ((2 ** 31, 2 ** 31, 4), "truncated record payload"),
+        ((2 ** 32 - 1, 2 ** 32 - 1), "truncated record payload"),
+    ], ids=["rank-65", "count-wraps-to-0", "count-wraps-negative"])
+    def test_oversized_checkpoint_record_is_exit_2(self, workdir, tmp_path, capsys, dims, why):
+        name = b"embed.table"
+        checkpoint = tmp_path / "header.efck"
+        checkpoint.write_bytes(
+            CHECKPOINT_MAGIC + struct.pack("<2I", CHECKPOINT_VERSION, len(name)) + name
+            + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims) + struct.pack("<f", 0.5))
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert main(["eval", "--config", str(workdir / "run.cfg"), "--checkpoint",
+                     str(checkpoint), "--split", "val", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {checkpoint}: {why}\n"
+        assert not out.exists()
+
     def test_text_only_model_builds_no_capsule(self, workdir, tmp_path):
         # the capsule width is not counted when no capsule is built
         corpus = (workdir / "corpus").resolve()
@@ -411,6 +440,23 @@ class TestTrainEval:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {cfg}: line 2: byte 0xff is not UTF-8 text\n"
+
+    def test_nul_in_image_path_is_exit_2(self, workdir, tmp_path, capsys):
+        # every other record's image is read from the corpus, so training
+        # would reach the bad one; it is rejected as the dataset loads
+        corpus = (workdir / "corpus").resolve()
+        text = (corpus / "dataset.jsonl").read_text(encoding="utf-8")
+        text = text.replace('"image": "', f'"image": "{corpus}/')
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text(text.replace('"image": "', '"image": "\\u0000', 1),
+                           encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(text_only="false")
+                       .replace("corpus/", f"{corpus}/")
+                       .replace(f"{corpus}/dataset.jsonl", str(dataset)))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {dataset}: record 1: image path holds a NUL character\n"
 
 
 # `efnet train` in a child process that stops at one point and prints
