@@ -18,7 +18,7 @@ METRICS_HEADER = "epoch,split,loss,accuracy,macro_f1"
 SWEEP_HEADER = "heads,accuracy,macro_f1"
 EVAL_BATCH = 32  # rows per evaluation forward; results do not depend on it
 # Steps between flushes of subnormal moment entries to zero (see adam_step).
-# A moment whose gradient stays zero shrinks by beta1 = 0.9 a step: from
+# A moment whose gradient stays zero shrinks by BETA1 = 0.9 a step: from
 # 1e-4 it turns subnormal in float32 after 742 steps and then sticks near
 # 6e-45, where a multiply over 67,131 such entries took 461 us against 11 us
 # for normal ones. Flushing both moments of that size takes about 38 us,
