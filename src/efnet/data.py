@@ -107,10 +107,6 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
     def token_ids(self, tokens) -> np.ndarray:
         return np.fromiter(map(self.index.get, tokens, repeat(UNK_INDEX)), np.int64)
 

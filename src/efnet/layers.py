@@ -306,16 +306,18 @@ def bigru_encode(target_embeds: Tensor, aspect_embed: Tensor, fwd: GRUParams, bw
 
 
 def capsule_layer(regions: Tensor, params: CapsuleParams) -> Tensor:
-    """Project each region row and squash it to a norm in [0, 1).
-    ``regions`` is [49, d_in], or [B, 49, d_in] for a batch. This is the
-    capsule half of ``tx.capsule_region_attention``, the op the model's
-    image stage runs."""
+    """Project each region row and squash it to a norm in [0, 1):
+    squash(regions w + b). ``regions`` is [49, d_in], or [B, 49, d_in] for
+    a batch. The model's image stage runs the same rule inside
+    ``tx.capsule_region_attention``."""
     d_in = params.w.shape[0]
     if regions.data.ndim not in (2, 3) or regions.shape[-2:] != (REGION_COUNT, d_in):
         raise ShapeError(
             f"capsule input must be [(B x) {REGION_COUNT} x {d_in}], got {regions.shape}"
         )
-    return tx.capsule_region_attention(regions, params.w, params.b)[0]
+    lead = regions.shape[:-1]
+    rows = tx.matmul(tx.reshape(regions, (math.prod(lead), d_in)), params.w)
+    return tx.squash(tx.reshape(tx.add(rows, params.b), lead + params.w.shape[1:]))
 
 
 def position_embeddings(span, n: int, table: PositionTable) -> Tensor:

@@ -263,7 +263,7 @@ def _grid_source(sid, ref, dtype):
         return read
     if ref is None:
         raise InputError(f"sample {sid} has no image features")
-    values = ref.data if isinstance(ref, Tensor) else np.asarray(ref)
+    values = np.asarray(ref)
     if values.ndim != 3 or values.shape[0] * values.shape[1] != REGION_COUNT:
         raise ShapeError(f"sample {sid}: visual features must be a 7x7 grid of rank 3, "
                          f"got shape {values.shape}")
@@ -301,14 +301,11 @@ def encode_visual(features, h_ta: Tensor, params: EFNetParams, mask=None, ids=No
     ids = ids if ids is not None else range(len(refs))
     dtype = params.capsule.w.data.dtype
     sources = [_grid_source(sid, ref, dtype) for sid, ref in zip(ids, refs)]
-    if not batch:
-        regions = Tensor(sources[0](None) if callable(sources[0]) else sources[0])
     query = _region_query(h_ta, params.img_w_ta, params.img_w_r, mask)
     # a non-finite grid makes NaNs in the softmax and the squash, named below
     with np.errstate(invalid="ignore"):
         v, h_att, weights = tx.capsule_region_attention(
-            sources if batch else regions, params.capsule.w, params.capsule.b, query,
-            params.img_w_r,
+            sources, params.capsule.w, params.capsule.b, query, params.img_w_r
         )
     if not np.isfinite(v.data).all():
         # any non-finite region value ends as a NaN here (inf * 0, inf / inf);
@@ -322,14 +319,22 @@ def encode_visual(features, h_ta: Tensor, params: EFNetParams, mask=None, ids=No
 
 def image_attention(h_ta: Tensor, r: Tensor, w_ta: Tensor, w_r: Tensor, mask=None):
     """One query (pooled target encoding) attends over projected regions;
-    keys and values are the same projection, which the fused op never
-    forms. Returns the attended vector and the region weights, a detached
-    value. ``h_ta`` is [m, d] with ``r`` [49, C], or [B, m, d] with
-    [B, 49, C]; ``mask`` ([(B,) m]) marks the target rows that are pooled.
-    This is ``encode_visual``'s op without the capsule half."""
-    _, out, weights = tx.capsule_region_attention(
-        r, query=_region_query(h_ta, w_ta, w_r, mask), w_r=w_r)
-    return out, Tensor(weights)
+    keys and values are the same projection, r w_r, formed here as the
+    fused op of ``encode_visual`` never forms it. Returns the attended
+    vector and the region weights, a detached value. ``h_ta`` is [m, d]
+    with ``r`` [49, C], or [B, m, d] with [B, 49, C]; ``mask`` ([(B,) m])
+    marks the target rows that are pooled."""
+    query = _region_query(h_ta, w_ta, w_r, mask)
+    lead = query.shape[:-1]
+    if r.data.ndim != len(lead) + 2 or r.shape[:-2] != lead:
+        raise ShapeError(f"image_attention: regions {r.shape} do not fit the query {query.shape}")
+    (n, width), att = r.shape[-2:], w_r.shape[1]
+    keys = tx.reshape(tx.matmul(tx.reshape(r, (math.prod(lead) * n, width)), w_r),
+                      lead + (n, att))
+    scores = tx.reshape(tx.matmul(keys, tx.reshape(query, lead + (att, 1))), lead + (n,))
+    weights = tx.softmax(tx.scale(scores, 1.0 / math.sqrt(att)))
+    out = tx.matmul(tx.reshape(weights, lead + (1, n)), keys)
+    return tx.reshape(out, lead + (att,)), Tensor(weights.data)
 
 
 def interact(h_ta: Tensor, h_c: Tensor, h_i, params: EFNetParams, ctx_mask=None,
@@ -343,8 +348,6 @@ def interact(h_ta: Tensor, h_c: Tensor, h_i, params: EFNetParams, ctx_mask=None,
         h_tac, ctx_w = h_tac
     h_tai = None
     if h_i is not None:
-        if params.inter_img is None:
-            raise ConfigError("visual input given but model has no visual parameters")
         h_tai = ly.multi_head(h_ta, h_i, h_i, params.inter_img)
     return (h_tac, h_tai, ctx_w) if return_weights else (h_tac, h_tai)
 
@@ -442,8 +445,17 @@ def forward(sample, params: EFNetParams, config: ModelConfig, rng=None,
     ``sample`` is a ``Batch``, or one ``EncodedSample``: that runs the same
     stages without the batch axis, and its probabilities come out [3].
     Feature grids given as paths are read here. Dropout runs when ``rng``
-    is given. Stage errors are re-raised with the stage name prefixed.
+    is given. Stage errors are re-raised with the stage name prefixed;
+    parameters whose visual fields do not match ``config.text_only`` are a
+    ``ConfigError`` before any stage runs.
     """
+    visual = (params.capsule, params.img_w_ta, params.img_w_r, params.inter_img)
+    if visual.count(None) != len(visual) * config.text_only:
+        raise ConfigError(
+            f"text_only = {config.text_only}, but the parameters "
+            f"{'hold' if config.text_only else 'lack'} the visual fields "
+            "(capsule, img_w_ta, img_w_r, inter_img)"
+        )
     sids, ids, ctx_mask, span, t_ids, t_mask, a_ids, a_mask, features = _inputs(sample)
     stage = "encode_context"
     try:

@@ -519,141 +519,135 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.nd
     return _record(tape, out, inputs, backward), weights
 
 
-def capsule_region_attention(regions, w_cap: Tensor | None = None,
-                             b_cap: Tensor | None = None, query: Tensor | None = None,
-                             w_r: Tensor | None = None):
+def squash(s: Tensor) -> Tensor:
+    """Each row (the last axis) of ``s`` squashed into a capsule: its norm
+    mapped into [0, 1), its direction kept. The rule is ``_squash``, which
+    ``capsule_region_attention`` shares."""
+    x = s.data
+    if x.ndim < 1:
+        raise ShapeError(f"squash: expected rank >= 1, got shape {s.shape}")
+    v, u, coef = _squash(x)
+    out = Tensor(v)
+    if (tape := _find_tape((s,))) is None:
+        return out
+    return _record(tape, out, (s,), lambda g: (_squash_grad(g, x, u, coef),))
+
+
+def _squash(s: np.ndarray):
+    """Rows (the last axis) of ``s`` squashed to v = |s|^2 / (1 + |s|^2)
+    s / |s| (Sabour et al. 2017, arXiv:1710.09829): row norms lie in
+    [0, 1), directions are kept, and a zero row stays zero, with zero
+    gradient there. Returns v with the squared norms u = |s|^2 and the
+    coefficients |s| / (1 + u) that ``_squash_grad`` reads."""
+    u = (s * s).sum(axis=-1, keepdims=True)
+    coef = np.sqrt(u) / (1.0 + u)  # 0 for a zero row
+    return coef * s, u, coef
+
+
+def _squash_grad(g: np.ndarray, s: np.ndarray, u: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The gradient ``g`` of ``_squash``'s v taken back to ``s``."""
+    nonzero = u > 0
+    safe_u = np.where(nonzero, u, 1.0)
+    # d(coef)/d(u) for the chain through u = |s|^2
+    dcoef = np.where(
+        nonzero, (1.0 - safe_u) / (2.0 * np.sqrt(safe_u) * (1.0 + safe_u) ** 2), 0.0
+    ).astype(s.dtype)
+    inner = (g * s).sum(axis=-1, keepdims=True)
+    return coef * g + 2.0 * dcoef * inner * s
+
+
+def capsule_region_attention(grids, w_cap: Tensor, b_cap: Tensor, query: Tensor, w_r: Tensor):
     """Squashed capsules and one query's attention over the same region
     grids, as one op that reads each grid once.
 
     For a grid r [n, C] the capsules are the rows of s = r w_cap + b_cap
-    [n, K], each squashed to v = |s|^2 / (1 + |s|^2) s / |s| (Sabour et al.
-    2017, arXiv:1710.09829): row norms lie in [0, 1), directions are kept,
-    and a zero row stays zero, with zero gradient there. The query q [a]
-    attends over the projected regions as softmax(q (r w_r)^T / sqrt(a))
-    (r w_r), without forming the [n, a] keys: the key projection folds into
-    the query, q~ = w_r q [C], and is applied once after pooling, so the
-    output is (weights r) w_r (the weight absorption of DeepSeek-V2,
+    [n, K], each squashed by ``_squash``. The query q [a] attends over the
+    projected regions as softmax(q (r w_r)^T / sqrt(a)) (r w_r), without
+    forming the [n, a] keys: the key projection folds into the query,
+    q~ = w_r q [C], and is applied once after pooling, so the output is
+    (weights r) w_r (the weight absorption of DeepSeek-V2,
     arXiv:2405.04434). The capsule product and the scores are one product,
     [w_cap^T; q~] r^T [K + 1, n], followed by the softmax and the pooled
     regions, all while the grid is in cache.
 
-    ``regions`` is a tensor, [n, C] with ``query`` [a] or [B, n, C] with
-    [B, a], or a list of B grids: each an [n, C] array, used as it is, or a
-    function ``read(out)`` that returns the grid as an [n, C] array and may
-    use ``out`` (None, or an array an earlier function returned) as its
-    storage. Without a tape one such array serves every row, so no
-    [B, n, C] array is formed; under a tape each row keeps its own, for the
-    backward pass. Either half may be left out: ``w_cap`` with ``b_cap``, or
-    ``query`` with ``w_r``. Returns the squashed capsules [(B,) n, K], the
-    attended vector [(B,) a] and the region weights as a plain [(B,) n]
-    array, with None for a half left out. The two outputs are two tape
-    nodes; the second hands its gradient to the first, which runs the joint
-    backward. The gradient of the regions is formed only when a regions
-    tensor is on a tape.
+    ``grids`` is a list of B grids, each an [n, C] array, used as it is, or
+    a function ``read(out)`` that returns the grid as an [n, C] array and
+    may use ``out`` (None, or an array an earlier function returned) as its
+    storage. Without a tape one such array serves every grid, so no
+    [B, n, C] array is formed; under a tape each grid keeps its own, for
+    the backward pass. The grids are constants: they get no gradient.
+    ``query`` is [B, a], or [a] with one grid, whose outputs then have no
+    batch axis. Returns the squashed capsules [(B,) n, K], the attended
+    vector [(B,) a] and the region weights as a plain [(B,) n] array. The
+    two outputs are two tape nodes; the second hands its gradient to the
+    first, which runs the joint backward.
     """
-    batched = not isinstance(regions, Tensor) or regions.data.ndim == 3
-    if isinstance(regions, Tensor):
-        if regions.data.ndim not in (2, 3):
-            raise ShapeError(f"capsule_region_attention: regions must be [n, C] or "
-                             f"[B, n, C], got {regions.shape}")
-        sources = list(regions.data) if batched else [regions.data]
-    else:
-        sources = list(regions)
-    b = len(sources)
-    cap, att = w_cap is not None, query is not None
-    first = w_cap if cap else w_r
-    if first is None or att != (w_r is not None) or cap != (b_cap is not None) or not b:
-        raise ShapeError("capsule_region_attention: need grids and w_cap with b_cap, "
-                         "query with w_r, or both")
-    width, dtype = first.shape[0], first.data.dtype
-    k = w_cap.shape[1] if cap else 0
-    if cap and (w_cap.data.ndim != 2 or b_cap.shape != (k,)) \
-            or att and (w_r.data.ndim != 2 or w_r.shape[0] != width
-                        or query.shape != ((b,) if batched else ()) + (w_r.shape[1],)):
+    b = len(grids)
+    if not b or w_cap.data.ndim != 2 or w_r.data.ndim != 2 or b_cap.shape != w_cap.shape[1:] \
+            or w_r.shape[0] != w_cap.shape[0] \
+            or query.shape not in ((b, w_r.shape[1]), (w_r.shape[1],) if b == 1 else None):
         raise ShapeError(
-            f"capsule_region_attention: weights {None if w_cap is None else w_cap.shape}, "
-            f"{None if b_cap is None else b_cap.shape}, {None if w_r is None else w_r.shape} "
-            f"and query {None if query is None else query.shape} do not fit {b} grid(s)"
+            f"capsule_region_attention: weights {w_cap.shape}, {b_cap.shape}, {w_r.shape} "
+            f"and query {query.shape} do not fit {b} grid(s)"
         )
-    inputs = [t for t in (regions, w_cap, b_cap, query, w_r) if isinstance(t, Tensor)]
+    lead = query.shape[:-1]
+    inputs = (w_cap, b_cap, query, w_r)
     tape = _find_tape(inputs)
-    # [w_cap^T; q~] for the row at hand
-    lhs = np.empty((k + att, width), dtype=dtype)
-    if k:
-        lhs[:k] = w_cap.data.T
-    if att:
-        qd, wd = query.data.reshape(b, -1), w_r.data
-        c = 1.0 / math.sqrt(wd.shape[1])
-        qk = qd @ wd.T
-    bias = b_cap.data if cap else dtype.type(0)
+    (width, k), dtype = w_cap.shape, w_cap.data.dtype
+    qd, wd = query.data.reshape(b, -1), w_r.data
+    c = 1.0 / math.sqrt(wd.shape[1])
+    qk = qd @ wd.T
+    # [w_cap^T; q~] for the grid at hand
+    lhs = np.empty((k + 1, width), dtype=dtype)
+    lhs[:k] = w_cap.data.T
     kept, buf = [], None
-    for i, src in enumerate(sources):
+    for i, src in enumerate(grids):
         if callable(src):
             r = buf = src(buf if tape is None else None)
         else:
             r = src
         if i == 0:
             n = r.shape[0] if r.ndim == 2 else -1
-            s = np.empty((b, n, k), dtype=dtype)
-            attn = np.empty((b, n), dtype=dtype)
-            pooled = np.empty((b, width), dtype=dtype)
         if r.shape != (n, width):
             raise ShapeError(f"capsule_region_attention: grid {i} is {r.shape}, "
                              f"expected [{n if n > 0 else 'n'}, {width}]")
-        if att:
-            lhs[k] = qk[i]
+        if i == 0:
+            s = np.empty((b, n, k), dtype=dtype)
+            attn = np.empty((b, n), dtype=dtype)
+            pooled = np.empty((b, width), dtype=dtype)
+        lhs[k] = qk[i]
         prod = lhs @ r.T
-        np.add(prod[:k].T, bias, out=s[i])
-        if att:
-            e = prod[k] * c
-            e -= e.max()
-            np.exp(e, out=e)
-            np.divide(e, e.sum(), out=attn[i])
-            pooled[i] = attn[i] @ r
+        np.add(prod[:k].T, b_cap.data, out=s[i])
+        e = prod[k] * c
+        e -= e.max()
+        np.exp(e, out=e)
+        np.divide(e, e.sum(), out=attn[i])
+        pooled[i] = attn[i] @ r
         if tape is not None:
             kept.append(r)
-    lead = (b,) if batched else ()
-    if cap:
-        s = s.reshape(lead + s.shape[1:])
-        u = (s * s).sum(axis=-1, keepdims=True)
-        coef = np.sqrt(u) / (1.0 + u)  # 0 for a zero row
-    v_out = Tensor(coef * s) if cap else None
-    out = Tensor((pooled @ wd).reshape(query.shape)) if att else None
-    weights = attn.reshape(lead + (n,)) if att else None
+    s = s.reshape(lead + s.shape[1:])
+    v, u, coef = _squash(s)
+    v_out = Tensor(v)
+    out = Tensor((pooled @ wd).reshape(query.shape))
+    weights = attn.reshape(lead + (n,))
     if tape is None:
         return v_out, out, weights
     # backward rules hold arrays and shapes, never tensors, so nothing on
     # the tape points back at it
-    r_shape = regions.shape if isinstance(regions, Tensor) else None
-    want_r = r_shape is not None and (regions.requires_grad or regions.tape is not None)
-    q_shape = query.shape if att else None
-    stash = []
-    if cap:
-        nonzero = u > 0
-        safe_u = np.where(nonzero, u, 1.0)
-        # d(coef)/d(u) for the chain through u = |s|^2
-        dcoef = np.where(
-            nonzero, (1.0 - safe_u) / (2.0 * np.sqrt(safe_u) * (1.0 + safe_u) ** 2), 0.0
-        ).astype(dtype)
+    q_shape, stash = query.shape, []
 
     def backward(g):
-        if cap:
-            # through the squash to the pre-activations
-            inner = (g * s).sum(axis=-1, keepdims=True)
-            g_s = (coef * g + 2.0 * dcoef * inner * s).reshape(b, n, k)
-        g_out = (stash.pop() if stash else None) if cap else g
-        m = k + (g_out is not None)
+        g_s = _squash_grad(g, s, u, coef).reshape(b, n, k)
+        g_out = stash.pop() if stash else None
         if g_out is not None:
             g2 = g_out.reshape(b, -1)
             d_pooled = g2 @ wd.T
             d_qk = np.empty((b, width), dtype=dtype)
         d_wcap_t = np.zeros((k, width), dtype=dtype)
-        d_r = np.empty((b, n, width), dtype=dtype) if want_r else None
-        # [g_s^T; d_scores] for the row at hand
-        lhs_g = np.empty((m, n), dtype=dtype)
+        # [g_s^T; d_scores] for the grid at hand
+        lhs_g = np.empty((k + (g_out is not None), n), dtype=dtype)
         for i, r in enumerate(kept):
-            if k:
-                lhs_g[:k] = g_s[i].T
+            lhs_g[:k] = g_s[i].T
             if g_out is not None:
                 d_attn = r @ d_pooled[i]
                 lhs_g[k] = attn[i] * (d_attn - d_attn @ attn[i]) * c
@@ -661,29 +655,14 @@ def capsule_region_attention(regions, w_cap: Tensor | None = None,
             d_wcap_t += prod[:k]
             if g_out is not None:
                 d_qk[i] = prod[k]
-            if want_r:
-                # every path into the grid: [g_s, d_scores, attn] against
-                # [w_cap^T; q~; d_pooled]
-                if att:
-                    lhs[k] = qk[i]
-                d_r[i] = lhs_g.T @ lhs[:m]
-                if g_out is not None:
-                    d_r[i] += np.outer(attn[i], d_pooled[i])
-        grads = [] if r_shape is None else [None if d_r is None else d_r.reshape(r_shape)]
-        if cap:
-            grads += [np.ascontiguousarray(d_wcap_t.T), g_s.sum(axis=(0, 1))]
-        if att:
-            if g_out is None:
-                grads += [None, None]
-            else:
-                # both products into w_r as one matrix product with 2b inner terms
-                grads += [(d_qk @ wd).reshape(q_shape),
-                          np.concatenate([pooled, d_qk]).T @ np.concatenate([g2, qd])]
-        return grads
+        grads = [np.ascontiguousarray(d_wcap_t.T), g_s.sum(axis=(0, 1))]
+        if g_out is None:
+            return grads + [None, None]
+        # both products into w_r as one matrix product with 2b inner terms
+        return grads + [(d_qk @ wd).reshape(q_shape),
+                        np.concatenate([pooled, d_qk]).T @ np.concatenate([g2, qd])]
 
-    head = _record(tape, v_out if cap else out, inputs, backward)
-    if not (cap and att):
-        return v_out, out, weights
+    head = _record(tape, v_out, inputs, backward)
     zero, v_shape = np.zeros((), dtype=dtype), head.shape
 
     def hand_off(g):

@@ -194,9 +194,7 @@ def forward_loss_reference(sample, params, cfg):
     values = h_tac
     if not cfg.text_only:
         regions = np.asarray(sample.features).reshape(REGION_COUNT, -1)
-        s = regions @ params.capsule.w.data
-        if params.capsule.b is not None:
-            s = s + params.capsule.b.data
+        s = regions @ params.capsule.w.data + params.capsule.b.data
         norm2 = (s * s).sum(axis=1, keepdims=True)
         h_i = s * np.sqrt(norm2) / (1.0 + norm2)
         query = h_ta.mean(axis=0) @ params.img_w_ta.data

@@ -298,7 +298,8 @@ class TestEncodeVisual:
             md.encode_visual(inf_grid, Tensor(h_ta.data[0]), params, ids=["x"])
 
     def test_matches_the_layers_it_fuses(self):
-        # the stage equals the pinned capsule layer and image attention
+        # the stage equals the pinned capsule layer and image attention,
+        # which form the same values from primitives and the keys r w_r
         rng, params, h_ta = self.stage(12, batch=3)
         grids = [rng.uniform(0, 1, FEATURE_SHAPE) for _ in range(3)]
         mask = np.array([[True, True, True], [True, False, False], [True, True, False]])
@@ -600,6 +601,16 @@ class TestForward:
         params = tiny_params(cfg, rng)
         out = md.forward(tiny_sample(cfg, rng), params, cfg)
         assert out.probs.shape == (3,)
+
+    @pytest.mark.parametrize("params_text_only", [False, True])
+    def test_text_only_mismatch_is_config_error(self, params_text_only):
+        # parameters built for one mode, run under a config of the other
+        rng = np.random.default_rng(23)
+        built = tiny_config(text_only=params_text_only)
+        params = tiny_params(built, rng)
+        cfg = tiny_config(text_only=not params_text_only)
+        with pytest.raises(ConfigError, match=f"^text_only = {cfg.text_only}, but"):
+            md.forward(tiny_sample(built, rng), params, cfg)
 
     @pytest.mark.parametrize("want_trace", [False, True])
     def test_attention_weights_requested_only_for_a_trace(self, monkeypatch, want_trace):

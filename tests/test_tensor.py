@@ -46,6 +46,11 @@ def blocks(ws, heads=2):
     return [stack(ws[:heads]), w_kv], list(ws)
 
 
+def grids_of(r):
+    """The grids of an [(B,) n, C] array as the list the image op takes."""
+    return list(r.reshape((-1,) + r.shape[-2:]))
+
+
 def gru_weights(rng, d_in, d_h):
     shapes = {"w": (d_in, d_h), "u": (d_h, d_h), "b": (d_h,)}
     return [rand(rng, *shapes[n]) for n in "wubwubwub"]
@@ -124,8 +129,11 @@ ROWS = [
                             rand(rng, *lead, 5, 3), rand(rng, 4, 2), rand(rng, 4, 2),
                             *(rand(rng, 3, 2) for _ in range(4))], {"mask": ragged(lead, 5)}),
         wrong=lambda q, k, v, *ws: [q, k, v[1:], *ws]),
-    # the regions are feature grids, constants in the model
-    Row("capsule_region_attention", tx.capsule_region_attention,
+    Row("squash", tx.squash, lambda rng, lead: ([rand(rng, *lead, 4, 3)], {}),
+        wrong=lambda s: [s[0, 0]]),
+    # the regions are feature grids, constants passed as a list of arrays
+    Row("capsule_region_attention",
+        lambda r, *ws: tx.capsule_region_attention(grids_of(r.data), *ws),
         lambda rng, lead: ([rand(rng, *lead, 6, 7) * 0.5, rand(rng, 7, 4) * 0.5,
                             rand(rng, 4) * 0.1, rand(rng, *lead, 5), rand(rng, 7, 5) * 0.5], {}),
         wrong=lambda r, w, b, q, w_r: [r, w, b, q, w_r[1:]], watch=(1, 2, 3, 4)),
@@ -465,26 +473,18 @@ class TestDropout:
         )
 
 
-def capsules(r):
-    """The squashed capsule output of the fused image op; its identity
-    ``w_cap`` and zero ``b_cap`` squash the rows of ``r`` themselves."""
-    eye = np.eye(r.shape[-1], dtype=r.data.dtype)
-    return tx.capsule_region_attention(r, Tensor(eye), Tensor(np.zeros_like(eye[0])))[0]
-
-
 class TestSquashRows:
-    """The capsule squash of each row, read from the capsule output of
-    ``tx.capsule_region_attention``."""
+    """The capsule squash of each row, ``tx.squash``."""
 
     def test_unit_norm_maps_to_half(self):
         s = np.array([[1.0, 0.0, 0.0]])
-        v = capsules(Tensor(s)).data
+        v = tx.squash(Tensor(s)).data
         np.testing.assert_allclose(np.linalg.norm(v), 0.5, atol=1e-6)
 
     def test_norms_below_one_direction_kept(self):
         rng = np.random.default_rng(47)
         s = rng.standard_normal((20, 6)) * 10.0
-        v = capsules(Tensor(s)).data
+        v = tx.squash(Tensor(s)).data
         norms = np.linalg.norm(v, axis=1)
         assert (norms < 1.0).all()
         cos = (v * s).sum(axis=1) / (np.linalg.norm(s, axis=1) * norms)
@@ -492,18 +492,18 @@ class TestSquashRows:
 
     def test_zero_row_stays_zero(self):
         s = np.array([[0.0, 0.0], [1.0, 1.0]])
-        v = capsules(Tensor(s)).data
+        v = tx.squash(Tensor(s)).data
         np.testing.assert_allclose(v[0], [0.0, 0.0])
         tape = Tape()
         t = tape.watch(Tensor(s.astype(np.float64), requires_grad=True))
-        g = tape.backward(total(capsules(t)))[t]
+        g = tape.backward(total(tx.squash(t)))[t]
         np.testing.assert_allclose(g[0], [0.0, 0.0])
         assert np.isfinite(g).all()
 
     def test_gradients(self):
         rng = np.random.default_rng(53)
-        fd_check(capsules, rand(rng, 4, 5) + 0.3)
-        fd_check(capsules, rand(rng, 2, 4, 5) + 0.3)
+        fd_check(tx.squash, rand(rng, 4, 5) + 0.3)
+        fd_check(tx.squash, rand(rng, 2, 4, 5) + 0.3)
 
 
 class TestMultiHeadAttention:
@@ -577,106 +577,69 @@ class TestMultiHeadAttention:
                                     mask=mask[0])
 
 
-def region_attention(query, r, w_r):
-    """The attention half of the fused image op."""
-    _, out, weights = tx.capsule_region_attention(r, query=query, w_r=w_r)
-    return out, weights
-
-
-class TestRegionAttention:
-    def explicit(self, q, r, w_r):
-        # the keys r w_r formed explicitly, as the reassociated op never does
-        keys = r @ w_r
-        weights = softmax_rows((keys @ q[..., None])[..., 0] / math.sqrt(w_r.shape[1]))
-        return (weights[..., None, :] @ keys)[..., 0, :], weights
-
-    def operands(self, rng, lead):
-        return rand(rng, *lead, 5), rand(rng, *lead, 49, 7) * 0.5, rand(rng, 7, 5) * 0.5
-
-    def test_matches_explicit_keys(self):
-        rng = np.random.default_rng(81)
-        for lead in ((), (3,)):
-            q, r, w_r = self.operands(rng, lead)
-            out, weights = region_attention(Tensor(q), Tensor(r), Tensor(w_r))
-            want_out, want_weights = self.explicit(q, r, w_r)
-            assert out.shape == lead + (5,) and weights.shape == lead + (49,)
-            np.testing.assert_allclose(out.data, want_out, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(weights, want_weights, rtol=0, atol=1e-12)
-
-    def test_gradients(self):
-        rng = np.random.default_rng(82)
-        for lead in ((), (3,)):
-            q, r, w_r = self.operands(rng, lead)
-            fd_check(lambda q, r, w_r: region_attention(q, r, w_r)[0], q, r, w_r)
-            fd_check(lambda q, w_r: region_attention(q, Tensor(r), w_r)[0], q, w_r)
-
-    def test_constant_regions_stay_off_the_tape(self):
-        rng = np.random.default_rng(83)
-        q, r, w_r = self.operands(rng, (2,))
-        tape = Tape()
-        query = tape.watch(Tensor(q, requires_grad=True))
-        regions = Tensor(r)
-        out, _ = region_attention(query, regions, Tensor(w_r, requires_grad=True))
-        grads = tape.backward(total(out))
-        assert regions.tape is None and regions not in grads
-        assert grads[query].shape == q.shape
-
-    def test_shape_errors(self):
-        rng = np.random.default_rng(84)
-        q, r, w_r = self.operands(rng, (2,))
-        for args in ((q[0], r, w_r), (q, r[0], w_r), (q[:1], r, w_r), (q, r, w_r[:6]),
-                     (q, r, w_r[:, :4])):
-            with pytest.raises(ShapeError, match="capsule_region_attention"):
-                region_attention(*(Tensor(a) for a in args))
-
-
 class TestCapsuleRegionAttention:
-    """Capsule pre-activations and region attention from one pass per grid."""
+    """Capsules and region attention from one pass per grid."""
 
     def operands(self, rng, lead):
         # regions, w_cap, b_cap, query, w_r
         return (rand(rng, *lead, 49, 7) * 0.5, rand(rng, 7, 4) * 0.5, rand(rng, 4) * 0.1,
                 rand(rng, *lead, 5), rand(rng, 7, 5) * 0.5)
 
+    def explicit(self, q, r, w_r):
+        # the keys r w_r formed explicitly, as the reassociated op never does
+        keys = r @ w_r
+        weights = softmax_rows((keys @ q[..., None])[..., 0] / math.sqrt(w_r.shape[1]))
+        return (weights[..., None, :] @ keys)[..., 0, :], weights
+
     def test_matches_separate_products(self):
         rng = np.random.default_rng(85)
         for lead in ((), (3,)):
             r, w, b, q, w_r = self.operands(rng, lead)
-            s, out, weights = tx.capsule_region_attention(*(Tensor(a) for a in (r, w, b, q, w_r)))
+            s, out, weights = tx.capsule_region_attention(
+                grids_of(r), *(Tensor(a) for a in (w, b, q, w_r)))
             pre = r @ w + b
             norm2 = (pre * pre).sum(axis=-1, keepdims=True)
             np.testing.assert_allclose(s.data, pre * np.sqrt(norm2) / (1.0 + norm2),
                                        rtol=0, atol=1e-12)
-            want_out, want_weights = TestRegionAttention().explicit(q, r, w_r)
+            want_out, want_weights = self.explicit(q, r, w_r)
+            assert out.shape == lead + (5,) and weights.shape == lead + (49,)
             np.testing.assert_allclose(out.data, want_out, rtol=0, atol=1e-12)
             np.testing.assert_allclose(weights, want_weights, rtol=0, atol=1e-12)
 
     def test_gradients(self):
-        # every input in float64, the regions as a tape leaf too
+        # every weight in float64; the grids are constants
         rng = np.random.default_rng(86)
         for lead in ((), (3,)):
             r, w, b, q, w_r = self.operands(rng, lead)
-            fd_check(lambda *ts: joined(tx.capsule_region_attention(*ts)), r, w, b, q, w_r)
-            # with the capsule half alone
-            fd_check(lambda r, w, b: tx.capsule_region_attention(r, w, b)[0], r, w, b)
+            fd_check(lambda *ts: joined(tx.capsule_region_attention(grids_of(r), *ts)),
+                     w, b, q, w_r)
 
     def test_one_output_used(self):
         # the second output hands its gradient to the first; each output
         # alone still reaches every input it depends on
         rng = np.random.default_rng(87)
         r, w, b, q, w_r = self.operands(rng, (2,))
-        fd_check(lambda r, w, b: tx.capsule_region_attention(
-            r, w, b, Tensor(q), Tensor(w_r, requires_grad=True))[0], r, w, b)
-        fd_check(lambda r, q, w_r: tx.capsule_region_attention(
-            r, Tensor(w, requires_grad=True), Tensor(b), q, w_r)[1], r, q, w_r)
+        fd_check(lambda w, b: tx.capsule_region_attention(
+            grids_of(r), w, b, Tensor(q), Tensor(w_r, requires_grad=True))[0], w, b)
+        fd_check(lambda q, w_r: tx.capsule_region_attention(
+            grids_of(r), Tensor(w, requires_grad=True), Tensor(b), q, w_r)[1], q, w_r)
 
     def test_row_sources(self):
-        # grids given as arrays or as reading functions give the result of a
-        # regions tensor; untaped, every function after the first is handed
-        # the array the previous one returned, and under a tape None
+        # grids given as reading functions give the result of the same
+        # grids as arrays; untaped, every function after the first is
+        # handed the array the previous one returned, and under a tape None
         rng = np.random.default_rng(90)
         r, w, b, q, w_r = self.operands(rng, (3,))
-        want = tx.capsule_region_attention(*(Tensor(a) for a in (r, w, b, q, w_r)))
+
+        def run(grids, taped):
+            tape = Tape()
+            weights = [Tensor(a, requires_grad=taped) for a in (w, b, q, w_r)]
+            if taped:
+                weights = [tape.watch(t) for t in weights]
+            got = tx.capsule_region_attention(grids, *weights)
+            grads = tape.backward(total(got[1])) if taped else None
+            return got, [grads[t] for t in weights] if taped else []
+
         for taped in (False, True):
             handed = []
 
@@ -690,42 +653,34 @@ class TestCapsuleRegionAttention:
 
                 return read
 
-            tape = Tape()
-            weights = [Tensor(a, requires_grad=taped) for a in (w, b, q, w_r)]
-            if taped:
-                weights = [tape.watch(t) for t in weights]
-            got = tx.capsule_region_attention([reader(0), r[1], reader(2)], *weights)
-            for g, x in zip(values(got), values(want)):
+            got, got_grads = run([reader(0), r[1], reader(2)], taped)
+            want, want_grads = run(grids_of(r), taped)
+            for g, x in zip(values(got) + got_grads, values(want) + want_grads, strict=True):
                 np.testing.assert_array_equal(g, x)
             assert handed[0] is None
             assert (handed[1] is None) if taped else (handed[1] is not None)
-            if taped:
-                grads = tape.backward(total(got[1]))
-                want_tape = Tape()
-                watched = [want_tape.watch(Tensor(a, requires_grad=True)) for a in (w, b, q, w_r)]
-                out = tx.capsule_region_attention(Tensor(r), *watched)[1]
-                want_grads = want_tape.backward(total(out))
-                for t, u in zip(weights, watched):
-                    np.testing.assert_allclose(grads[t], want_grads[u], rtol=0, atol=1e-12)
 
     def test_shape_errors(self):
         rng = np.random.default_rng(91)
         r, w, b, q, w_r = self.operands(rng, (2,))
         bad = [
-            (r[0, 0], w, b, q, w_r),          # regions of rank 1
-            (r, w[:6], b, q, w_r),            # capsule weight too narrow
-            (r, w, b[:3], q, w_r),            # bias of the wrong width
-            (r, w, b, q[0], w_r),             # unbatched query for a batch
-            (r, None, b, q, w_r),             # a bias without a weight
-            (r, w, None, q, w_r),             # a weight without a bias
-            (r, w, b, q, None),               # a query without w_r
-            (r, None, None, None, None),      # nothing to compute
+            ([r[0, 0], r[1, 0]], w, b, q, w_r),  # grids of rank 1
+            ([], w, b, q[:0], w_r),               # no grid
+            (r, w[:6], b, q, w_r),                # capsule weight too narrow
+            (r, w, b[:3], q, w_r),                # bias of the wrong width
+            (r, w, b, q[0], w_r),                 # unbatched query for two grids
+            (r, w, b, q[:1], w_r),                # one query for two grids
+            (r[:1], w, b, q, w_r),                # two queries for one grid
+            (r[:1], w, b, q[0, :4], w_r),         # query narrower than w_r
+            (r, w, b, q, w_r[:6]),                # w_r too narrow for the grids
+            (r, w, b, q, w_r[:, :4]),             # w_r narrower than the query
+            ([r[0], r[1, :48]], w, b, q, w_r),   # a grid of fewer rows
         ]
-        for args in bad:
-            with pytest.raises(ShapeError, match="capsule_region_attention"):
-                tx.capsule_region_attention(*(None if a is None else Tensor(a) for a in args))
-        with pytest.raises(ShapeError, match="grid 1"):
-            tx.capsule_region_attention([r[0], r[1, :48]], Tensor(w), Tensor(b))
+        for grids, *weights in bad:
+            with pytest.raises(ShapeError, match="^capsule_region_attention: "):
+                tx.capsule_region_attention(
+                    grids if isinstance(grids, list) else grids_of(grids),
+                    *(Tensor(a) for a in weights))
 
 
 class TestGRUSequence:
@@ -950,21 +905,20 @@ class TestTape:
 
     def test_rule_none_leaves_input_without_gradient(self):
         # with only the capsule output used, the region op's rule gives None
-        # for the constant regions and for the query and w_r, which are on
-        # the tape as its parents but get no gradient
+        # for the query and w_r, which are on the tape as its parents but
+        # get no gradient; the grids are never among its inputs
         rng = np.random.default_rng(62)
         tape = Tape()
-        regions = Tensor(rand(rng, 5, 6))
         w_cap, b_cap, query, w_r = (tape.watch(Tensor(a, requires_grad=True))
                                     for a in (rand(rng, 6, 4), rand(rng, 4), rand(rng, 3),
                                               rand(rng, 6, 3)))
-        s, _, _ = tx.capsule_region_attention(regions, w_cap, b_cap, query, w_r)
+        s, _, _ = tx.capsule_region_attention([rand(rng, 5, 6)], w_cap, b_cap, query, w_r)
         assert len(tape._nodes[s.node].parents) == 4
         returned = self.spy_rule(tape, s)
         grads = tape.backward(total(s))
-        assert [g is None for g in returned[0]] == [True, False, False, True, True]
+        assert [g is None for g in returned[0]] == [False, False, True, True]
         assert w_cap in grads and b_cap in grads
-        assert regions not in grads and query not in grads and w_r not in grads
+        assert query not in grads and w_r not in grads
 
     def test_chained_ops_full_check(self):
         rng = np.random.default_rng(59)
