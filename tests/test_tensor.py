@@ -577,13 +577,15 @@ class TestMultiHeadAttention:
                                     mask=mask[0])
 
 
-class TestCapsuleRegionAttention:
-    """Capsules and region attention from one pass per grid."""
+def image_operands(rng, lead):
+    """Grids, w_cap, b_cap, query and w_r for the image op, the grids as
+    one [(B,) 49, 7] array."""
+    return (rand(rng, *lead, 49, 7) * 0.5, rand(rng, 7, 4) * 0.5, rand(rng, 4) * 0.1,
+            rand(rng, *lead, 5), rand(rng, 7, 5) * 0.5)
 
-    def operands(self, rng, lead):
-        # regions, w_cap, b_cap, query, w_r
-        return (rand(rng, *lead, 49, 7) * 0.5, rand(rng, 7, 4) * 0.5, rand(rng, 4) * 0.1,
-                rand(rng, *lead, 5), rand(rng, 7, 5) * 0.5)
+
+class TestRegionAttention:
+    """The attention half of the image op: one query over the region grids."""
 
     def explicit(self, q, r, w_r):
         # the keys r w_r formed explicitly, as the reassociated op never does
@@ -591,26 +593,79 @@ class TestCapsuleRegionAttention:
         weights = softmax_rows((keys @ q[..., None])[..., 0] / math.sqrt(w_r.shape[1]))
         return (weights[..., None, :] @ keys)[..., 0, :], weights
 
-    def test_matches_separate_products(self):
-        rng = np.random.default_rng(85)
+    def test_matches_explicit_keys(self):
+        rng = np.random.default_rng(81)
         for lead in ((), (3,)):
-            r, w, b, q, w_r = self.operands(rng, lead)
-            s, out, weights = tx.capsule_region_attention(
+            r, w, b, q, w_r = image_operands(rng, lead)
+            _, out, weights = tx.capsule_region_attention(
                 grids_of(r), *(Tensor(a) for a in (w, b, q, w_r)))
-            pre = r @ w + b
-            norm2 = (pre * pre).sum(axis=-1, keepdims=True)
-            np.testing.assert_allclose(s.data, pre * np.sqrt(norm2) / (1.0 + norm2),
-                                       rtol=0, atol=1e-12)
             want_out, want_weights = self.explicit(q, r, w_r)
             assert out.shape == lead + (5,) and weights.shape == lead + (49,)
             np.testing.assert_allclose(out.data, want_out, rtol=0, atol=1e-12)
             np.testing.assert_allclose(weights, want_weights, rtol=0, atol=1e-12)
 
     def test_gradients(self):
+        # the attended vector alone, with the capsule weights constants
+        rng = np.random.default_rng(82)
+        for lead in ((), (3,)):
+            r, w, b, q, w_r = image_operands(rng, lead)
+            fd_check(lambda q, w_r: tx.capsule_region_attention(
+                grids_of(r), Tensor(w), Tensor(b), q, w_r)[1], q, w_r)
+
+    def test_constant_regions_stay_off_the_tape(self):
+        # the op records its two outputs and nothing for the grids, whose
+        # arrays it leaves as they were
+        rng = np.random.default_rng(83)
+        r, w, b, q, w_r = image_operands(rng, (2,))
+        grids = grids_of(r.copy())
+        tape = Tape()
+        weights = [tape.watch(Tensor(a, requires_grad=True)) for a in (w, b, q, w_r)]
+        _, out, _ = tx.capsule_region_attention(grids, *weights)
+        assert len(tape) == len(weights) + 2
+        grads = tape.backward(total(out))
+        for grid, want in zip(grids, grids_of(r), strict=True):
+            np.testing.assert_array_equal(grid, want)
+        assert grads[weights[2]].shape == q.shape and grads[weights[3]].shape == w_r.shape
+
+    def test_shape_errors(self):
+        rng = np.random.default_rng(84)
+        r, w, b, q, w_r = image_operands(rng, (2,))
+        bad = [
+            (r, q[0], w_r),          # unbatched query for two grids
+            (r, q[:1], w_r),         # one query for two grids
+            (r[:1], q, w_r),         # two queries for one grid
+            (r[:1], q[0, :4], w_r),  # query narrower than w_r
+            (r, q, w_r[:6]),         # w_r too narrow for the grids
+            (r, q, w_r[:, :4]),      # w_r narrower than the query
+        ]
+        for grids, *attention in bad:
+            with pytest.raises(ShapeError, match="^capsule_region_attention: "):
+                tx.capsule_region_attention(
+                    grids_of(grids), Tensor(w), Tensor(b), *(Tensor(a) for a in attention))
+
+
+class TestCapsuleRegionAttention:
+    """Capsules and region attention from one pass per grid."""
+
+    def test_matches_separate_products(self):
+        # the capsules from their own product; the attention half, from
+        # the same pass, is checked in TestRegionAttention
+        rng = np.random.default_rng(85)
+        for lead in ((), (3,)):
+            r, w, b, q, w_r = image_operands(rng, lead)
+            s, _, _ = tx.capsule_region_attention(
+                grids_of(r), *(Tensor(a) for a in (w, b, q, w_r)))
+            pre = r @ w + b
+            norm2 = (pre * pre).sum(axis=-1, keepdims=True)
+            assert s.shape == lead + (49, 4)
+            np.testing.assert_allclose(s.data, pre * np.sqrt(norm2) / (1.0 + norm2),
+                                       rtol=0, atol=1e-12)
+
+    def test_gradients(self):
         # every weight in float64; the grids are constants
         rng = np.random.default_rng(86)
         for lead in ((), (3,)):
-            r, w, b, q, w_r = self.operands(rng, lead)
+            r, w, b, q, w_r = image_operands(rng, lead)
             fd_check(lambda *ts: joined(tx.capsule_region_attention(grids_of(r), *ts)),
                      w, b, q, w_r)
 
@@ -618,7 +673,7 @@ class TestCapsuleRegionAttention:
         # the second output hands its gradient to the first; each output
         # alone still reaches every input it depends on
         rng = np.random.default_rng(87)
-        r, w, b, q, w_r = self.operands(rng, (2,))
+        r, w, b, q, w_r = image_operands(rng, (2,))
         fd_check(lambda w, b: tx.capsule_region_attention(
             grids_of(r), w, b, Tensor(q), Tensor(w_r, requires_grad=True))[0], w, b)
         fd_check(lambda q, w_r: tx.capsule_region_attention(
@@ -629,7 +684,7 @@ class TestCapsuleRegionAttention:
         # grids as arrays; untaped, every function after the first is
         # handed the array the previous one returned, and under a tape None
         rng = np.random.default_rng(90)
-        r, w, b, q, w_r = self.operands(rng, (3,))
+        r, w, b, q, w_r = image_operands(rng, (3,))
 
         def run(grids, taped):
             tape = Tape()
@@ -662,18 +717,12 @@ class TestCapsuleRegionAttention:
 
     def test_shape_errors(self):
         rng = np.random.default_rng(91)
-        r, w, b, q, w_r = self.operands(rng, (2,))
+        r, w, b, q, w_r = image_operands(rng, (2,))
         bad = [
             ([r[0, 0], r[1, 0]], w, b, q, w_r),  # grids of rank 1
             ([], w, b, q[:0], w_r),               # no grid
             (r, w[:6], b, q, w_r),                # capsule weight too narrow
             (r, w, b[:3], q, w_r),                # bias of the wrong width
-            (r, w, b, q[0], w_r),                 # unbatched query for two grids
-            (r, w, b, q[:1], w_r),                # one query for two grids
-            (r[:1], w, b, q, w_r),                # two queries for one grid
-            (r[:1], w, b, q[0, :4], w_r),         # query narrower than w_r
-            (r, w, b, q, w_r[:6]),                # w_r too narrow for the grids
-            (r, w, b, q, w_r[:, :4]),             # w_r narrower than the query
             ([r[0], r[1, :48]], w, b, q, w_r),   # a grid of fewer rows
         ]
         for grids, *weights in bad:
