@@ -210,7 +210,7 @@ def cmd_dump_attention(args) -> int:
     load_checkpoint(args.checkpoint, params)
     encoded = encode_sample(sample, table, mc.max_len, not mc.text_only)
     with np.errstate(all="ignore"):
-        out = forward(encoded, params, mc, want_trace=True)
+        out = forward(encoded, params, mc)
     try:
         _check_finite(out, encoded, params, mc)
     except TrainError as e:
@@ -219,10 +219,10 @@ def cmd_dump_attention(args) -> int:
     payload = {
         "id": encoded.id,
         "tokens": tokens,
-        "interaction_heads": [w.tolist() for w in out.trace.interaction_heads],
-        "fusion_heads": [w.tolist() for w in out.trace.fusion_heads],
-        "image_grid": None if out.trace.image_grid is None
-        else out.trace.image_grid.tolist(),
+        "interaction_heads": out.interaction_weights.tolist(),
+        "fusion_heads": out.fusion_weights.tolist(),
+        "image_grid": None if out.region_weights is None
+        else out.region_weights.reshape(7, 7).tolist(),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -127,19 +127,18 @@ class ModelConfig:
 
 
 @dataclass
-class AttentionTrace:
-    """Detached attention weights captured during one forward pass."""
-
-    interaction_heads: list
-    fusion_heads: list
-    image_grid: np.ndarray | None
-
-
-@dataclass
 class ForwardOutput:
+    """Class probabilities and logits, and from ``forward`` the attention
+    weights as the ops returned them (plain arrays, shared with the
+    backward pass, so read only): the context interaction [(B,) H, m, n],
+    the fusion [(B,) H, m, m] and the image regions [(B,) 49], None in
+    text_only mode."""
+
     probs: Tensor
     logits: Tensor
-    trace: AttentionTrace | None = None
+    interaction_weights: np.ndarray | None = None
+    fusion_weights: np.ndarray | None = None
+    region_weights: np.ndarray | None = None
 
 
 @dataclass
@@ -246,11 +245,11 @@ def encode_context(word_embeds: Tensor, pos_embeds: Tensor, mask, params: MHAPar
     return h_c, tx.mean_pool(h_c, mask)
 
 
-def _grid_source(sid, ref, dtype):
-    """One 7x7 feature grid as a row source of the image op: its 49 region
-    rows (row-major) as an array, or for a file path a function that reads
-    them, into the array it is given when the dtype allows. Read errors
-    name the sample."""
+def _grid_source(sid, ref, dtype, width):
+    """One 7x7 feature grid of ``width`` channels as a row source of the
+    image op: its 49 region rows (row-major) as an array, or for a file
+    path a function that reads them, into the array it is given when the
+    dtype allows. Read and shape errors name the sample."""
     if isinstance(ref, (str, Path)):
         def read(out):
             try:
@@ -264,9 +263,10 @@ def _grid_source(sid, ref, dtype):
     if ref is None:
         raise InputError(f"sample {sid} has no image features")
     values = np.asarray(ref)
-    if values.ndim != 3 or values.shape[0] * values.shape[1] != REGION_COUNT:
-        raise ShapeError(f"sample {sid}: visual features must be a 7x7 grid of rank 3, "
-                         f"got shape {values.shape}")
+    if values.ndim != 3 or values.shape[0] * values.shape[1] != REGION_COUNT \
+            or values.shape[2] != width:
+        raise ShapeError(f"sample {sid}: visual features must be a 7x7 grid of rank 3 "
+                         f"with {width} channels, got shape {values.shape}")
     return np.ascontiguousarray(values.reshape(REGION_COUNT, -1), dtype=dtype)
 
 
@@ -299,8 +299,9 @@ def encode_visual(features, h_ta: Tensor, params: EFNetParams, mask=None, ids=No
     batch = isinstance(features, list)
     refs = features if batch else [features]
     ids = ids if ids is not None else range(len(refs))
-    dtype = params.capsule.w.data.dtype
-    sources = [_grid_source(sid, ref, dtype) for sid, ref in zip(ids, refs)]
+    w_cap = params.capsule.w.data
+    sources = [_grid_source(sid, ref, w_cap.dtype, w_cap.shape[0])
+               for sid, ref in zip(ids, refs)]
     query = _region_query(h_ta, params.img_w_ta, params.img_w_r, mask)
     # a non-finite grid makes NaNs in the softmax and the squash, named below
     with np.errstate(invalid="ignore"):
@@ -337,44 +338,40 @@ def image_attention(h_ta: Tensor, r: Tensor, w_ta: Tensor, w_r: Tensor, mask=Non
     return tx.reshape(out, lead + (att,)), Tensor(weights.data)
 
 
-def interact(h_ta: Tensor, h_c: Tensor, h_i, params: EFNetParams, ctx_mask=None,
-             return_weights: bool = False):
+def _attend(q: Tensor, k: Tensor, v: Tensor, params: MHAParams, mask=None):
+    """``tx.multi_head_attention`` with the heads of ``params``: the head
+    outputs and the [(B,) H, n_q, n_kv] weights as the op returns them."""
+    return tx.multi_head_attention(q, k, v, params.blocks, params.buffer.sync().tensors,
+                                   mask=mask)
+
+
+def interact(h_ta: Tensor, h_c: Tensor, h_i, params: EFNetParams, ctx_mask=None):
     """Let the target encoding attend into the context and (when present)
-    into the capsule regions."""
-    h_tac = ly.multi_head(
-        h_ta, h_c, h_c, params.inter_ctx, mask=ctx_mask, return_weights=return_weights
-    )
-    if return_weights:
-        h_tac, ctx_w = h_tac
-    h_tai = None
-    if h_i is not None:
-        h_tai = ly.multi_head(h_ta, h_i, h_i, params.inter_img)
-    return (h_tac, h_tai, ctx_w) if return_weights else (h_tac, h_tai)
+    into the capsule regions. Returns h^tac, h^tai (None without regions)
+    and the context attention's weights [(B,) H, m, n]."""
+    h_tac, ctx_w = _attend(h_ta, h_c, h_c, params.inter_ctx, mask=ctx_mask)
+    h_tai = None if h_i is None else _attend(h_ta, h_i, h_i, params.inter_img)[0]
+    return h_tac, h_tai, ctx_w
 
 
 def fuse(h_ta: Tensor, h_tac: Tensor, h_tai, h_avg_c: Tensor, h_att_i,
-         params: EFNetParams, dropout_rate: float = 0.0, rng=None,
-         return_weights: bool = False, target_mask=None):
+         params: EFNetParams, dropout_rate: float = 0.0, rng=None, target_mask=None):
     """Cross-attend queries h^ta against keys h^tac with values h^tai (the
     asymmetric role split is deliberate), pool, and concatenate the pooled
     context, pooled fusion, and image-attention vectors. ``target_mask``
-    ([(B,) m]) marks the real target rows, both as keys and when pooling."""
+    ([(B,) m]) marks the real target rows, both as keys and when pooling.
+    Returns the fused vectors and the fusion weights [(B,) H, m, m]."""
     values = h_tai if h_tai is not None else h_tac
     if values.shape[:-1] != h_tac.shape[:-1]:
         raise InternalError(
             f"fusion key/value row counts differ: {h_tac.shape[:-1]} vs {values.shape[:-1]}"
         )
-    h_taci = ly.multi_head(
-        h_ta, h_tac, values, params.fusion, mask=target_mask, return_weights=return_weights
-    )
-    if return_weights:
-        h_taci, weights = h_taci
+    h_taci, weights = _attend(h_ta, h_tac, values, params.fusion, mask=target_mask)
     parts = [h_avg_c, tx.mean_pool(h_taci, target_mask)]
     if h_att_i is not None:
         parts.append(h_att_i)
     fused = tx.concat(parts)
-    fused = tx.dropout(fused, dropout_rate, rng)
-    return (fused, weights) if return_weights else fused
+    return tx.dropout(fused, dropout_rate, rng), weights
 
 
 def classify(fused: Tensor, w_o: Tensor, b_o: Tensor) -> ForwardOutput:
@@ -437,13 +434,13 @@ def _inputs(sample):
             sample.features)
 
 
-def forward(sample, params: EFNetParams, config: ModelConfig, rng=None,
-            want_trace: bool = False) -> ForwardOutput:
+def forward(sample, params: EFNetParams, config: ModelConfig, rng=None) -> ForwardOutput:
     """Run a batch through the whole pipeline, every stage over [B, ...]
-    with per-row masks; probabilities come out [B, 3].
+    with per-row masks; probabilities come out [B, 3], beside the
+    interaction, fusion and region weights (see ``ForwardOutput``).
 
     ``sample`` is a ``Batch``, or one ``EncodedSample``: that runs the same
-    stages without the batch axis, and its probabilities come out [3].
+    stages without the batch axis, and its outputs have no batch axis.
     Feature grids given as paths are read here. Dropout runs when ``rng``
     is given. Stage errors are re-raised with the stage name prefixed;
     parameters whose visual fields do not match ``config.text_only`` are a
@@ -470,37 +467,23 @@ def forward(sample, params: EFNetParams, config: ModelConfig, rng=None,
         aspect = tx.mean_pool(tx.embedding_lookup(params.embed, a_ids), a_mask)
         h_ta = ly.bigru_encode(target, aspect, params.gru_fwd, params.gru_bwd, mask=t_mask)
 
-        h_i = h_att = grid = None
+        h_i = h_att = region_w = None
         if not config.text_only:
             stage = "encode_visual"
-            h_i, h_att, grid = encode_visual(features, h_ta, params, mask=t_mask, ids=sids)
+            h_i, h_att, region_w = encode_visual(features, h_ta, params, mask=t_mask, ids=sids)
 
         stage = "interact"
-        inter = interact(h_ta, h_c, h_i, params, ctx_mask=ctx_mask, return_weights=want_trace)
-        h_tac, h_tai = inter[:2]
+        h_tac, h_tai, ctx_w = interact(h_ta, h_c, h_i, params, ctx_mask=ctx_mask)
 
         stage = "fuse"
-        fused = fuse(
-            h_ta, h_tac, h_tai, h_avg_c, h_att, params,
-            dropout_rate=config.dropout, rng=rng, return_weights=want_trace,
-            target_mask=t_mask,
-        )
-        if want_trace:
-            fused, fusion_w = fused
+        fused, fusion_w = fuse(h_ta, h_tac, h_tai, h_avg_c, h_att, params,
+                               dropout_rate=config.dropout, rng=rng, target_mask=t_mask)
 
         stage = "classify"
         out = classify(fused, params.cls_w, params.cls_b)
     except (ShapeError, MaskError, TapeError, ConfigError, InputError, FloatingPointError) as e:
         raise type(e)(f"{stage}: {e}") from None
-
-    if want_trace:
-        side = int(np.sqrt(REGION_COUNT))
-        out.trace = AttentionTrace(
-            interaction_heads=[w.data.copy() for w in inter[2]],
-            fusion_heads=[w.data.copy() for w in fusion_w],
-            image_grid=None if grid is None
-            else grid.reshape(grid.shape[:-1] + (side, side)).copy(),
-        )
+    out.interaction_weights, out.fusion_weights, out.region_weights = ctx_w, fusion_w, region_w
     return out
 
 

@@ -678,11 +678,29 @@ class TestDumpAttention:
         load_checkpoint(workdir / "run" / "model.efck", params)
         sample = next(s for s in load_dataset(cfg.train) if s.id == sample_id)
         batch = collate([encode_sample(sample, table, cfg.model.max_len, True)])
-        trace = forward(batch, params, cfg.model, want_trace=True).trace
+        out = forward(batch, params, cfg.model)
+        for key, weights in (("interaction_heads", out.interaction_weights),
+                             ("fusion_heads", out.fusion_weights)):
+            np.testing.assert_allclose(np.array(dump[key]), weights[0], atol=1e-6)
+        np.testing.assert_allclose(dump["image_grid"], out.region_weights[0].reshape(7, 7),
+                                   atol=1e-6)
+
+    def test_text_only_dump_has_null_grid(self, workdir):
+        cfg = workdir / "text_only.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(text_only="true").replace(
+            "epochs = 2", "epochs = 1"))
+        assert main(["train", "--config", str(cfg), "--out", str(workdir / "run_text")]) == 0
+        out = workdir / "dump_text.json"
+        assert main(["dump-attention", "--config", str(cfg),
+                     "--checkpoint", str(workdir / "run_text" / "model.efck"),
+                     "--sample-id", self.sample_id(workdir), "--out", str(out)]) == 0
+        dump = read_json(out)
+        assert dump["image_grid"] is None
         for key in ("interaction_heads", "fusion_heads"):
-            want = [w[0] for w in getattr(trace, key)]
-            np.testing.assert_allclose(np.array(dump[key]), want, atol=1e-6)
-        np.testing.assert_allclose(dump["image_grid"], trace.image_grid[0], atol=1e-6)
+            assert len(dump[key]) == 2
+            for head in dump[key]:
+                for row in head:
+                    assert abs(sum(row) - 1.0) < 1e-6
 
     def test_unknown_sample_id(self, workdir, capsys):
         code = main(["dump-attention", "--config", str(workdir / "run.cfg"),
@@ -731,8 +749,8 @@ class TestPlantedCueAlignment:
                   checkpoint_path=out / "model.efck")
             target = next(s for s in samples if s.label == 1)
             enc = encode_sample(target, table, cfg.max_len, True)
-            trace = forward(enc, params, cfg, want_trace=True).trace
-            cell = np.unravel_index(int(np.argmax(trace.image_grid)), (7, 7))
+            region_weights = forward(enc, params, cfg).region_weights
+            cell = np.unravel_index(int(np.argmax(region_weights)), (7, 7))
             if cell == (3, 3):
                 hits += 1
                 last = (out, target.id)

@@ -274,6 +274,21 @@ class TestEncodeVisual:
         with pytest.raises(ShapeError, match="sample 0: visual features must be a 7x7 grid"):
             md.encode_visual([np.zeros((49, 2048))], h_ta, params)
 
+    def test_wrong_channel_count_names_the_sample(self):
+        # one sample, and row 1 of a batch, each with 6 channels, not 2048
+        rng = np.random.default_rng(8)
+        cfg = tiny_config()
+        params = tiny_params(cfg, rng)
+        bad = dataclasses.replace(tiny_sample(cfg, rng), features=np.zeros((7, 7, 6)))
+        rule = r"visual features must be a 7x7 grid of rank 3 with 2048 channels, " \
+               r"got shape \(7, 7, 6\)"
+        with pytest.raises(ShapeError, match=f"^encode_visual: sample t0: {rule}"):
+            md.forward(bad, params, cfg)
+        samples = ragged_samples(cfg, rng, count=3)
+        samples[1] = dataclasses.replace(samples[1], features=np.zeros((7, 7, 6)))
+        with pytest.raises(ShapeError, match=f"^encode_visual: sample {samples[1].id}: {rule}"):
+            md.forward(dio.collate(samples), params, cfg)
+
     def test_missing_file_names_the_sample(self, tmp_path):
         _, params, h_ta = self.stage(9, batch=2)
         with pytest.raises(InputError, match=r"sample b: cannot read feature file .*absent\.efvf"):
@@ -407,12 +422,13 @@ class TestInteract:
         h_ta = Tensor(rand(self.rng, 1, 2, 16))
         h_c = Tensor(rand(self.rng, 1, 5, 16))
         h_i = Tensor(rand(self.rng, 1, 49, 4))
-        h_tac, h_tai = md.interact(h_ta, h_c, h_i, self.params)
+        h_tac, h_tai, weights = md.interact(h_ta, h_c, h_i, self.params)
         assert h_tac.shape == (1, 2, 16) and h_tai.shape == (1, 2, 16)
+        assert weights.shape == (1, 2, 2, 5)
 
     def test_text_only_leaves_image_branch_absent(self):
         self.setup()
-        h_tac, h_tai = md.interact(
+        h_tac, h_tai, _ = md.interact(
             Tensor(rand(self.rng, 1, 2, 16)), Tensor(rand(self.rng, 1, 5, 16)), None,
             self.params,
         )
@@ -423,10 +439,12 @@ class TestInteract:
         h_ta = rand(self.rng, 1, 2, 16)
         h_c = rand(self.rng, 1, 5, 16)
         mask = np.array([[True, True, True, False, True]])
-        a, _ = md.interact(Tensor(h_ta), Tensor(h_c), None, self.params, ctx_mask=mask)
+        a, _, weights = md.interact(Tensor(h_ta), Tensor(h_c), None, self.params,
+                                    ctx_mask=mask)
+        assert (weights[..., 3] == 0.0).all()
         h_c2 = h_c.copy()
         h_c2[0, 3] = -40.0
-        b, _ = md.interact(Tensor(h_ta), Tensor(h_c2), None, self.params, ctx_mask=mask)
+        b, _, _ = md.interact(Tensor(h_ta), Tensor(h_c2), None, self.params, ctx_mask=mask)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_single_context_token_returns_its_value(self):
@@ -434,7 +452,7 @@ class TestInteract:
         h_ta = rand(self.rng, 1, 3, 16)
         h_c = rand(self.rng, 1, 4, 16)
         mask = np.array([[False, False, True, False]])
-        h_tac, _ = md.interact(Tensor(h_ta), Tensor(h_c), None, self.params, ctx_mask=mask)
+        h_tac, _, _ = md.interact(Tensor(h_ta), Tensor(h_c), None, self.params, ctx_mask=mask)
         want = np.concatenate(
             [h_c[0, 2:3] @ w.data for w in self.params.inter_ctx.wv], axis=-1
         )
@@ -449,16 +467,17 @@ class TestFuse:
         params = tiny_params(cfg, rng)
         h_ta, h_tac, h_tai = rand(rng, 1, 3, 16), rand(rng, 1, 3, 16), rand(rng, 1, 3, 16)
         h_avg_c, h_att = rand(rng, 1, 16), rand(rng, 1, 8)
-        fused = md.fuse(
+        fused, weights = md.fuse(
             Tensor(h_ta), Tensor(h_tac), Tensor(h_tai),
             Tensor(h_avg_c), Tensor(h_att), params,
         )
         q = h_ta[0] @ params.fusion.wq[0].data
         k = h_tac[0] @ params.fusion.wk[0].data
         v = h_tai[0] @ params.fusion.wv[0].data
-        h_taci = softmax_rows(q @ k.T / math.sqrt(q.shape[1])) @ v
-        want = np.concatenate([h_avg_c[0], h_taci.mean(axis=0), h_att[0]])
+        attn = softmax_rows(q @ k.T / math.sqrt(q.shape[1]))
+        want = np.concatenate([h_avg_c[0], (attn @ v).mean(axis=0), h_att[0]])
         np.testing.assert_allclose(fused.data[0], want, rtol=1e-8)
+        np.testing.assert_allclose(weights[0, 0], attn, rtol=1e-10)
         assert fused.shape == (1, cfg.fused_width)
 
     def test_single_row_mean_is_identity(self):
@@ -466,8 +485,8 @@ class TestFuse:
         cfg = tiny_config()
         params = tiny_params(cfg, rng)
         h_ta, h_tac, h_tai = (Tensor(rand(rng, 1, 1, 16)) for _ in range(3))
-        fused = md.fuse(h_ta, h_tac, h_tai, Tensor(rand(rng, 1, 16)), Tensor(rand(rng, 1, 8)),
-                        params)
+        fused, _ = md.fuse(h_ta, h_tac, h_tai, Tensor(rand(rng, 1, 16)),
+                           Tensor(rand(rng, 1, 8)), params)
         h_taci = ly.multi_head(h_ta, h_tac, h_tai, params.fusion)
         np.testing.assert_allclose(fused.data[0, 16:32], h_taci.data[0, 0], rtol=1e-9)
 
@@ -476,7 +495,7 @@ class TestFuse:
         cfg = tiny_config(text_only=True)
         params = tiny_params(cfg, rng)
         h_ta, h_tac = Tensor(rand(rng, 1, 2, 16)), Tensor(rand(rng, 1, 2, 16))
-        fused = md.fuse(h_ta, h_tac, None, Tensor(rand(rng, 1, 16)), None, params)
+        fused, _ = md.fuse(h_ta, h_tac, None, Tensor(rand(rng, 1, 16)), None, params)
         assert fused.shape == (1, 32)
         h_taci = ly.multi_head(h_ta, h_tac, h_tac, params.fusion)
         np.testing.assert_allclose(fused.data[0, 16:], h_taci.data[0].mean(axis=0), rtol=1e-9)
@@ -612,26 +631,39 @@ class TestForward:
         with pytest.raises(ConfigError, match=f"^text_only = {cfg.text_only}, but"):
             md.forward(tiny_sample(built, rng), params, cfg)
 
-    @pytest.mark.parametrize("want_trace", [False, True])
-    def test_attention_weights_requested_only_for_a_trace(self, monkeypatch, want_trace):
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_attention_weights_are_the_ops_arrays(self, monkeypatch, batched):
+        # the three weight arrays come out as the ops returned them, with
+        # no copy, for a single sample and for a batch
         rng = np.random.default_rng(22)
         cfg = tiny_config()
         params = tiny_params(cfg, rng)
-        sample = tiny_sample(cfg, rng)
-        asked = []
-        real = ly.multi_head
+        samples = ragged_samples(cfg, rng) if batched else [tiny_sample(cfg, rng)]
+        sample = dio.collate(samples) if batched else samples[0]
+        returned = {}
 
-        def spy(*args, return_weights=False, **kwargs):
-            asked.append(return_weights)
-            return real(*args, return_weights=return_weights, **kwargs)
+        def spy(name):
+            real = getattr(tx, name)
 
-        monkeypatch.setattr(ly, "multi_head", spy)
-        out = md.forward(sample, params, cfg, want_trace=want_trace)
+            def call(*args, **kwargs):
+                result = real(*args, **kwargs)
+                returned.setdefault(name, []).append(result[-1])
+                return result
+
+            monkeypatch.setattr(tx, name, call)
+
+        spy("multi_head_attention")
+        spy("capsule_region_attention")
+        out = md.forward(sample, params, cfg)
         # context self-attention, context and image interaction, fusion
-        assert len(asked) == 4
-        # the trace reads the interaction and fusion weights, nothing else
-        assert sum(asked) == (2 if want_trace else 0)
-        assert (out.trace is not None) == want_trace
+        attention = returned["multi_head_attention"]
+        assert len(attention) == 4 and len(returned["capsule_region_attention"]) == 1
+        assert out.interaction_weights is attention[1]
+        assert out.fusion_weights is attention[3]
+        assert out.region_weights is returned["capsule_region_attention"][0]
+        lead = (len(samples),) if batched else ()
+        assert out.interaction_weights.shape[:len(lead) + 1] == lead + (cfg.head_count,)
+        assert out.region_weights.shape == lead + (49,)
 
     def test_missing_features_is_stage_named_input_error(self):
         rng = np.random.default_rng(20)
@@ -724,24 +756,22 @@ class TestForward:
         cfg = tiny_config()
         params = tiny_params(cfg, rng)
         sample = tiny_sample(cfg, rng, n=5, span=(2, 4))
-        out = md.forward(sample, params, cfg, want_trace=True)
-        trace = out.trace
-        assert len(trace.interaction_heads) == cfg.head_count
-        for w in trace.interaction_heads:
-            assert w.shape == (2, 5)
+        out = md.forward(sample, params, cfg)
+        assert out.interaction_weights.shape == (cfg.head_count, 2, 5)
+        assert out.fusion_weights.shape == (cfg.head_count, 2, 2)
+        for w in (out.interaction_weights, out.fusion_weights):
             np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
-        for w in trace.fusion_heads:
-            assert w.shape == (2, 2)
-            np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
-        assert trace.image_grid.shape == (7, 7)
-        np.testing.assert_allclose(trace.image_grid.sum(), 1.0, atol=1e-6)
+        assert out.region_weights.shape == (49,)
+        np.testing.assert_allclose(out.region_weights.sum(), 1.0, atol=1e-6)
 
     def test_text_only_trace_has_no_grid(self):
         rng = np.random.default_rng(26)
         cfg = tiny_config(text_only=True)
         params = tiny_params(cfg, rng)
-        out = md.forward(tiny_sample(cfg, rng), params, cfg, want_trace=True)
-        assert out.trace.image_grid is None
+        out = md.forward(tiny_sample(cfg, rng), params, cfg)
+        assert out.region_weights is None
+        assert out.interaction_weights.shape == (cfg.head_count, 2, 4)
+        assert out.fusion_weights.shape == (cfg.head_count, 2, 2)
 
 
 TRAIN_BATCH_NODE_LIMIT = 31  # non-leaf tape nodes of one training batch
@@ -872,14 +902,13 @@ class TestBatchedForward:
     def test_trace_keeps_batch_axis(self):
         cfg = tiny_config()
         params, samples, batch = self.batch(cfg, 45)
-        trace = md.forward(batch, params, cfg, want_trace=True).trace
+        out = md.forward(batch, params, cfg)
         b, width = len(samples), batch.target_ids.shape[1]
-        for w in trace.interaction_heads:
-            assert w.shape == (b, width, batch.token_ids.shape[1])
-        for w in trace.fusion_heads:
-            assert w.shape == (b, width, width)
-        assert trace.image_grid.shape == (b, 7, 7)
-        np.testing.assert_allclose(trace.image_grid.sum(axis=(1, 2)), 1.0, atol=1e-6)
+        heads = cfg.head_count
+        assert out.interaction_weights.shape == (b, heads, width, batch.token_ids.shape[1])
+        assert out.fusion_weights.shape == (b, heads, width, width)
+        assert out.region_weights.shape == (b, 49)
+        np.testing.assert_allclose(out.region_weights.sum(axis=1), 1.0, atol=1e-6)
 
     def test_taped_probs_equal_untaped_bitwise(self, tmp_path):
         # the image op keeps each grid under a tape and reuses one buffer
