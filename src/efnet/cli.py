@@ -25,6 +25,7 @@ from .data import (
     load_embeddings,
     synth_generate,
     text_lines,
+    write_files,
 )
 from .layers import ConfigError
 from .model import CheckpointMismatch, EFNetParams, ModelConfig, forward, load_checkpoint
@@ -175,9 +176,7 @@ def cmd_eval(args) -> int:
         raise TrainError(f"{args.checkpoint}: {e}") from None
     print(f"{args.split} accuracy={report.accuracy:.6f} "
           f"macro_f1={report.macro_f1:.6f}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_files([(args.out, json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")])
     return 0
 
 
@@ -224,9 +223,7 @@ def cmd_dump_attention(args) -> int:
         "image_grid": None if out.region_weights is None
         else out.region_weights.reshape(7, 7).tolist(),
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_files([(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")])
     print(f"attention dump: {args.out}")
     return 0
 

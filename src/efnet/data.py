@@ -7,6 +7,7 @@ All binary payloads are little-endian; all text is UTF-8.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -65,6 +66,40 @@ def text_lines(path, error: type, unit: str = "line"):
                 raise error(f"{path}: {unit} {number}: byte {blob[e.start]:#04x} is not "
                             "UTF-8 text") from None
             raise
+
+
+def write_files(files) -> None:
+    """Write each (path, content) pair of ``files`` whose path is not None,
+    content being bytes, text (written as UTF-8) or an iterable of such
+    chunks, written as they come. Every output file of efnet is written
+    here: each content goes to ``<path>.tmp`` and is synced, and only once
+    all are on disk are they renamed over their paths, in the order given,
+    and their directories synced (Pillai et al., OSDI 2014). On any error
+    the temporaries are removed, so a path keeps its earlier file unless
+    its rename ran, and an ``OSError`` names the path, not its temporary."""
+    files = [(os.fspath(path), content) for path, content in files if path is not None]
+    try:
+        for path, content in files:
+            with open(path + ".tmp", "wb") as fh:
+                for chunk in [content] if isinstance(content, (bytes, str)) else content:
+                    fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+                fh.flush()
+                os.fsync(fh.fileno())
+        for path, _ in files:
+            os.replace(path + ".tmp", path)
+        for folder, path in {os.path.dirname(p) or ".": p for p, _ in files}.items():
+            fd = os.open(folder, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+    except BaseException as e:
+        for target, _ in files:
+            with contextlib.suppress(OSError):
+                os.unlink(target + ".tmp")
+        if isinstance(e, OSError):
+            raise OSError(e.errno, e.strerror or str(e), path) from None
+        raise
 
 
 @dataclass
@@ -222,18 +257,19 @@ def load_dataset(path) -> list:
 def write_dataset(path, samples) -> None:
     """Inverse of load_dataset; image paths are stored relative to ``path``."""
     base = Path(path).parent
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            obj = {
-                "id": s.id,
-                "tokens": s.tokens,
-                "target": {"start": s.target_span[0], "end": s.target_span[1]},
-                "aspect": s.aspect_tokens,
-                "label": LABELS[s.label],
-            }
-            if s.image_ref is not None:
-                obj["image"] = os.path.relpath(s.image_ref, base)
-            fh.write(json.dumps(obj) + "\n")
+    lines = []
+    for s in samples:
+        obj = {
+            "id": s.id,
+            "tokens": s.tokens,
+            "target": {"start": s.target_span[0], "end": s.target_span[1]},
+            "aspect": s.aspect_tokens,
+            "label": LABELS[s.label],
+        }
+        if s.image_ref is not None:
+            obj["image"] = os.path.relpath(s.image_ref, base)
+        lines.append(json.dumps(obj) + "\n")
+    write_files([(path, lines)])
 
 
 def load_image_features(path, out=None) -> Tensor:
@@ -290,12 +326,10 @@ def _check_feature_header(path, head: bytes, size: int) -> None:
 
 
 def write_image_features(path, values) -> None:
-    arr = np.asarray(values, dtype="<f4")
+    arr = np.ascontiguousarray(values, dtype="<f4")
     if arr.shape != FEATURE_SHAPE:
         raise FormatError(f"feature payload must be {FEATURE_SHAPE}, got {arr.shape}")
-    with open(path, "wb") as fh:
-        fh.write(_FEATURE_HEADER)
-        fh.write(arr.tobytes())
+    write_files([(path, [_FEATURE_HEADER, arr])])
 
 
 def _truncate(tokens, span, max_len):
@@ -459,10 +493,11 @@ def synth_generate(out_dir, seed: int, n: int, vocab_size: int = 40,
     rng = np.random.default_rng(seed)
 
     vocab = [f"w{i}" for i in range(vocab_size)]
-    with open(out / "embeddings.txt", "w", encoding="utf-8") as fh:
-        for token in list(CUE_TOKENS) + vocab:
-            vec = rng.uniform(-0.5, 0.5, size=embed_dim)
-            fh.write(token + " " + " ".join(f"{v:.6f}" for v in vec) + "\n")
+    lines = []
+    for token in list(CUE_TOKENS) + vocab:
+        vec = rng.uniform(-0.5, 0.5, size=embed_dim)
+        lines.append(token + " " + " ".join(f"{v:.6f}" for v in vec) + "\n")
+    write_files([(out / "embeddings.txt", lines)])
 
     with_images = grid_rule in ("cell", "both")
     if with_images and n > 0:
@@ -527,7 +562,5 @@ def synth_generate(out_dir, seed: int, n: int, vocab_size: int = 40,
             "both": "label = (cue index + cell index) mod 3",
         }[grid_rule],
     }
-    with open(out / "rule.json", "w", encoding="utf-8") as fh:
-        json.dump(rule, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_files([(out / "rule.json", json.dumps(rule, indent=2, sort_keys=True) + "\n")])
     return rule

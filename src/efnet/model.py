@@ -15,7 +15,6 @@ encoded sample runs the same stages without the batch axis.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -24,7 +23,8 @@ import numpy as np
 
 from . import layers as ly
 from . import tensor as tx
-from .data import FEATURE_SHAPE, Batch, FormatError, InputError, load_image_features
+from .data import (FEATURE_SHAPE, Batch, FormatError, InputError, load_image_features,
+                   write_files)
 from .layers import (
     REGION_COUNT,
     CapsuleParams,
@@ -491,38 +491,20 @@ def forward(sample, params: EFNetParams, config: ModelConfig, rng=None) -> Forwa
 # checkpoints
 
 
-def save_checkpoint(path, params: EFNetParams) -> None:
-    """Write every named parameter, in buffer order, as float32 records.
+def save_checkpoint(path, params: EFNetParams, *others) -> None:
+    """Write every named parameter, in buffer order, as float32 records
+    streamed through ``write_files`` (none for a ``path`` of None), with the
+    (path, content) pairs ``others`` renamed after it in the same call; a
+    failed or killed save leaves the previous checkpoint whole."""
+    def records():
+        yield CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
+        for name, p in params.named_parameters():
+            encoded = name.encode("utf-8")
+            yield struct.pack(f"<I{len(encoded)}sI{p.data.ndim}I", len(encoded), encoded,
+                              p.data.ndim, *p.data.shape)
+            yield np.ascontiguousarray(p.data, dtype="<f4")
 
-    The records go to a temporary file beside ``path``, which is flushed,
-    synced and then renamed over ``path``, so a crash or kill mid-write
-    leaves the previous checkpoint whole. The directory is synced after the
-    rename, which makes the rename itself durable. On error the temporary
-    is removed.
-    """
-    tmp = Path(f"{os.fspath(path)}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            for name, p in params.named_parameters():
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<I", p.data.ndim))
-                fh.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
-                fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        folder = os.open(tmp.parent, os.O_RDONLY)
-        try:
-            os.fsync(folder)
-        finally:
-            os.close(folder)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_files([(path, records()), *others])
 
 
 def _read_checkpoint_records(blob: bytes, path) -> dict:
@@ -576,8 +558,7 @@ def load_checkpoint(path, params: EFNetParams) -> None:
     damage raises a format error; any name/shape disagreement with the model
     raises CheckpointMismatch. Either leaves every parameter as it was."""
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        blob = Path(path).read_bytes()
     except OSError as e:
         raise InputError(f"cannot read checkpoint {path}: {e}") from None
     records = _read_checkpoint_records(blob, path)

@@ -433,9 +433,9 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.nd
     the op reads only the blocks and gives each leaf its row of the block
     gradient. ``q``, ``k`` and ``v`` are [n, d], or [B, n, d] for a batch;
     they may be one tensor (self-attention).
-    ``mask`` ([n_kv] or [n_q, n_kv], with a leading B for a batch; True =
-    attend) applies to every head. Masked weights are exactly zero, and a
-    query row with no key left is a MaskError.
+    ``mask`` is a key mask only, [n_kv] or [B, n_kv] for a batch (True =
+    attend), applied to every head and query. Masked weights are exactly
+    zero, and a mask with no key left is a MaskError.
 
     Returns the head outputs concatenated along features, [(B,) n_q,
     H * d_head], and the attention weights as a plain [(B,) H, n_q, n_kv]
@@ -457,7 +457,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.nd
         raise ShapeError("multi_head_attention: attention operands must be rank 2, "
                          "or rank 3 with a batch axis")
     b = q_shape[0] if rank == 3 else 1
-    n_q, n_kv = q_shape[-2], k_shape[-2]
+    n_kv = k_shape[-2]
     if k_shape[:-2] != q_shape[:-2] or v_shape[:-2] != q_shape[:-2]:
         raise ShapeError("multi_head_attention: batch sizes differ: "
                          f"{q_shape}, {k_shape}, {v_shape}")
@@ -485,15 +485,13 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.nd
     scores *= c
     if mask is not None:
         m = np.asarray(mask)
-        want = ((n_kv,), (n_q, n_kv)) if rank == 2 else ((b, n_kv), (b, n_q, n_kv))
-        if m.dtype != np.bool_ or m.shape not in want:
-            raise ShapeError(
-                f"multi_head_attention: mask must be boolean of shape "
-                f"{' or '.join(map(str, want))}, got {m.shape}"
-            )
+        want = (n_kv,) if rank == 2 else (b, n_kv)
+        if m.dtype != np.bool_ or m.shape != want:
+            raise ShapeError(f"multi_head_attention: mask must be boolean of shape {want}, "
+                             f"got {m.shape}")
         if not m.any(axis=-1).all():
             raise MaskError("multi_head_attention: a query has every key masked")
-        scores = np.where(m if rank == 2 else m.reshape((b, -1, n_kv)), scores, -np.inf)
+        scores = np.where(m if rank == 2 else m[:, None], scores, -np.inf)
     scores -= scores.max(axis=-1, keepdims=True)
     attn = np.exp(scores, out=scores)
     attn /= attn.sum(axis=-1, keepdims=True)

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .data import Batch, InputError, make_batches
+from .data import Batch, InputError, make_batches, write_files
 from .layers import ParamBuffer
 from .model import EFNetParams, InternalError, ModelConfig, forward, save_checkpoint
 from .model import loss as batch_loss
@@ -228,20 +228,20 @@ def train(params: EFNetParams, table, train_samples, val_samples,
           on_epoch=None, stop_accuracy=None):
     """Optimize on the train split, scoring the val split once per epoch.
 
-    Appends one metrics row per epoch (train loss with the validation
-    accuracy and macro-F1) to ``log_path`` as soon as the epoch ends, so a
-    crash keeps the rows of finished epochs, and retains the checkpoint
-    with the best validation accuracy. The first epoch's row starts a new
-    log and its save is the first, so a rerun keeps an earlier run's files
-    until it has its own (0 epochs write the untrained model and a header).
-    Each batch is one forward over all of its rows. Returns the best
-    validation report, or None when no epoch ran. ``on_epoch``, when given,
-    receives each formatted row; ``stop_accuracy`` ends the run early once
-    validation accuracy reaches the threshold. A negative ``epochs``, a
-    ``batch_size`` below 1, an ``lr`` that is not finite and greater than
-    0, or an empty train or val split, is an ``InputError`` before anything
-    is written. A non-finite validation probability stops the run with a
-    ``TrainError`` before its epoch writes a row or a checkpoint.
+    As each epoch ends, its metrics row (train loss with the validation
+    accuracy and macro-F1) joins the earlier ones and ``log_path`` is
+    rewritten whole, in one ``write_files`` call with the checkpoint when
+    validation accuracy improved; 0 epochs write a header and the untrained
+    model. So a row is whole or absent, a failed write leaves the previous
+    log and checkpoint, and a rerun keeps an earlier run's files until its
+    first epoch ends. Each batch is one forward over all of its rows.
+    Returns the best validation report, or None when no epoch ran.
+    ``on_epoch`` receives each row once it is written; ``stop_accuracy``
+    ends the run once validation accuracy reaches it. A negative
+    ``epochs``, a ``batch_size`` below 1, an ``lr`` that is not finite and
+    greater than 0, or an empty train or val split, is an ``InputError``
+    before anything is written. A non-finite validation probability stops
+    the run with a ``TrainError`` before its epoch writes anything.
     """
     for split, samples in (("train", train_samples), ("val", val_samples)):
         if not samples:
@@ -256,14 +256,10 @@ def train(params: EFNetParams, table, train_samples, val_samples,
     state = OptimizerState(lr=lr)
     named = params.named_parameters()
     if epochs == 0:
-        if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, params)
-        if log_path is not None:
-            with open(log_path, "w", encoding="utf-8") as fh:
-                fh.write(METRICS_HEADER + "\n")
+        save_checkpoint(checkpoint_path, params, (log_path, METRICS_HEADER + "\n"))
         return None
+    rows = [METRICS_HEADER]
     best = None
-    best_accuracy = -1.0
     for epoch in range(1, epochs + 1):
         batches = make_batches(train_samples, table, batch_size=batch_size,
                                max_len=config.max_len, text_only=config.text_only, rng=rng)
@@ -293,18 +289,16 @@ def train(params: EFNetParams, table, train_samples, val_samples,
             report = evaluate(params, table, val_samples, config)
         except TrainError as e:
             raise TrainError(f"validation at epoch {epoch}: {e}") from None
-        row = (f"{epoch},val,{total / seen:.6f},"
-               f"{report.accuracy:.6f},{report.macro_f1:.6f}")
-        if log_path is not None:
-            with open(log_path, "a" if epoch > 1 else "w", encoding="utf-8") as fh:
-                fh.write((METRICS_HEADER + "\n" if epoch == 1 else "") + row + "\n")
-        if on_epoch is not None:
-            on_epoch(row)
-        if report.accuracy > best_accuracy:
-            best_accuracy = report.accuracy
+        rows.append(f"{epoch},val,{total / seen:.6f},"
+                    f"{report.accuracy:.6f},{report.macro_f1:.6f}")
+        log = (log_path, "\n".join(rows) + "\n")
+        if best is None or report.accuracy > best.accuracy:
             best = report
-            if checkpoint_path is not None:
-                save_checkpoint(checkpoint_path, params)
+            save_checkpoint(checkpoint_path, params, log)
+        else:
+            write_files([log])
+        if on_epoch is not None:
+            on_epoch(rows[-1])
         if stop_accuracy is not None and report.accuracy >= stop_accuracy:
             break
     return best
@@ -356,9 +350,6 @@ def head_sweep(table, train_samples, val_samples, base_config: ModelConfig,
         if report is None:
             report = evaluate(params, table, val_samples, cfg)
         rows.append((cfg.head_count, report.accuracy, report.macro_f1))
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(SWEEP_HEADER + "\n")
-            for heads, accuracy, macro_f1 in rows:
-                fh.write(f"{heads},{accuracy:.6f},{macro_f1:.6f}\n")
+    write_files([(out_path, SWEEP_HEADER + "\n" + "".join(
+        f"{heads},{accuracy:.6f},{macro_f1:.6f}\n" for heads, accuracy, macro_f1 in rows))])
     return rows

@@ -461,13 +461,13 @@ class TestTrainEval:
 
 # `efnet train` in a child process that stops at one point and prints
 # "hold" there, so the parent's SIGKILL lands at that point every run.
-# argv[1] names the point: "write:N" is the N-th write of the second
-# checkpoint save (the first after an epoch), flushed so the temporary file
-# is half written; "batches:N" the N-th `make_batches` call; "step:N" the
-# N-th `adam_step` call.
+# argv[1] names the point: "write:N" is the N-th write into the temporary
+# file of the second checkpoint save (the first after a finished epoch),
+# flushed so the temporary is half written; "batches:N" the N-th
+# `make_batches` call; "step:N" the N-th `adam_step` call.
 KILLABLE_TRAIN = """
 import builtins, sys, time
-from efnet import cli, model, train
+from efnet import cli, data, train
 
 what, at = sys.argv.pop(1).split(":")
 counts = {"write": 0, "batches": 0, "step": 0, "save": 0}
@@ -502,10 +502,10 @@ class SaveFile:
 
 def save_open(path, mode="r", *args, **kwargs):
     fh = builtins.open(path, mode, *args, **kwargs)
-    if mode != "wb":
+    if not str(path).endswith("model.efck.tmp"):
         return fh
     counts["save"] += 1
-    return SaveFile(fh) if counts["save"] == 1 else fh
+    return SaveFile(fh) if counts["save"] == 2 else fh
 
 
 def counted(name, fn):
@@ -515,7 +515,7 @@ def counted(name, fn):
     return call
 
 
-model.open = save_open
+data.open = save_open
 train.make_batches = counted("batches", train.make_batches)
 train.adam_step = counted("step", train.adam_step)
 sys.exit(cli.main(sys.argv[1:]))
@@ -536,9 +536,14 @@ class TestKill:
         root = tmp_path_factory.mktemp("kill")
         assert main(["synth", "--seed", "1", "--n", "10", "--out", str(root / "corpus"),
                      "--vocab", "20", "--embed-dim", "8"]) == 0
+        # at lr 0.03 validation accuracy rises at epoch 2 (0.3, then 0.4), so
+        # that epoch saves a checkpoint too: the save the "save" case kills
         (root / "run.cfg").write_text(CONFIG_TEMPLATE.format(text_only="false")
-                                      .replace("batch_size = 8", "batch_size = 2"))
+                                      .replace("batch_size = 8", "batch_size = 2")
+                                      .replace("lr = 0.003", "lr = 0.03"))
         assert main(["train", "--config", str(root / "run.cfg"), "--out", str(root / "ref")]) == 0
+        rows = (root / "ref" / "metrics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["0.300000", "0.400000"]
         return root
 
     def kill_at(self, root, out, point, delay):

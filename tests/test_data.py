@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,11 @@ class TestEmbeddings:
         table = dio.load_embeddings(self.write(tmp_path, "cat 0.5 0.5\n"))
         np.testing.assert_array_equal(table.token_ids(["cat", "unseen"]), [2, 1])
         assert table.token_ids([]).dtype == np.int64 and table.token_ids([]).shape == (0,)
+
+    def test_token_without_values(self, tmp_path):
+        path = self.write(tmp_path, "\ncat\ndog 1 2\n")
+        with pytest.raises(ParseError, match=r"emb\.txt: line 2: token 'cat' has no values"):
+            dio.load_embeddings(path)
 
     def test_inconsistent_width(self, tmp_path):
         path = self.write(tmp_path, "cat 1 2 3\ndog 1 2\n")
@@ -119,6 +125,25 @@ class TestDataset:
         path = tmp_path / "data.jsonl"
         path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
         return path
+
+    @pytest.mark.parametrize("overrides, why", [
+        ({"target": {"start": 0}}, "target must carry start and end"),
+        ({"target": [0, 1]}, "target must carry start and end"),
+        ({"aspect": []}, "aspect must be a non-empty list of strings"),
+        ({"aspect": "x"}, "aspect must be a non-empty list of strings"),
+        ({"aspect": ["x", 1]}, "aspect must be a non-empty list of strings"),
+        ({"image": 5}, "image must be a path string"),
+    ])
+    def test_bad_field_names_the_record(self, tmp_path, overrides, why):
+        path = self.write_record(tmp_path, **overrides)
+        with pytest.raises(ParseError, match=rf"data\.jsonl: record 1: {why}$"):
+            dio.load_dataset(path)
+
+    def test_record_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('["s0", "a b c"]\n', encoding="utf-8")
+        with pytest.raises(ParseError, match=r"data\.jsonl: record 1: not an object$"):
+            dio.load_dataset(path)
 
     def test_unknown_label(self, tmp_path):
         path = self.write_record(tmp_path, label="great")
@@ -486,6 +511,78 @@ class TestBatchBuilders:
         assert_same_batch(batch, loop_collate(encoded))
         # some real tokens are masked out, not only the padding
         assert (~batch.mask & (batch.token_ids != dio.PAD_INDEX)).any()
+
+
+class TestWriteFiles:
+    def test_bytes_text_and_chunks(self, tmp_path):
+        grid = np.arange(6, dtype="<f4").reshape(2, 3)
+        files = [(tmp_path / "a.bin", b"\x00\x01"), (str(tmp_path / "b.txt"), "caf\u00e9\n"),
+                 (tmp_path / "c.bin", (chunk for chunk in (b"head", grid)))]
+        dio.write_files(files)
+        assert [p.name for p in sorted(tmp_path.iterdir())] == ["a.bin", "b.txt", "c.bin"]
+        assert (tmp_path / "a.bin").read_bytes() == b"\x00\x01"
+        assert (tmp_path / "b.txt").read_bytes() == "caf\u00e9\n".encode("utf-8")
+        assert (tmp_path / "c.bin").read_bytes() == b"head" + grid.tobytes()
+
+    def test_every_temporary_synced_before_any_rename(self, tmp_path, monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", "directory" if stat.S_ISDIR(os.fstat(fd).st_mode)
+                           else "file"))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", Path(src).name, Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        dio.write_files([(tmp_path / "model.efck", b"x"), (tmp_path / "metrics.csv", "y")])
+        # both files, then both renames in the order given, then their
+        # shared directory once
+        assert events == [("fsync", "file"), ("fsync", "file"),
+                          ("replace", "model.efck.tmp", "model.efck"),
+                          ("replace", "metrics.csv.tmp", "metrics.csv"),
+                          ("fsync", "directory")]
+
+    def test_failure_keeps_every_earlier_file_and_names_the_path(self, tmp_path):
+        first, second = tmp_path / "model.efck", tmp_path / "metrics.csv"
+        first.write_bytes(b"earlier checkpoint")
+        second.write_text("earlier log\n")
+
+        def disk_fills():
+            yield b"a row\n"
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with pytest.raises(OSError) as caught:
+            dio.write_files([(first, b"new checkpoint"), (second, disk_fills())])
+        assert caught.value.errno == errno.ENOSPC
+        assert caught.value.filename == str(second)
+        assert str(caught.value) == f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: " \
+                                    f"'{second}'"
+        assert first.read_bytes() == b"earlier checkpoint"
+        assert second.read_text() == "earlier log\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv", "model.efck"]
+
+    def test_failed_rename_names_the_target_not_the_temporary(self, tmp_path):
+        # a directory in the way: its temporary is written, its rename fails
+        (tmp_path / "report.json").mkdir()
+        with pytest.raises(IsADirectoryError) as caught:
+            dio.write_files([(tmp_path / "report.json", "{}\n")])
+        assert caught.value.filename == str(tmp_path / "report.json")
+        assert caught.value.filename2 is None and ".tmp" not in str(caught.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_other_errors_pass_unchanged_and_remove_temporaries(self, tmp_path):
+        def broken():
+            yield b"part"
+            raise KeyError("mid-write")
+
+        with pytest.raises(KeyError, match="mid-write"):
+            dio.write_files([(tmp_path / "a.txt", "whole"), (tmp_path / "b.txt", broken())])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSynthGenerate:

@@ -111,6 +111,18 @@ class TestParams:
         params = tiny_params(tiny_config(precision="single"), rng)
         assert all(p.data.dtype == np.float32 for _, p in params.named_parameters())
 
+    @pytest.mark.parametrize("precision, given", [("single", np.float64),
+                                                  ("double", np.float32)])
+    def test_embedding_matrix_of_the_other_dtype_is_converted(self, precision, given):
+        cfg = tiny_config(precision=precision)
+        matrix = np.random.default_rng(4).uniform(-0.1, 0.1, (10, cfg.embed_dim)).astype(given)
+        given_tensor = Tensor(matrix, requires_grad=True)
+        params = EFNetParams.create(cfg, np.random.default_rng(5), given_tensor)
+        assert params.embed is not given_tensor and params.embed.requires_grad
+        assert all(p.data.dtype == cfg.dtype for _, p in params.named_parameters())
+        np.testing.assert_array_equal(params.embed.data, matrix.astype(cfg.dtype))
+        assert given_tensor.data.dtype == given
+
 
 def same_array(a, b):
     """``a`` and ``b`` view the same memory with the same layout."""
@@ -1116,6 +1128,21 @@ class TestCheckpoint:
         bad = tmp_path / "name.efck"
         bad.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=r"name\.efck: record 1: name is not UTF-8"):
+            md.load_checkpoint(bad, params)
+
+    def test_duplicate_record_is_format_error(self, tmp_path):
+        cfg, params, path = self.roundtrip_params(tmp_path)
+        blob = path.read_bytes()
+        # the first record: name length, name, rank, dims, float32 payload
+        name_len = int.from_bytes(blob[8:12], "little")
+        at = 12 + name_len
+        rank = int.from_bytes(blob[at:at + 4], "little")
+        dims = [int.from_bytes(blob[at + 4 + 4 * i:at + 8 + 4 * i], "little")
+                for i in range(rank)]
+        end = at + 4 + 4 * rank + 4 * math.prod(dims)
+        bad = tmp_path / "twice.efck"
+        bad.write_bytes(blob + blob[8:end])
+        with pytest.raises(FormatError, match=r"twice\.efck: duplicate record 'embed\.table'"):
             md.load_checkpoint(bad, params)
 
     def test_non_finite_record_is_format_error(self, tmp_path):

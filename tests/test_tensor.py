@@ -10,6 +10,7 @@ image op's row sources, and the tape itself.
 import inspect
 import itertools
 import math
+import re
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -426,6 +427,11 @@ class TestEmbeddingLookup:
         with pytest.raises(ShapeError):
             tx.embedding_lookup(Tensor(np.zeros((4, 2))), [4])
 
+    def test_negative_id_is_out_of_range(self):
+        # numpy would read -1 as the last row
+        with pytest.raises(ShapeError, match="id out of range for table with 4 rows"):
+            tx.embedding_lookup(Tensor(np.zeros((4, 2))), [[0, 1], [-1, 2]])
+
     def test_repeated_ids_accumulate_gradient(self):
         tape = Tape()
         table = tape.watch(Tensor(np.zeros((3, 2), dtype=np.float64), requires_grad=True))
@@ -532,6 +538,16 @@ class TestMultiHeadAttention:
                                     mask=np.zeros(4, dtype=bool))
         with pytest.raises(ShapeError):
             tx.multi_head_attention(x, x, x, *blocks(ws, 2), mask=np.ones(3, dtype=bool))
+
+    def test_per_query_mask_is_rejected(self):
+        # a mask is a key mask: [n_kv], or [B, n_kv] for a batch
+        rng = np.random.default_rng(79)
+        ws = [Tensor(rand(rng, 3, 2)) for _ in range(6)]
+        x, batch = Tensor(rand(rng, 4, 3)), Tensor(rand(rng, 2, 4, 3))
+        for operand, mask, want in ((x, np.ones((4, 4), dtype=bool), (4,)),
+                                    (batch, np.ones((2, 4, 4), dtype=bool), (2, 4))):
+            with pytest.raises(ShapeError, match=re.escape(f"of shape {want}, got {mask.shape}")):
+                tx.multi_head_attention(operand, operand, operand, *blocks(ws, 2), mask=mask)
 
     def test_gradients(self):
         # one head and four, around the table's two
@@ -889,6 +905,21 @@ class TestTape:
         b = t2.watch(Tensor(np.ones((2, 2)), requires_grad=True))
         with pytest.raises(TapeError):
             tx.add(a, b)
+
+    def test_watch_rejects_a_tensor_on_another_tape(self):
+        a = Tape().watch(Tensor(np.ones(2), requires_grad=True))
+        with pytest.raises(TapeError, match="already recorded on a different tape"):
+            Tape().watch(a)
+
+    def test_gradient_map_rejects_a_tensor_off_its_tape(self):
+        tape = Tape()
+        a = tape.watch(Tensor(np.ones(3), requires_grad=True))
+        grads = tape.backward(total(tx.scale(a, 2.0)))
+        elsewhere = Tape().watch(Tensor(np.ones(3), requires_grad=True))
+        for t in (Tensor(np.ones(3)), elsewhere):
+            assert t not in grads and grads.get(t) is None
+            with pytest.raises(TapeError, match="not recorded on the tape this map came from"):
+                grads[t]
 
     def test_non_scalar_loss_rejected(self):
         tape = Tape()

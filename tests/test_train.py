@@ -1,4 +1,6 @@
+import errno
 import math
+import os
 import re
 from types import SimpleNamespace
 
@@ -535,6 +537,54 @@ class TestTrain:
                   checkpoint_path=ck, log_path=log)
         assert not log.exists() and not ck.exists()
 
+    @pytest.mark.parametrize("setting, value, rule", [
+        ("epochs", -1, "epochs must be >= 0, got -1"),
+        ("batch_size", 0, "batch_size must be at least 1, got 0"),
+        ("lr", math.nan, "lr must be finite and greater than 0, got nan"),
+        ("lr", math.inf, "lr must be finite and greater than 0, got inf"),
+        ("lr", 0.0, "lr must be finite and greater than 0, got 0.0"),
+    ])
+    def test_bad_setting_is_input_error_before_writing(self, tmp_path, setting, value, rule):
+        table, samples = synth_corpus(tmp_path, rule="none")
+        cfg = corpus_config(text_only=True)
+        params = corpus_params(cfg, table)
+        log, ck = tmp_path / "metrics.csv", tmp_path / "model.efck"
+        settings = {"epochs": 1, "batch_size": 4, "lr": 1e-3}
+        settings[setting] = value
+        with pytest.raises(InputError, match=f"^train: {re.escape(rule)}$"):
+            train(params, table, samples, samples, cfg, checkpoint_path=ck, log_path=log,
+                  **settings)
+        assert not log.exists() and not ck.exists()
+
+    def test_failed_write_at_an_epoch_end_keeps_the_previous_pair(self, tmp_path, monkeypatch):
+        table, samples = synth_corpus(tmp_path, rule="none")
+        cfg = corpus_config(text_only=True)
+        ref, out = tmp_path / "ref", tmp_path / "run"
+        ref.mkdir()
+        out.mkdir()
+        train(corpus_params(cfg, table), table, samples, samples, cfg, epochs=1,
+              batch_size=4, checkpoint_path=ref / "model.efck", log_path=ref / "metrics.csv")
+        syncs = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            # epoch 1 syncs its checkpoint, its log and their directory;
+            # the disk fails at epoch 2's first sync
+            syncs.append(fd)
+            if len(syncs) == 4:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        with pytest.raises(OSError) as caught:
+            train(corpus_params(cfg, table), table, samples, samples, cfg, epochs=2,
+                  batch_size=4, checkpoint_path=out / "model.efck", log_path=out / "metrics.csv")
+        assert caught.value.errno == errno.EIO
+        assert caught.value.filename in (str(out / "model.efck"), str(out / "metrics.csv"))
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.csv", "model.efck"]
+        for name in ("metrics.csv", "model.efck"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
     def test_stop_accuracy_short_circuits(self, tmp_path):
         table, samples = synth_corpus(tmp_path, rule="none")
         cfg = corpus_config(text_only=True)
@@ -576,6 +626,16 @@ class TestHeadSweep:
                        batch_size=8, out_path=out)
             tables.append(out.read_bytes())
         assert tables[0] == tables[1]
+
+    def test_zero_epochs_scores_the_untrained_models(self, tmp_path):
+        table, samples = synth_corpus(tmp_path, rule="none")
+        rows = head_sweep(table, samples, samples, corpus_config(text_only=True), [1, 2],
+                          epochs=0)
+        assert [r[0] for r in rows] == [1, 2]
+        for heads, accuracy, macro_f1 in rows:
+            cfg = corpus_config(text_only=True, head_count=heads)
+            report = evaluate(corpus_params(cfg, table), table, samples, cfg)
+            assert (accuracy, macro_f1) == (report.accuracy, report.macro_f1)
 
     def test_empty_list(self, tmp_path):
         table, samples = synth_corpus(tmp_path, rule="none")
