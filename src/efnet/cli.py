@@ -23,6 +23,7 @@ from .data import (
     encode_sample,
     load_dataset,
     load_embeddings,
+    make_directories,
     synth_generate,
     text_lines,
     write_files,
@@ -158,7 +159,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg, table, (train_set, val_set), params = _prepare(args, ("train", "val"))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    make_directories(out)
     train(params, table, train_set, val_set, cfg.model,
           epochs=cfg.epochs, lr=cfg.lr, batch_size=cfg.batch_size,
           checkpoint_path=out / "model.efck", log_path=out / "metrics.csv",

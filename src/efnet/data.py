@@ -88,18 +88,42 @@ def write_files(files) -> None:
         for path, _ in files:
             os.replace(path + ".tmp", path)
         for folder, path in {os.path.dirname(p) or ".": p for p, _ in files}.items():
-            fd = os.open(folder, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
+            _sync_directory(folder)
     except BaseException as e:
         for target, _ in files:
             with contextlib.suppress(OSError):
                 os.unlink(target + ".tmp")
         if isinstance(e, OSError):
-            raise OSError(e.errno, e.strerror or str(e), path) from None
+            error = OSError if e.errno is not None else _UnnumberedError
+            raise error(e.errno, e.strerror or str(e), path) from None
         raise
+
+
+class _UnnumberedError(OSError):
+    """An ``OSError`` with no errno, named by its path without "[Errno None]"."""
+
+    def __str__(self):
+        return f"{self.strerror}: {self.filename!r}"
+
+
+def make_directories(path) -> None:
+    """Make the directory ``path`` and each missing directory above it,
+    syncing the parent of each one made, so that its entry survives a
+    power loss as the files written into it do (Pillai et al., OSDI 2014).
+    A directory that exists already syncs nothing."""
+    path = Path(path)
+    if path != path.parent and not path.is_dir():
+        make_directories(path.parent)
+        path.mkdir(exist_ok=True)
+        _sync_directory(path.parent)
+
+
+def _sync_directory(folder) -> None:
+    fd = os.open(folder, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 @dataclass
@@ -399,73 +423,47 @@ class Batch:
         return len(self.ids)
 
 
-def _pad(flat, lengths, masks=None):
+def _pad(flat, lengths):
     """Rows of ``lengths[i]`` ids each, taken in order from ``flat``, padded
-    to the longest: ids [B, L] and the mask of the real entries, or of the
-    entries that ``masks`` (one boolean row per row) keeps."""
+    to the longest: ids [B, L] and the mask of the real entries."""
     real = np.arange(lengths.max()) < lengths[:, None]
     ids = np.full(real.shape, PAD_INDEX, dtype=np.int64)
     ids[real] = flat
-    if masks is None:
-        return ids, real
-    mask = np.zeros_like(real)
-    mask[real] = np.concatenate(masks)
-    return ids, mask
-
-
-def _batch(ids, token_ids, lengths, masks, spans, aspect_ids, aspect_lengths,
-           labels, features) -> Batch:
-    """One batch from its rows' ids laid end to end (``token_ids``,
-    ``aspect_ids``) and their lengths; target ids are read from the padded
-    token rows, by span."""
-    tokens, mask = _pad(token_ids, lengths, masks)
-    column = np.arange(tokens.shape[1])
-    in_span = (column >= spans[:, :1]) & (column < spans[:, 1:])
-    target_ids, target_mask = _pad(tokens[in_span], spans[:, 1] - spans[:, 0])
-    aspects, aspect_mask = _pad(aspect_ids, aspect_lengths)
-    return Batch(ids=ids, token_ids=tokens, mask=mask, spans=spans, target_ids=target_ids,
-                 target_mask=target_mask, aspect_ids=aspects, aspect_mask=aspect_mask,
-                 labels=labels, features=features)
+    return ids, real
 
 
 def _lengths(rows) -> np.ndarray:
     return np.fromiter(map(len, rows), np.int64)
 
 
-def collate(encoded) -> Batch:
-    """Pad a list of encoded samples into one batch."""
-    return _batch(
-        [e.id for e in encoded],
-        np.concatenate([e.token_ids for e in encoded]), _lengths(e.token_ids for e in encoded),
-        [e.mask for e in encoded],
-        np.array([e.span for e in encoded], dtype=np.int64),
-        np.concatenate([e.aspect_ids for e in encoded]),
-        _lengths(e.aspect_ids for e in encoded),
-        np.array([e.label for e in encoded], dtype=np.int64),
-        [e.features for e in encoded],
-    )
-
-
 def make_batches(samples, table: EmbeddingTable, *, batch_size: int, max_len: int,
                  text_only: bool, rng=None) -> list:
     """Chunk and pad, in a ``rng`` permutation or, without one, in order.
     The last batch may be ragged. Each batch maps all of its tokens to ids
-    in one pass and pads them as whole arrays. Feature grids are not read
-    here: each row carries its file path, read when its batch runs."""
+    in one pass and pads them as whole arrays; target ids are read from the
+    padded token rows, by span. Feature grids are not read here: each row
+    carries its file path, read when its batch runs."""
     order = range(len(samples)) if rng is None else rng.permutation(len(samples))
     batches = []
     for at in range(0, len(samples), batch_size):
         chunk = [samples[i] for i in order[at : at + batch_size]]
         tokens, spans, images = zip(*(_window(s, max_len, not text_only) for s in chunk))
         aspects = [s.aspect_tokens for s in chunk]
-        lengths, aspect_lengths = _lengths(tokens), _lengths(aspects)
+        lengths = _lengths(tokens)
         ids = np.fromiter(map(table.index.get, chain(*tokens, *aspects), repeat(UNK_INDEX)),
                           np.int64)
         split = lengths.sum()
-        batches.append(_batch(
-            [s.id for s in chunk], ids[:split], lengths, None,
-            np.array(spans, dtype=np.int64), ids[split:], aspect_lengths,
-            np.array([s.label for s in chunk], dtype=np.int64), list(images),
+        token_ids, mask = _pad(ids[:split], lengths)
+        spans = np.array(spans, dtype=np.int64)
+        column = np.arange(token_ids.shape[1])
+        in_span = (column >= spans[:, :1]) & (column < spans[:, 1:])
+        target_ids, target_mask = _pad(token_ids[in_span], spans[:, 1] - spans[:, 0])
+        aspect_ids, aspect_mask = _pad(ids[split:], _lengths(aspects))
+        batches.append(Batch(
+            ids=[s.id for s in chunk], token_ids=token_ids, mask=mask, spans=spans,
+            target_ids=target_ids, target_mask=target_mask, aspect_ids=aspect_ids,
+            aspect_mask=aspect_mask, labels=np.array([s.label for s in chunk], dtype=np.int64),
+            features=list(images),
         ))
     return batches
 
@@ -489,7 +487,7 @@ def synth_generate(out_dir, seed: int, n: int, vocab_size: int = 40,
         if value < low:
             raise InputError(f"{flag} must be >= {low}, got {value}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    make_directories(out)
     rng = np.random.default_rng(seed)
 
     vocab = [f"w{i}" for i in range(vocab_size)]
@@ -501,7 +499,7 @@ def synth_generate(out_dir, seed: int, n: int, vocab_size: int = 40,
 
     with_images = grid_rule in ("cell", "both")
     if with_images and n > 0:
-        (out / "features").mkdir(exist_ok=True)
+        make_directories(out / "features")
 
     samples = []
     for i in range(n):

@@ -286,15 +286,6 @@ def bigru_encode(target_embeds: Tensor, aspect_embed: Tensor, fwd: GRUParams, bw
     ``target_embeds`` is [m, d] with ``aspect_embed`` [d], or [B, m, d] with
     [B, d] for a batch; ``mask`` ([(B,) m]) marks real tokens, which must
     precede the padding in each row."""
-    rank = target_embeds.data.ndim
-    if rank not in (2, 3) or target_embeds.shape[-2] < 1:
-        raise ShapeError(
-            f"target embeddings must be [(B x) m x d] with m >= 1, got {target_embeds.shape}"
-        )
-    if aspect_embed.data.ndim != rank - 1:
-        raise ShapeError(
-            f"aspect embedding must be rank {rank - 1}, got {aspect_embed.shape}"
-        )
     buffer = fwd.buffer
     if buffer is None or buffer.tensors[0] is not fwd.wz or buffer.tensors[3] is not bwd.wz:
         # both directions into one buffer, the forward rows first

@@ -30,7 +30,6 @@ from .layers import (
     CapsuleParams,
     ConfigError,
     GRUParams,
-    InternalError,
     MHAParams,
     ParamBuffer,
     PositionTable,
@@ -270,15 +269,6 @@ def _grid_source(sid, ref, dtype, width):
     return np.ascontiguousarray(values.reshape(REGION_COUNT, -1), dtype=dtype)
 
 
-def _region_query(h_ta: Tensor, w_ta: Tensor, w_r: Tensor, mask) -> Tensor:
-    """The image attention's query: the pooled target encoding times w_ta."""
-    if w_ta.shape[1] != w_r.shape[1]:
-        raise ConfigError(
-            f"image attention widths differ: {w_ta.shape[1]} vs {w_r.shape[1]}"
-        )
-    return tx.matmul(tx.mean_pool(h_ta, mask), w_ta)
-
-
 def encode_visual(features, h_ta: Tensor, params: EFNetParams, mask=None, ids=None):
     """The image route as one stage, one pass over each feature grid.
 
@@ -302,7 +292,7 @@ def encode_visual(features, h_ta: Tensor, params: EFNetParams, mask=None, ids=No
     w_cap = params.capsule.w.data
     sources = [_grid_source(sid, ref, w_cap.dtype, w_cap.shape[0])
                for sid, ref in zip(ids, refs)]
-    query = _region_query(h_ta, params.img_w_ta, params.img_w_r, mask)
+    query = tx.matmul(tx.mean_pool(h_ta, mask), params.img_w_ta)
     # a non-finite grid makes NaNs in the softmax and the squash, named below
     with np.errstate(invalid="ignore"):
         v, h_att, weights = tx.capsule_region_attention(
@@ -325,14 +315,14 @@ def image_attention(h_ta: Tensor, r: Tensor, w_ta: Tensor, w_r: Tensor, mask=Non
     vector and the region weights, a detached value. ``h_ta`` is [m, d]
     with ``r`` [49, C], or [B, m, d] with [B, 49, C]; ``mask`` ([(B,) m])
     marks the target rows that are pooled."""
-    query = _region_query(h_ta, w_ta, w_r, mask)
+    query = tx.matmul(tx.mean_pool(h_ta, mask), w_ta)
     lead = query.shape[:-1]
     if r.data.ndim != len(lead) + 2 or r.shape[:-2] != lead:
         raise ShapeError(f"image_attention: regions {r.shape} do not fit the query {query.shape}")
     (n, width), att = r.shape[-2:], w_r.shape[1]
     keys = tx.reshape(tx.matmul(tx.reshape(r, (math.prod(lead) * n, width)), w_r),
                       lead + (n, att))
-    scores = tx.reshape(tx.matmul(keys, tx.reshape(query, lead + (att, 1))), lead + (n,))
+    scores = tx.reshape(tx.matmul(keys, tx.reshape(query, query.shape + (1,))), lead + (n,))
     weights = tx.softmax(tx.scale(scores, 1.0 / math.sqrt(att)))
     out = tx.matmul(tx.reshape(weights, lead + (1, n)), keys)
     return tx.reshape(out, lead + (att,)), Tensor(weights.data)
@@ -362,10 +352,6 @@ def fuse(h_ta: Tensor, h_tac: Tensor, h_tai, h_avg_c: Tensor, h_att_i,
     ([(B,) m]) marks the real target rows, both as keys and when pooling.
     Returns the fused vectors and the fusion weights [(B,) H, m, m]."""
     values = h_tai if h_tai is not None else h_tac
-    if values.shape[:-1] != h_tac.shape[:-1]:
-        raise InternalError(
-            f"fusion key/value row counts differ: {h_tac.shape[:-1]} vs {values.shape[:-1]}"
-        )
     h_taci, weights = _attend(h_ta, h_tac, values, params.fusion, mask=target_mask)
     parts = [h_avg_c, tx.mean_pool(h_taci, target_mask)]
     if h_att_i is not None:
@@ -377,10 +363,6 @@ def fuse(h_ta: Tensor, h_tac: Tensor, h_tai, h_avg_c: Tensor, h_att_i,
 def classify(fused: Tensor, w_o: Tensor, b_o: Tensor) -> ForwardOutput:
     """Class probabilities for a fused vector [d] ([3] out) or a batch of
     them [B, d] ([B, 3] out)."""
-    if fused.data.ndim not in (1, 2) or fused.shape[-1] != w_o.shape[0]:
-        raise ConfigError(
-            f"classifier expects [(B x) {w_o.shape[0]}] input, got shape {fused.shape}"
-        )
     logits = tx.add(tx.matmul(fused, w_o), b_o)
     return ForwardOutput(probs=tx.softmax(logits), logits=logits)
 
@@ -395,14 +377,8 @@ def loss(predictions, labels, params, l2_lambda: float) -> Tensor:
     NaN."""
     if l2_lambda < 0.0:
         raise ConfigError(f"l2_lambda must be >= 0, got {l2_lambda}")
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if len(predictions) != 1 or not labels.size or predictions[0].shape[-1] != NUM_CLASSES \
-            or predictions[0].data.size != NUM_CLASSES * labels.size:
-        raise InputError("need one prediction tensor with one label per vector")
-    values = labels.tolist()
-    if min(values) < 0 or max(values) >= NUM_CLASSES:
-        bad = next(label for label in values if not 0 <= label < NUM_CLASSES)
-        raise InputError(f"label {bad} outside {{0, 1, 2}}")
+    if len(predictions) != 1 or predictions[0].shape[-1] != NUM_CLASSES:
+        raise InputError(f"need one prediction tensor of {NUM_CLASSES} classes")
     ce = tx.cross_entropy(predictions[0], labels)
     if l2_lambda == 0.0:
         return ce
@@ -481,7 +457,7 @@ def forward(sample, params: EFNetParams, config: ModelConfig, rng=None) -> Forwa
 
         stage = "classify"
         out = classify(fused, params.cls_w, params.cls_b)
-    except (ShapeError, MaskError, TapeError, ConfigError, InputError, FloatingPointError) as e:
+    except (ShapeError, MaskError, TapeError, InputError, FloatingPointError) as e:
         raise type(e)(f"{stage}: {e}") from None
     out.interaction_weights, out.fusion_weights, out.region_weights = ctx_w, fusion_w, region_w
     return out

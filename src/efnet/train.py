@@ -9,8 +9,8 @@ import math
 import numpy as np
 
 from .data import Batch, InputError, make_batches, write_files
-from .layers import ParamBuffer
-from .model import EFNetParams, InternalError, ModelConfig, forward, save_checkpoint
+from .layers import InternalError, ParamBuffer
+from .model import EFNetParams, ModelConfig, forward, save_checkpoint
 from .model import loss as batch_loss
 from .tensor import Tape, Tensor
 
@@ -35,20 +35,16 @@ class TrainError(RuntimeError):
 
 @dataclasses.dataclass
 class OptimizerState:
-    """Adaptive-moment descent state; one moment pair per parameter name.
-
-    Accumulators always shape-match their parameters; ``t`` strictly
-    increases, one tick per step. The first step allocates the moments as
-    two flat buffers, updated in place, and ``m``/``v`` map each name to
-    its view into them.
+    """Adaptive-moment descent state: the first and second moments ``m``
+    and ``v``, each one flat array laid out as the flat parameter buffer,
+    updated in place (None before the first step, which allocates them);
+    ``t`` strictly increases, one tick per step.
     """
 
     lr: float = 1e-3
     t: int = 0
-    m: dict = dataclasses.field(default_factory=dict)
-    v: dict = dataclasses.field(default_factory=dict)
-    _flat: tuple | None = dataclasses.field(default=None, init=False, repr=False,
-                                            compare=False)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 @dataclasses.dataclass
@@ -96,13 +92,9 @@ def adam_step(params: EFNetParams, grads, state: OptimizerState) -> None:
     g = np.concatenate(flat_grads, axis=None)
     if not np.isfinite(g).all():
         raise TrainError(f"non-finite gradient for parameter {_first_non_finite(g, buffer)}")
-    if state._flat is None:
-        state._flat = (np.zeros_like(g), np.zeros_like(g))
-        bounds = _bounds(buffer)
-        for moments, flat in zip((state.m, state.v), state._flat):
-            for name, view, lo, hi in zip(buffer.names, buffer.views, bounds, bounds[1:]):
-                moments[name] = flat[lo:hi].reshape(view.shape)
-    m, v = state._flat
+    if state.m is None:
+        state.m, state.v = np.zeros_like(g), np.zeros_like(g)
+    m, v = state.m, state.v
     state.t += 1
     c1 = 1.0 - BETA1 ** state.t
     c2 = 1.0 - BETA2 ** state.t
@@ -136,12 +128,8 @@ def adam_step(params: EFNetParams, grads, state: OptimizerState) -> None:
     params.embed.data[0] = 0.0
 
 
-def _bounds(buffer: ParamBuffer) -> list:
-    return [0, *itertools.accumulate(view.size for view in buffer.views)]
-
-
 def _first_non_finite(flat: np.ndarray, buffer: ParamBuffer) -> str:
-    bounds = _bounds(buffer)
+    bounds = [0, *itertools.accumulate(view.size for view in buffer.views)]
     return next(name for name, lo, hi in zip(buffer.names, bounds, bounds[1:])
                 if not np.isfinite(flat[lo:hi]).all())
 
@@ -198,8 +186,6 @@ def evaluate(params: EFNetParams, table, samples, config: ModelConfig) -> EvalRe
     ``TrainError`` naming the batch's samples and the stage where the
     first non-finite value appeared.
     """
-    if not samples:
-        raise InputError("evaluate: empty dataset")
     truths = []
     preds = []
     for batch in make_batches(samples, table, batch_size=EVAL_BATCH,

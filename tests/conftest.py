@@ -2,10 +2,12 @@
 
 ``fd_check`` compares tape gradients against a central finite-difference
 oracle that never touches the tape (the function under test is re-run on
-plain detached tensors). ``mha_loop_reference`` is the independent per-head
-numpy implementation the batched attention is checked against, and
-``forward_loss_reference`` is the whole forward pass plus loss in plain
-numpy, the yardstick for the engine's speed in the gradient gate.
+plain detached tensors). ``loop_collate`` pads encoded samples into a batch
+one row at a time: the reference ``make_batches`` is checked against, and
+the way tests batch ``EncodedSample``s. ``mha_loop_reference`` is the
+independent per-head numpy implementation the batched attention is checked
+against, and ``forward_loss_reference`` is the whole forward pass plus loss
+in plain numpy, the yardstick for the engine's speed in the gradient gate.
 """
 
 import os
@@ -18,7 +20,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from efnet import tensor as tx
-from efnet.data import FEATURE_SHAPE, EncodedSample
+from efnet.data import FEATURE_SHAPE, PAD_INDEX, Batch, EncodedSample
 from efnet.layers import REGION_COUNT
 from efnet.gradcheck import fd_gradient, max_rel_error
 from efnet.model import EFNetParams, ModelConfig
@@ -73,6 +75,30 @@ def ragged_samples(cfg, rng, count=5, vocab=10):
         sample.aspect_ids = rng.integers(2, vocab, size=1 + (i + 1) % 3)
         out.append(sample)
     return out
+
+
+def loop_collate(encoded):
+    """Reference batch: the samples padded one row at a time."""
+    def pad(rows, masks=None):
+        width = max(len(r) for r in rows)
+        ids = np.full((len(rows), width), PAD_INDEX, dtype=np.int64)
+        mask = np.zeros((len(rows), width), dtype=bool)
+        for i, r in enumerate(rows):
+            ids[i, : len(r)] = r
+            mask[i, : len(r)] = True if masks is None else masks[i]
+        return ids, mask
+
+    token_ids, mask = pad([e.token_ids for e in encoded], [e.mask for e in encoded])
+    target_ids, target_mask = pad([e.token_ids[e.span[0] : e.span[1]] for e in encoded])
+    aspect_ids, aspect_mask = pad([e.aspect_ids for e in encoded])
+    return Batch(
+        ids=[e.id for e in encoded], token_ids=token_ids, mask=mask,
+        spans=np.array([e.span for e in encoded], dtype=np.int64),
+        target_ids=target_ids, target_mask=target_mask,
+        aspect_ids=aspect_ids, aspect_mask=aspect_mask,
+        labels=np.array([e.label for e in encoded], dtype=np.int64),
+        features=[e.features for e in encoded],
+    )
 
 
 def rand(rng, *shape):

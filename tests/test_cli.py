@@ -12,11 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import loop_collate
 
 import efnet
 from efnet.cli import RunConfig, main
 from efnet.data import (
-    collate,
     encode_sample,
     load_dataset,
     load_embeddings,
@@ -682,7 +682,7 @@ class TestDumpAttention:
         params = EFNetParams.create(cfg.model, np.random.default_rng(0), table.matrix)
         load_checkpoint(workdir / "run" / "model.efck", params)
         sample = next(s for s in load_dataset(cfg.train) if s.id == sample_id)
-        batch = collate([encode_sample(sample, table, cfg.model.max_len, True)])
+        batch = loop_collate([encode_sample(sample, table, cfg.model.max_len, True)])
         out = forward(batch, params, cfg.model)
         for key, weights in (("interaction_heads", out.interaction_weights),
                              ("fusion_heads", out.fusion_weights)):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import loop_collate
 
 from efnet import data as dio
 from efnet.data import (
@@ -417,30 +418,6 @@ class TestBatching:
         assert got.labels.tolist() == [sample.label]
 
 
-def loop_collate(encoded):
-    """Reference batch: the samples padded one row at a time."""
-    def pad(rows, masks=None):
-        width = max(len(r) for r in rows)
-        ids = np.full((len(rows), width), dio.PAD_INDEX, dtype=np.int64)
-        mask = np.zeros((len(rows), width), dtype=bool)
-        for i, r in enumerate(rows):
-            ids[i, : len(r)] = r
-            mask[i, : len(r)] = True if masks is None else masks[i]
-        return ids, mask
-
-    token_ids, mask = pad([e.token_ids for e in encoded], [e.mask for e in encoded])
-    target_ids, target_mask = pad([e.token_ids[e.span[0] : e.span[1]] for e in encoded])
-    aspect_ids, aspect_mask = pad([e.aspect_ids for e in encoded])
-    return dio.Batch(
-        ids=[e.id for e in encoded], token_ids=token_ids, mask=mask,
-        spans=np.array([e.span for e in encoded], dtype=np.int64),
-        target_ids=target_ids, target_mask=target_mask,
-        aspect_ids=aspect_ids, aspect_mask=aspect_mask,
-        labels=np.array([e.label for e in encoded], dtype=np.int64),
-        features=[e.features for e in encoded],
-    )
-
-
 def assert_same_batch(got, want):
     for name, value in vars(want).items():
         other = getattr(got, name)
@@ -453,7 +430,7 @@ def assert_same_batch(got, want):
 
 class TestBatchBuilders:
     """``make_batches`` builds each batch from whole arrays; it must give
-    what ``collate`` and a row-by-row padding give for the same samples."""
+    what a row-by-row padding gives for the same samples."""
 
     MAX_LEN = 9
 
@@ -498,19 +475,6 @@ class TestBatchBuilders:
         for at, batch in zip(range(0, len(encoded), batch_size), batches):
             rows = encoded[at : at + batch_size]
             assert_same_batch(batch, loop_collate(rows))
-            assert_same_batch(dio.collate(rows), loop_collate(rows))
-
-    def test_collate_keeps_partial_masks(self, corpus):
-        table, samples = corpus
-        rng = np.random.default_rng(0)
-        encoded = [dio.encode_sample(s, table, self.MAX_LEN, with_features=False)
-                   for s in samples[:6]]
-        for enc in encoded:
-            enc.mask = rng.random(len(enc.token_ids)) < 0.6
-        batch = dio.collate(encoded)
-        assert_same_batch(batch, loop_collate(encoded))
-        # some real tokens are masked out, not only the padding
-        assert (~batch.mask & (batch.token_ids != dio.PAD_INDEX)).any()
 
 
 class TestWriteFiles:
@@ -583,6 +547,39 @@ class TestWriteFiles:
         with pytest.raises(KeyError, match="mid-write"):
             dio.write_files([(tmp_path / "a.txt", "whole"), (tmp_path / "b.txt", broken())])
         assert list(tmp_path.iterdir()) == []
+
+
+class TestMakeDirectories:
+    def test_each_new_directory_syncs_its_parent(self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            synced.append((info.st_dev, info.st_ino))
+            real_fsync(fd)
+
+        def inode(path):
+            info = os.stat(path)
+            return info.st_dev, info.st_ino
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        run = tmp_path / "runs" / "a" / "run"
+        dio.make_directories(run)
+        assert run.is_dir()
+        # top down: each directory's entry is synced once it is made
+        assert synced == [inode(tmp_path), inode(tmp_path / "runs"), inode(run.parent)]
+        synced.clear()
+        dio.make_directories(run)
+        dio.make_directories(tmp_path)
+        assert synced == []
+
+    def test_a_file_in_the_way_is_an_error(self, tmp_path):
+        (tmp_path / "run").write_text("not a directory\n")
+        with pytest.raises(FileExistsError):
+            dio.make_directories(tmp_path / "run")
+        with pytest.raises(OSError):
+            dio.make_directories(tmp_path / "run" / "inner")
 
 
 class TestSynthGenerate:

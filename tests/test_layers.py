@@ -302,8 +302,13 @@ class TestBiGRU:
     def test_empty_target_rejected(self):
         rng = np.random.default_rng(19)
         fwd, bwd = self.make(rng, 4, 3)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^bigru_sequence: input"):
             ly.bigru_encode(Tensor(np.zeros((0, 4))), Tensor(np.zeros(4)), fwd, bwd)
+        # a target of the wrong rank, and an aspect of the wrong rank
+        with pytest.raises(ShapeError, match="^bigru_sequence: input"):
+            ly.bigru_encode(Tensor(np.zeros(4)), Tensor(np.zeros(4)), fwd, bwd)
+        with pytest.raises(ShapeError, match="^bigru_sequence: context"):
+            ly.bigru_encode(Tensor(np.zeros((2, 4))), Tensor(np.zeros((1, 4))), fwd, bwd)
 
     def test_gradients(self):
         rng = np.random.default_rng(20)

@@ -18,8 +18,7 @@ from efnet.data import (
     make_batches,
     synth_generate,
 )
-from efnet.layers import ConfigError, ParamBuffer
-from efnet.model import InternalError
+from efnet.layers import ConfigError, InternalError, ParamBuffer
 from efnet.tensor import Tape, Tensor
 from efnet.train import (
     EvalReport,
@@ -71,8 +70,11 @@ class TestAdamStep:
             w.data, np.array([2.0, -1.0, 0.25]) - 1e-3 * np.sign(g), atol=1e-9
         )
         assert state.t == 1
-        assert state.m["w"].shape == w.data.shape
-        assert state.v["w"].shape == w.data.shape
+        # one flat moment each, laid out as the buffer: the embedding's 6
+        # entries, then w's
+        assert state.m.shape == state.v.shape == (9,)
+        np.testing.assert_allclose(state.m[6:], (1.0 - tr.BETA1) * g, rtol=1e-12)
+        np.testing.assert_allclose(state.v[6:], (1.0 - tr.BETA2) * g * g, rtol=1e-12)
 
     def test_zero_gradient_is_fixed_point(self):
         w = Tensor(np.array([[1.5, -2.0]]), requires_grad=True)
@@ -97,9 +99,9 @@ class TestAdamStep:
                                      id(w): np.ones(2, np.float32)}), state)
         for _ in range(999):
             adam_step(params, zero, state)
-        np.testing.assert_array_equal(state.m["w"], 0.0)
+        np.testing.assert_array_equal(state.m[6:], 0.0)
         tiny = np.finfo(np.float32).tiny
-        assert (state.v["w"] >= tiny).all()
+        assert (state.v[6:] >= tiny).all()
 
     def test_pad_row_rezeroed(self):
         params = fake_model()
@@ -138,7 +140,7 @@ class TestAdamStep:
 
 def loop_adam_step(params, grads, state):
     """Adam one parameter at a time, the per-parameter loop ``adam_step``
-    must match bit for bit."""
+    must match bit for bit; ``state`` holds name-keyed moments."""
     state.t += 1
     c1 = 1.0 - tr.BETA1 ** state.t
     c2 = 1.0 - tr.BETA2 ** state.t
@@ -155,6 +157,10 @@ def loop_adam_step(params, grads, state):
         state.v[name] = v
         p.data = p.data - state.lr * (m / c1) / (np.sqrt(v / c2) + tr.EPS)
     params.embed.data[0] = 0.0
+
+
+def loop_state_of(lr):
+    return SimpleNamespace(lr=lr, t=0, m={}, v={})
 
 
 def tape_gradients(params, cfg, sample):
@@ -179,23 +185,23 @@ class TestFlatAdam:
     @pytest.mark.parametrize("precision", ["single", "double"])
     def test_bitwise_equal_to_per_parameter_loop(self, precision):
         cfg, flat, loop, sample = self.models(precision)
-        flat_state, loop_state = OptimizerState(lr=3e-2), OptimizerState(lr=3e-2)
+        flat_state, loop_state = OptimizerState(lr=3e-2), loop_state_of(3e-2)
         for step in range(6):
             adam_step(flat, tape_gradients(flat, cfg, sample), flat_state)
             loop_adam_step(loop, tape_gradients(loop, cfg, sample), loop_state)
             for (name, p), (_, q) in zip(flat.named_parameters(), loop.named_parameters()):
                 assert p.data.dtype == cfg.dtype and p.data.shape == q.data.shape
                 np.testing.assert_array_equal(p.data, q.data, err_msg=f"{name}, step {step}")
-                for moments, want in ((flat_state.m, loop_state.m),
-                                      (flat_state.v, loop_state.v)):
-                    assert moments[name].shape == p.data.shape
-                    np.testing.assert_array_equal(moments[name], want[name], err_msg=name)
+            names = [name for name, _ in loop.named_parameters()]
+            for moments, want in ((flat_state.m, loop_state.m), (flat_state.v, loop_state.v)):
+                np.testing.assert_array_equal(
+                    moments, np.concatenate([want[name] for name in names], axis=None))
         assert flat_state.t == loop_state.t == 6
 
     @pytest.mark.parametrize("precision", ["single", "double"])
     def test_rebound_parameter_updated_as_the_loop_does(self, precision):
         cfg, flat, loop, sample = self.models(precision)
-        flat_state, loop_state = OptimizerState(lr=3e-2), OptimizerState(lr=3e-2)
+        flat_state, loop_state = OptimizerState(lr=3e-2), loop_state_of(3e-2)
         for step in range(3):
             grads = tape_gradients(flat, cfg, sample)
             loop_grads = tape_gradients(loop, cfg, sample)
@@ -213,7 +219,7 @@ class TestFlatAdam:
         state = OptimizerState()
         adam_step(params, tape_gradients(params, cfg, sample), state)
         before = {name: p.data.copy() for name, p in params.named_parameters()}
-        moments = {name: m.copy() for name, m in state.m.items()}
+        moments = state.m.copy()
         grads = tape_gradients(params, cfg, sample)
         grads[params.fusion.wk[1]][0, 1] = np.nan
         with pytest.raises(TrainError, match=r"non-finite gradient for parameter fusion\.h1\.wk"):
@@ -221,7 +227,7 @@ class TestFlatAdam:
         assert state.t == 1
         for name, p in params.named_parameters():
             np.testing.assert_array_equal(p.data, before[name], err_msg=name)
-            np.testing.assert_array_equal(state.m[name], moments[name], err_msg=name)
+        np.testing.assert_array_equal(state.m, moments)
 
     def test_infinite_rate_names_first_parameter(self):
         cfg, params, _, sample = self.models("double")
