@@ -230,6 +230,8 @@ def _parse_record(path, i: int, obj) -> Sample:
     for key in ("id", "tokens", "target", "aspect", "label"):
         if key not in obj:
             fail(f"missing field {key!r}")
+    if type(obj["id"]) not in (str, int):  # exactly: JSON true and false are bools
+        fail("id must be a string or an integer")
     tokens = obj["tokens"]
     if not isinstance(tokens, list) or not tokens or not all(isinstance(t, str) for t in tokens):
         fail("tokens must be a non-empty list of strings")
@@ -237,7 +239,9 @@ def _parse_record(path, i: int, obj) -> Sample:
     if not isinstance(target, dict) or "start" not in target or "end" not in target:
         fail("target must carry start and end")
     start, end = target["start"], target["end"]
-    if not (isinstance(start, int) and isinstance(end, int) and 0 <= start < end <= len(tokens)):
+    if type(start) is not int or type(end) is not int:
+        fail("target start and end must be integers")
+    if not 0 <= start < end <= len(tokens):
         fail(f"target span [{start}, {end}) out of range for {len(tokens)} tokens")
     aspect = obj["aspect"]
     if not isinstance(aspect, list) or not aspect or not all(isinstance(t, str) for t in aspect):
@@ -450,8 +454,7 @@ def make_batches(samples, table: EmbeddingTable, *, batch_size: int, max_len: in
         tokens, spans, images = zip(*(_window(s, max_len, not text_only) for s in chunk))
         aspects = [s.aspect_tokens for s in chunk]
         lengths = _lengths(tokens)
-        ids = np.fromiter(map(table.index.get, chain(*tokens, *aspects), repeat(UNK_INDEX)),
-                          np.int64)
+        ids = table.token_ids(chain(*tokens, *aspects))
         split = lengths.sum()
         token_ids, mask = _pad(ids[:split], lengths)
         spans = np.array(spans, dtype=np.int64)

@@ -17,17 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tx
-from .tensor import DEFAULT_DTYPE, ShapeError, Tensor
+from .tensor import DEFAULT_DTYPE, InternalError, ShapeError, Tensor
 
 REGION_COUNT = 49
 
 
 class ConfigError(ValueError):
     """A configuration value is inconsistent (head counts, widths, ...)."""
-
-
-class InternalError(RuntimeError):
-    """An internal invariant was violated; indicates a defect, not bad input."""
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, dtype=DEFAULT_DTYPE) -> Tensor:
@@ -46,26 +42,17 @@ class ParamBuffer:
 
     ``pack`` takes groups of (name, tensor) pairs: the tensors of a group
     share a shape, and all tensors share a dtype. Group j becomes
-    ``blocks[j]``, a [len(group), *shape] slice of ``flat``, and each
-    tensor's ``data`` becomes its row of that block, a C-contiguous view,
-    so ``data.reshape(-1)`` is a view too and writes through to ``flat``.
-
-    Code outside the buffer may still rebind a tensor's ``data``. ``sync``
-    finds such a tensor by identity, copies its values into its row and
-    points ``data`` back there, so ``flat`` and ``blocks`` are current only
-    after a ``sync``, which returns the buffer. Rebinding to another shape
-    or dtype is an ``InternalError``.
+    ``blocks[j]``, a [len(group), *shape] slice of ``flat``. Each tensor is
+    bound by name to its row of that block, a C-contiguous view, so both
+    ``data.reshape(-1)`` and assigning ``data`` write through to ``flat``.
     """
 
     flat: np.ndarray
     blocks: list
-    names: list
     tensors: list
-    views: list
 
     @classmethod
     def pack(cls, groups) -> "ParamBuffer":
-        names = [name for group in groups for name, _ in group]
         tensors = [t for group in groups for _, t in group]
         flat = np.empty(sum(t.data.size for t in tensors), dtype=tensors[0].data.dtype)
         blocks = []
@@ -74,30 +61,18 @@ class ParamBuffer:
             shape = (len(group),) + group[0][1].data.shape
             blocks.append(flat[lo:lo + math.prod(shape)].reshape(shape))
             lo += blocks[-1].size
-        return cls(flat, blocks, names, tensors, [row for b in blocks for row in b]).sync()
+            for (name, t), row in zip(group, blocks[-1]):
+                t.bind(row, name)
+        return cls(flat, blocks, tensors)
 
     def part(self, start: int, stop: int) -> "ParamBuffer":
         """Blocks ``start`` to ``stop - 1`` as a buffer of their own that
-        shares this one's memory and views."""
+        shares this one's memory and tensors."""
         rows = [len(b) for b in self.blocks]
         first, last = sum(rows[:start]), sum(rows[:stop])
         lo = sum(b.size for b in self.blocks[:start])
         hi = lo + sum(b.size for b in self.blocks[start:stop])
-        return ParamBuffer(self.flat[lo:hi], self.blocks[start:stop], self.names[first:last],
-                           self.tensors[first:last], self.views[first:last])
-
-    def sync(self) -> "ParamBuffer":
-        for t, view in zip(self.tensors, self.views):
-            if t.data is not view:
-                if t.data.shape != view.shape or t.data.dtype != view.dtype:
-                    name = self.names[self.tensors.index(t)]
-                    raise InternalError(
-                        f"parameter {name} is {t.data.dtype} of shape {t.data.shape}; "
-                        f"its slot in the buffer is {view.dtype} of shape {view.shape}"
-                    )
-                view[...] = t.data
-                t.data = view
-        return self
+        return ParamBuffer(self.flat[lo:hi], self.blocks[start:stop], self.tensors[first:last])
 
 
 @dataclass
@@ -106,9 +81,9 @@ class MHAParams:
 
     Construction packs the heads of each role into one [H, d, d_head]
     block: each head's ``data`` becomes a row of its role's block. The wk
-    and wv blocks are adjacent, so ``blocks``, what the attention op reads
-    once ``buffer`` is synced, views them as one [2, H, d, d_head] array;
-    keys and values therefore share one input width."""
+    and wv blocks are adjacent, so ``blocks``, what the attention op reads,
+    views them as one [2, H, d, d_head] array; keys and values therefore
+    share one input width."""
 
     wq: list
     wk: list
@@ -255,7 +230,7 @@ def multi_head(q: Tensor, k: Tensor, v: Tensor, params: MHAParams, mask=None, re
     weights it returns ([(B,) n_q, n_kv] each) are detached values, not
     tape nodes."""
     out, weights = tx.multi_head_attention(
-        q, k, v, params.blocks, params.buffer.sync().tensors, mask=mask
+        q, k, v, params.blocks, params.buffer.tensors, mask=mask
     )
     if not return_weights:
         return out
@@ -291,7 +266,6 @@ def bigru_encode(target_embeds: Tensor, aspect_embed: Tensor, fwd: GRUParams, bw
         # both directions into one buffer, the forward rows first
         buffer = fwd.buffer = bwd.buffer = ParamBuffer.pack(
             gate_groups([("fwd.", fwd), ("bwd.", bwd)]))
-    buffer.sync()
     return tx.bigru_sequence(target_embeds, buffer.blocks, buffer.tensors,
                              context=aspect_embed, mask=mask)
 

@@ -182,7 +182,7 @@ class EFNetParams:
                 parts.append((item.place, len(groups)))
                 groups += item.groups(name)
         self.buffer = ParamBuffer.pack(groups)
-        self._named = list(zip(self.buffer.names, self.buffer.tensors))
+        self._named = [(t.name, t) for t in self.buffer.tensors]
         for place, start in parts:
             place(self.buffer.part(start, start + 3))
 
@@ -331,8 +331,7 @@ def image_attention(h_ta: Tensor, r: Tensor, w_ta: Tensor, w_r: Tensor, mask=Non
 def _attend(q: Tensor, k: Tensor, v: Tensor, params: MHAParams, mask=None):
     """``tx.multi_head_attention`` with the heads of ``params``: the head
     outputs and the [(B,) H, n_q, n_kv] weights as the op returns them."""
-    return tx.multi_head_attention(q, k, v, params.blocks, params.buffer.sync().tensors,
-                                   mask=mask)
+    return tx.multi_head_attention(q, k, v, params.blocks, params.buffer.tensors, mask=mask)
 
 
 def interact(h_ta: Tensor, h_c: Tensor, h_i, params: EFNetParams, ctx_mask=None):
@@ -382,8 +381,7 @@ def loss(predictions, labels, params, l2_lambda: float) -> Tensor:
     ce = tx.cross_entropy(predictions[0], labels)
     if l2_lambda == 0.0:
         return ce
-    buffer = params.buffer.sync()
-    reg = tx.sum_squares(buffer.tensors, buffer.flat)
+    reg = tx.sum_squares(params.buffer.tensors, params.buffer.flat)
     return tx.add(ce, tx.scale(reg, l2_lambda))
 
 
@@ -548,7 +546,6 @@ def load_checkpoint(path, params: EFNetParams) -> None:
             + (f"; unexpected {sorted(extra)}" if extra else "")
             + (f"; missing {sorted(missing)}" if missing else "")
         )
-    params.buffer.sync()  # every p.data is its buffer view again
     for name, p in named:
         if records[name].shape != p.data.shape:
             raise CheckpointMismatch(

@@ -34,30 +34,57 @@ class TapeError(RuntimeError):
     """Tensor/tape wiring is wrong (detached loss, mixed tapes, ...)."""
 
 
+class InternalError(RuntimeError):
+    """An internal invariant was violated; indicates a defect, not bad input."""
+
+
 class Tensor:
     """N-dimensional real array, optionally attached to a tape node.
 
     ``data`` is a numpy array (float32 by default, float64 in gradient-check
     mode). ``requires_grad`` marks trainable leaves; a tensor with
     ``requires_grad=False`` never accumulates a gradient. ``tape``/``node``
-    are set once the tensor is recorded on a tape.
+    are set once the tensor is recorded on a tape, and ``name`` once
+    ``bind`` makes it a parameter.
     """
 
-    __slots__ = ("data", "requires_grad", "tape", "node")
+    __slots__ = ("_data", "name", "requires_grad", "tape", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         if type(data) is not np.ndarray:
             # a numpy scalar keeps its dtype; anything else takes the default
             data = np.asarray(data, None if isinstance(data, np.generic) else DEFAULT_DTYPE)
         dt = data.dtype
-        self.data = data if dt == _F32 or dt == _F64 else data.astype(DEFAULT_DTYPE)
+        self._data = data if dt == _F32 or dt == _F64 else data.astype(DEFAULT_DTYPE)
+        self.name: str | None = None
         self.requires_grad = requires_grad
         self.tape: Tape | None = None
         self.node: int | None = None
 
     @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, value: np.ndarray) -> None:
+        row = self._data
+        if self.name is None:
+            self._data = value
+        elif value.shape == row.shape and value.dtype == row.dtype:
+            row[...] = value
+        else:
+            raise InternalError(f"parameter {self.name} is {value.dtype} of shape {value.shape}; "
+                                f"its slot in the buffer is {row.dtype} of shape {row.shape}")
+
+    def bind(self, row: np.ndarray, name: str) -> None:
+        """Move ``data`` into ``row`` as the parameter ``name``: assigning ``data``
+        then copies into ``row``, and rejects another shape or dtype."""
+        value, self._data, self.name = self._data, row, name
+        self.data = value
+
+    @property
     def shape(self) -> tuple[int, ...]:
-        return self.data.shape
+        return self._data.shape
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"

@@ -74,20 +74,20 @@ def adam_step(params: EFNetParams, grads, state: OptimizerState) -> None:
     The padding embedding row is re-zeroed afterwards so index 0 never
     drifts away from zero.
     """
-    buffer = params.buffer.sync()
+    buffer = params.buffer
     dtype = buffer.flat.dtype
     flat_grads = []
-    for name, p in zip(buffer.names, buffer.tensors):
+    for p in buffer.tensors:
         g = grads.get(p)
         if g is None:
-            raise InternalError(f"missing gradient for parameter {name}")
+            raise InternalError(f"missing gradient for parameter {p.name}")
         if g.shape != p.data.shape:
             raise InternalError(
                 f"gradient shape {g.shape} does not match parameter "
-                f"{name} with shape {p.data.shape}"
+                f"{p.name} with shape {p.data.shape}"
             )
         if g.dtype != dtype:
-            raise InternalError(f"parameter {name} has a {g.dtype} gradient; it is {dtype}")
+            raise InternalError(f"parameter {p.name} has a {g.dtype} gradient; it is {dtype}")
         flat_grads.append(g)
     g = np.concatenate(flat_grads, axis=None)
     if not np.isfinite(g).all():
@@ -129,9 +129,8 @@ def adam_step(params: EFNetParams, grads, state: OptimizerState) -> None:
 
 
 def _first_non_finite(flat: np.ndarray, buffer: ParamBuffer) -> str:
-    bounds = [0, *itertools.accumulate(view.size for view in buffer.views)]
-    return next(name for name, lo, hi in zip(buffer.names, bounds, bounds[1:])
-                if not np.isfinite(flat[lo:hi]).all())
+    parts = np.split(flat, list(itertools.accumulate(t.data.size for t in buffer.tensors)))
+    return next(t.name for t, part in zip(buffer.tensors, parts) if not np.isfinite(part).all())
 
 
 def _release(params: EFNetParams) -> None:

@@ -189,6 +189,7 @@ BAD_INPUTS = [
     bad("run.cfg", "embeddings = ", "# embeddings = ", "missing required key 'embeddings'"),
     bad("run.cfg", "val = ", "val = \0", "line 16: val", "NUL character"),
     bad("dataset.jsonl", '"label": "neutral"', '"label": "great"', "record 1: label"),
+    bad("dataset.jsonl", '"start": 6', '"start": true', "record 1: target start"),
     bad("embeddings.txt", None, "short 1 2 3", "line 24: token 'short'"),
     bad("embeddings.txt", None, "nonfinite 1 2 3 nan 5 6 7 8", "embeddings.txt",
         "line 24: token 'nonfinite'"),

@@ -134,11 +134,26 @@ class TestDataset:
         ({"aspect": "x"}, "aspect must be a non-empty list of strings"),
         ({"aspect": ["x", 1]}, "aspect must be a non-empty list of strings"),
         ({"image": 5}, "image must be a path string"),
+        # JSON true and false are not integers, and an id is text or a number
+        ({"target": {"start": True, "end": 2}}, "target start and end must be integers"),
+        ({"target": {"start": 0, "end": False}}, "target start and end must be integers"),
+        ({"target": {"start": 0.0, "end": 1}}, "target start and end must be integers"),
+        ({"id": None}, "id must be a string or an integer"),
+        ({"id": True}, "id must be a string or an integer"),
+        ({"id": 1.5}, "id must be a string or an integer"),
+        ({"id": ["s0"]}, "id must be a string or an integer"),
+        ({"id": {"s": 0}}, "id must be a string or an integer"),
     ])
     def test_bad_field_names_the_record(self, tmp_path, overrides, why):
         path = self.write_record(tmp_path, **overrides)
         with pytest.raises(ParseError, match=rf"data\.jsonl: record 1: {why}$"):
             dio.load_dataset(path)
+
+    def test_integer_id_is_read_as_text(self, tmp_path):
+        path = self.write_record(tmp_path, id=7, target={"start": 1, "end": 3})
+        [sample] = dio.load_dataset(path)
+        assert sample.id == "7" and sample.target_span == (1, 3)
+        assert type(sample.target_span[0]) is int
 
     def test_record_that_is_not_an_object(self, tmp_path):
         path = tmp_path / "data.jsonl"

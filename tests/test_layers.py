@@ -118,7 +118,7 @@ class TestMultiHead:
         wks, wvs = ([rand(rng, 6, 2) for _ in range(2)] for _ in range(2))
         params = MHAParams(wq=[Tensor(w) for w in wqs], wk=[Tensor(w) for w in wks],
                            wv=[Tensor(w) for w in wvs])
-        blocks = params.buffer.sync().blocks
+        blocks = params.buffer.blocks
         for block, role in zip(blocks, (params.wq, params.wk, params.wv)):
             for h, w in enumerate(role):
                 assert np.shares_memory(w.data, block) and w.data.flags.c_contiguous

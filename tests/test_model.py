@@ -145,7 +145,7 @@ class TestParamBuffer:
         mhas = [params.ctx_mhsa, params.inter_ctx, params.fusion]
         mhas += [] if text_only else [params.inter_img]
         for mha in mhas:
-            blocks = mha.buffer.sync().blocks
+            blocks = mha.buffer.blocks
             assert all(np.shares_memory(b, flat) for b in blocks)
             for block, role in zip(blocks, (mha.wq, mha.wk, mha.wv)):
                 assert block.shape == (len(role),) + role[0].shape
@@ -157,7 +157,7 @@ class TestParamBuffer:
         # one order: the names, the tensors and their rows of the flat array
         params = tiny_params(tiny_config(text_only=text_only), np.random.default_rng(43))
         buffer, named = params.buffer, params.named_parameters()
-        assert [name for name, _ in named] == buffer.names
+        assert [name for name, _ in named] == [t.name for t in buffer.tensors]
         assert all(p is t for (_, p), t in zip(named, buffer.tensors, strict=True))
         base, lo = buffer.flat.__array_interface__["data"][0], 0
         for name, p in named:
@@ -177,7 +177,15 @@ class TestParamBuffer:
         ce = md.loss([out.probs], [sample.label], params, 0.0).data
         got = md.loss([out.probs], [sample.label], params, 1.0).data - ce
         np.testing.assert_allclose(got, want, rtol=1e-12)
-        assert same_array(params.embed.data, params.buffer.views[0])
+        assert np.shares_memory(params.embed.data, params.buffer.blocks[0])
+
+    def test_assignment_writes_the_buffer_row(self):
+        params = tiny_params(tiny_config(), np.random.default_rng(44))
+        values = params.fusion.wk[1].data.copy()
+        params.fusion.wk[1].data = values * 2
+        want = np.concatenate([p.data for p in params.buffer.tensors], axis=None)
+        np.testing.assert_array_equal(params.buffer.flat, want)
+        np.testing.assert_array_equal(params.fusion.blocks[1][0, 1], values * 2)
 
     def test_rebind_to_another_shape_or_dtype_is_internal_error(self):
         cfg = tiny_config(l2_lambda=1.0)
@@ -185,16 +193,20 @@ class TestParamBuffer:
         params = tiny_params(cfg, rng)
         sample = tiny_sample(cfg, rng)
         out = md.forward(sample, params, cfg)
-        params.cls_b.data = np.zeros(4)
+        before = params.buffer.flat.copy()
+        # each rejected assignment raises at once and leaves the row as it was
         with pytest.raises(InternalError, match=r"cls\.b is float64 of shape \(4,\)"):
-            md.loss([out.probs], [sample.label], params, 1.0)
-        params.cls_b.data = np.zeros(3, dtype=np.float32)
+            params.cls_b.data = np.zeros(4)
         with pytest.raises(InternalError, match="cls.b is float32"):
-            md.loss([out.probs], [sample.label], params, 1.0)
+            params.cls_b.data = np.zeros(3, dtype=np.float32)
+        np.testing.assert_array_equal(params.buffer.flat, before)
         params.cls_b.data = np.zeros(3)
-        params.ctx_mhsa.wv[0].data = params.ctx_mhsa.wv[0].data[:, :1]
+        before = params.buffer.flat.copy()
         with pytest.raises(InternalError, match=r"ctx_mhsa\.h0\.wv"):
-            md.forward(sample, params, cfg)
+            params.ctx_mhsa.wv[0].data = params.ctx_mhsa.wv[0].data[:, :1]
+        np.testing.assert_array_equal(params.buffer.flat, before)
+        np.testing.assert_array_equal(md.forward(sample, params, cfg).interaction_weights,
+                                      out.interaction_weights)
 
 
 class TestEncodeContext:
@@ -1091,9 +1103,9 @@ class TestCheckpoint:
         cfg, params, _ = self.roundtrip_params(tmp_path)
         forwards, backwards = both_orders(params, "model")
         records = md._read_checkpoint_records(forwards.read_bytes(), forwards)
-        assert list(records) == params.buffer.names
-        assert list(md._read_checkpoint_records(backwards.read_bytes(), backwards)) == \
-            params.buffer.names[::-1]
+        names = [name for name, _ in params.named_parameters()]
+        assert list(records) == names
+        assert list(md._read_checkpoint_records(backwards.read_bytes(), backwards)) == names[::-1]
         saved = {n: p.data.copy() for n, p in params.named_parameters()}
         for _, p in params.named_parameters():
             p.data = p.data + 1.0

@@ -212,7 +212,7 @@ class TestFlatAdam:
             loop_adam_step(loop, loop_grads, loop_state)
             for (name, p), (_, q) in zip(flat.named_parameters(), loop.named_parameters()):
                 np.testing.assert_array_equal(p.data, q.data, err_msg=f"{name}, step {step}")
-            assert flat.embed.data is flat.buffer.views[0]
+            assert np.shares_memory(flat.embed.data, flat.buffer.blocks[0])
 
     def test_nan_gradient_names_parameter_and_changes_nothing(self):
         cfg, params, _, sample = self.models("single")
@@ -240,9 +240,11 @@ class TestFlatAdam:
     def test_mixed_dtypes_rejected(self):
         w = Tensor(np.zeros(2), requires_grad=True)
         params = fake_model(w=w)
-        w.data = np.zeros(2, dtype=np.float32)
-        grads = FakeGrads({id(params.embed): np.zeros((3, 2)), id(w): np.zeros(2, np.float32)})
         with pytest.raises(InternalError, match="parameter w is float32"):
+            w.data = np.zeros(2, dtype=np.float32)
+        assert w.data.dtype == np.float64 and np.shares_memory(w.data, params.buffer.flat)
+        grads = FakeGrads({id(params.embed): np.zeros((3, 2)), id(w): np.zeros(2, np.float32)})
+        with pytest.raises(InternalError, match="parameter w has a float32 gradient"):
             adam_step(params, grads, OptimizerState())
 
 
